@@ -1,9 +1,27 @@
 """Experiment CLI.
 
-Subcommands: generate, pretrain, transfer, knn, fewshot, svcca, reset,
-scale-sweep, report.  Every command reads one JSON experiment config
-(``config_version: 1``, documented in the README), writes EvalResult JSONs
-under ``<output_dir>/results/``, and appends a deterministic run log.
+Every command reads one JSON experiment config (``config_version: 1``; see
+``configs/demo.json``), writes its results under ``<output_dir>/results/``
+and appends a deterministic run log.  ``generate`` writes the synthetic
+tasks; ``pretrain`` trains one checkpoint per seed and registers it in the
+zoo.  The grid commands are job lists over targets x seeds x inits, run by
+one executor (``run_jobs``) on the zoo checkpoint of each seed:
+
+    transfer     finetune x {pretrained, random}
+    knn          frozen-embedding KNN x {pretrained, random}
+    fewshot      finetune x {pretrained, random}, per K in protocol.k_shots
+    svcca        finetune, then per-layer SVCCA x {pretrained, random}
+    reset        finetune x {reset_<spec>} for spec in protocol.reset_specs
+    scale-sweep  per protocol.scale_rows row: pretrain, then finetune x
+                 {pretrained, random} from that row's checkpoints
+
+Each job writes ``<tag>_<arch>_<target>_<init>_s<seed>.json``, where the
+tag is the command name (``fewshot<K>``, ``scale<n_params>``).  ``reset``
+writes no un-reset run: its baseline is ``transfer``'s pretrained result.
+``report`` averages every result within one (protocol, k_shot, task, arch,
+init) into ``report.json`` and ``report.csv`` (columns protocol, k_shot,
+task, arch, init, mean, n_runs), with pretrained-minus-random deltas taken
+within one protocol and K.
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
 
@@ -13,6 +31,7 @@ import argparse
 import fcntl
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +45,7 @@ from .bagdata import (
     synth_generate,
 )
 from .errors import ConfigError, DataError, MilError, NumericError
+from .fileio import atomic_open
 from .metrics import EvalResult
 from .models import ModelConfig
 from .training import TrainConfig
@@ -119,9 +139,10 @@ class Workspace:
         for d in (self.out, self.results, self.checkpoints, self.logs):
             d.mkdir(parents=True, exist_ok=True)
 
-    def write_result(self, name: str, result: EvalResult) -> Path:
+    def write_result(self, name: str, result: EvalResult | analysis.StabilityReport) -> Path:
         path = self.results / f"{name}.json"
-        path.write_text(result.to_json() + "\n")
+        with atomic_open(path) as fh:
+            fh.write(result.to_json() + "\n")
         return path
 
     def log_run(self, command: str, cfg: dict, outputs: list[str]):
@@ -151,7 +172,9 @@ def zoo_update(path: Path, entry: dict):
             zoo["entries"] = [e for e in zoo["entries"] if e["name"] != entry["name"]]
             zoo["entries"].append(entry)
             zoo["entries"].sort(key=lambda e: e["name"])
-            path.write_text(json.dumps(zoo, indent=2, sort_keys=True) + "\n")
+            with atomic_open(path) as fh:
+                json.dump(zoo, fh, indent=2, sort_keys=True)
+                fh.write("\n")
         finally:
             fcntl.flock(lk, fcntl.LOCK_UN)
 
@@ -165,10 +188,6 @@ def zoo_lookup(path: Path, name: str) -> Checkpoint:
                 raise DataError(f"zoo entry {name!r}: digest does not match checkpoint header")
             return ckpt
     raise DataError(f"zoo entry {name!r} not found in {path}")
-
-
-def zoo_find(path: Path, arch: str, pretrain_task: str, seed: int) -> Checkpoint:
-    return zoo_lookup(path, f"{arch}_{pretrain_task}_s{seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -202,239 +221,218 @@ def cmd_generate(cfg: dict, ws: Workspace) -> list[str]:
     return outputs
 
 
-def _pretrain_one(cfg: dict, ws: Workspace, seed: int, mcfg: ModelConfig,
-                  manifest: DatasetManifest, features, name: str,
-                  n_bootstrap: int) -> tuple[Checkpoint, Path]:
-    params = models.build_model(mcfg, seed=seed)
-    tcfg = train_config(cfg, seed)
-    result = training.train(mcfg, params, manifest, tcfg, features)
-    metric_value, bag_ids, labels, values = training.evaluate_split(
-        mcfg, result.params, manifest, "test", features)
+def _pretrain(cfg: dict, ws: Workspace, mcfg: ModelConfig, manifest: DatasetManifest,
+              features, tag: str = "") -> tuple[dict[int, Checkpoint], list[str]]:
+    """Pretrain ``mcfg`` once per seed as ``<arch>_<task><tag>_s<seed>``."""
     from .metrics import evaluate_records
-    eval_result = evaluate_records(
-        manifest.task.metric, manifest.task.n_classes, bag_ids, labels, values,
-        n_bootstrap=n_bootstrap, seed=seed,
-        context={"protocol": "pretrain", "arch": mcfg.arch, "init": "scratch",
-                 "source_task": manifest.task.task_id,
-                 "target_task": manifest.task.task_id, "seed": seed})
-    ckpt = Checkpoint(cfg=mcfg, params=result.params,
-                      pretrain_task_id=manifest.task.task_id,
-                      train_summary={"seed": seed, "epochs": len(result.history),
-                                     "best_val": result.best_val_metric()})
-    ckpt_path = ws.checkpoints / f"{name}.milc"
-    transfer.save_checkpoint(ckpt, ckpt_path)
-    (ws.checkpoints / f"{name}.history.jsonl").write_text(result.history_jsonl())
-    ws.write_result(f"pretrain_{name}", eval_result)
-    zoo_update(ws.zoo_path, {
-        "name": name,
-        "arch": mcfg.arch,
-        "cfg_digest": config_digest(mcfg),
-        "pretrain_task_id": manifest.task.task_id,
-        "checkpoint": str(ckpt_path),
-        "eval_summary": {"metric": eval_result.metric_name,
-                         "value": eval_result.value, "std": eval_result.bootstrap_std},
-    })
-    print(f"pretrained {name}: test {eval_result.metric_name}="
-          f"{eval_result.value:.4f} ({len(result.history)} epochs)")
-    return ckpt, ckpt_path
+    n_bootstrap = cfg["protocol"].get("n_bootstrap", 1000)
+    ckpts, outputs = {}, []
+    for seed in cfg["seeds"]:
+        name = f"{mcfg.arch}_{pretrain_task_id(cfg)}{tag}_s{seed}"
+        params = models.build_model(mcfg, seed=seed)
+        result = training.train(mcfg, params, manifest, train_config(cfg, seed), features)
+        _, bag_ids, labels, values = training.evaluate_split(
+            mcfg, result.params, manifest, "test", features)
+        eval_result = evaluate_records(
+            manifest.task.metric, manifest.task.n_classes, bag_ids, labels, values,
+            n_bootstrap=n_bootstrap, seed=seed,
+            context={"protocol": "pretrain", "arch": mcfg.arch, "init": "scratch",
+                     "source_task": manifest.task.task_id,
+                     "target_task": manifest.task.task_id, "seed": seed})
+        ckpts[seed] = Checkpoint(cfg=mcfg, params=result.params,
+                                 pretrain_task_id=manifest.task.task_id,
+                                 train_summary={"seed": seed, "epochs": len(result.history),
+                                                "best_val": result.best_val_metric()})
+        ckpt_path = ws.checkpoints / f"{name}.milc"
+        transfer.save_checkpoint(ckpts[seed], ckpt_path)
+        (ws.checkpoints / f"{name}.history.jsonl").write_text(result.history_jsonl())
+        ws.write_result(f"pretrain_{name}", eval_result)
+        zoo_update(ws.zoo_path, {
+            "name": name,
+            "arch": mcfg.arch,
+            "cfg_digest": config_digest(mcfg),
+            "pretrain_task_id": manifest.task.task_id,
+            "checkpoint": str(ckpt_path),
+            "eval_summary": {"metric": eval_result.metric_name,
+                             "value": eval_result.value, "std": eval_result.bootstrap_std},
+        })
+        outputs.append(str(ckpt_path))
+        print(f"pretrained {name}: test {eval_result.metric_name}="
+              f"{eval_result.value:.4f} ({len(result.history)} epochs)")
+    return ckpts, outputs
+
+
+def _pretrain_data(cfg: dict) -> tuple[DatasetManifest, dict]:
+    manifest = task_manifest(cfg, pretrain_task_id(cfg))
+    return manifest, training.load_split_features(manifest)
 
 
 def cmd_pretrain(cfg: dict, ws: Workspace) -> list[str]:
-    task_id = pretrain_task_id(cfg)
-    manifest = task_manifest(cfg, task_id)
-    features = training.load_split_features(manifest)
-    mcfg = model_config(cfg, manifest.task.n_classes)
-    n_boot = cfg["protocol"].get("n_bootstrap", 1000)
-    outputs = []
-    for seed in cfg["seeds"]:
-        name = f"{mcfg.arch}_{task_id}_s{seed}"
-        _, ckpt_path = _pretrain_one(cfg, ws, seed, mcfg, manifest, features, name, n_boot)
-        outputs.append(str(ckpt_path))
-    return outputs
+    manifest, features = _pretrain_data(cfg)
+    return _pretrain(cfg, ws, model_config(cfg, manifest.task.n_classes), manifest, features)[1]
 
 
-def _finetune_pair(cfg: dict, ws: Workspace, ckpt: Checkpoint, target: DatasetManifest,
-                   features, seed: int, n_boot: int, tag: str,
-                   reset_spec: str | None = None, inits=("pretrained", "random")) -> list[str]:
+# ---------------------------------------------------------------------------
+# the transfer grid: one job list per command, one executor
+# ---------------------------------------------------------------------------
+
+INITS = ("pretrained", "random")
+
+
+@dataclass(frozen=True)
+class Job:
+    protocol: str               # finetune | knn | svcca
+    target: str
+    init: str                   # pretrained | random | reset_<spec>
+    seed: int
+    k_shot: int | None = None
+
+
+def grid(cfg: dict, protocol: str, inits, k_shots=(None,)) -> list[Job]:
+    return [Job(protocol, target, init, seed, k)
+            for target in target_task_ids(cfg) for k in k_shots
+            for seed in cfg["seeds"] for init in inits]
+
+
+def _zoo_source(cfg: dict, ws: Workspace, seed: int) -> Checkpoint:
+    arch = (cfg.get("model") or {}).get("arch")
+    if not arch:
+        raise ConfigError("config: model.arch is required")
+    return zoo_lookup(ws.zoo_path, f"{arch}_{pretrain_task_id(cfg)}_s{seed}")
+
+
+def _run_finetune(cfg: dict, job: Job, ckpt: Checkpoint, target: DatasetManifest,
+                  features) -> EvalResult:
+    if job.k_shot is not None:
+        target = fewshot_sample(target, job.k_shot, job.seed)
+    if job.init == "random":
+        plan = TransferPlan(target=target, model_cfg=ckpt.cfg)
+    else:
+        spec = None if job.init == "pretrained" else job.init.removeprefix("reset_")
+        plan = TransferPlan(target=target, source=ckpt, reset_spec=spec)
+    res = transfer.finetune(plan, train_config(cfg, job.seed), features,
+                            n_bootstrap=cfg["protocol"].get("n_bootstrap", 1000)).eval_result
+    if job.k_shot is not None:
+        res.context["k_shot"] = job.k_shot
+    return res
+
+
+def _run_knn(cfg: dict, job: Job, ckpt: Checkpoint, target: DatasetManifest,
+             features) -> EvalResult:
+    proto = cfg["protocol"]
+    params = (ckpt.params if job.init == "pretrained"
+              else models.build_model(ckpt.cfg, seed=job.seed))
+    _, train_emb, train_y = transfer.embed_bags(ckpt.cfg, params, target, "train", features)
+    test_ids, test_emb, test_y = transfer.embed_bags(ckpt.cfg, params, target, "test", features)
+    return transfer.knn_evaluate(
+        train_emb, train_y, test_emb, test_y, target.task, k=proto.get("knn_k", 20),
+        distance=proto.get("distance", "euclidean"), bag_ids=test_ids,
+        n_bootstrap=proto.get("n_bootstrap", 1000), seed=job.seed,
+        context={"arch": ckpt.cfg.arch, "init": job.init, "seed": job.seed,
+                 "source_task": ckpt.pretrain_task_id if job.init == "pretrained" else "random",
+                 "target_task": job.target})
+
+
+def _run_svcca(cfg: dict, job: Job, ckpt: Checkpoint, target: DatasetManifest,
+               features) -> analysis.StabilityReport:
+    proto = cfg["protocol"]
+    if job.init == "pretrained":
+        start_cfg, start_params = transfer.init_from_pretrained(ckpt, target.task, seed=job.seed)
+    else:
+        start_cfg = ckpt.cfg.retarget(target.task.n_classes)
+        start_params = models.build_model(start_cfg, seed=job.seed)
+    result = training.train(start_cfg, start_params, target, train_config(cfg, job.seed),
+                            features)
+    return analysis.layer_stability_report(
+        Checkpoint(cfg=start_cfg, params=start_params), result.params, target,
+        max_instances=proto.get("max_instances", analysis.DEFAULT_SAMPLE_BUDGET),
+        seed=job.seed, variance_keep=proto.get("variance_keep", 0.99), features=features,
+        model_tag=f"{ckpt.cfg.arch}_{job.init}_s{job.seed}")
+
+
+RUNNERS = {"finetune": _run_finetune, "knn": _run_knn, "svcca": _run_svcca}
+
+
+def _summary(result) -> str:
+    if isinstance(result, EvalResult):
+        return f"{result.metric_name}={result.value:.4f}"
+    return " ".join(f"{layer['name']}={layer['mean']:.1f}" for layer in result.layers)
+
+
+def run_jobs(cfg: dict, ws: Workspace, tag: str, jobs: list[Job],
+             source: dict[int, Checkpoint] | None = None) -> list[str]:
+    """Run ``jobs`` in order and write one result per job.
+
+    ``source`` maps seed -> checkpoint; seeds it lacks come from the zoo,
+    each loaded once.  A target's manifest and features are read once per
+    run of consecutive jobs on it, which the ``grid`` order makes once per
+    target.
+    """
+    sources = dict(source or {})
+    loaded_target, target, features = None, None, None
     outputs = []
-    arch = ckpt.cfg.arch
-    tcfg = train_config(cfg, seed)
-    for init in inits:
-        if init == "random":
-            plan = TransferPlan(target=target, model_cfg=ckpt.cfg)
-        else:
-            plan = TransferPlan(target=target, source=ckpt, reset_spec=reset_spec)
-        fin = transfer.finetune(plan, tcfg, features, n_bootstrap=n_boot)
-        name = f"{tag}_{arch}_{target.task.task_id}_{fin.init_kind}_s{seed}"
-        outputs.append(str(ws.write_result(name, fin.eval_result)))
-        print(f"{tag} {arch} -> {target.task.task_id} [{fin.init_kind}, seed {seed}]: "
-              f"{fin.eval_result.metric_name}={fin.eval_result.value:.4f}")
+    for job in jobs:
+        if job.target != loaded_target:
+            target = task_manifest(cfg, job.target)
+            features = training.load_split_features(target)
+            loaded_target = job.target
+        if job.seed not in sources:
+            sources[job.seed] = _zoo_source(cfg, ws, job.seed)
+        ckpt = sources[job.seed]
+        result = RUNNERS[job.protocol](cfg, job, ckpt, target, features)
+        prefix = tag if job.k_shot is None else f"{tag}{job.k_shot}"
+        name = f"{prefix}_{ckpt.cfg.arch}_{job.target}_{job.init}_s{job.seed}"
+        outputs.append(str(ws.write_result(name, result)))
+        print(f"{prefix} {ckpt.cfg.arch} -> {job.target} [{job.init}, seed {job.seed}]: "
+              f"{_summary(result)}")
     return outputs
 
 
 def cmd_transfer(cfg: dict, ws: Workspace) -> list[str]:
-    task_id = pretrain_task_id(cfg)
-    arch = (cfg.get("model") or {}).get("arch")
-    if not arch:
-        raise ConfigError("config: model.arch is required")
-    n_boot = cfg["protocol"].get("n_bootstrap", 1000)
-    outputs = []
-    for target_id in target_task_ids(cfg):
-        target = task_manifest(cfg, target_id)
-        features = training.load_split_features(target)
-        for seed in cfg["seeds"]:
-            ckpt = zoo_find(ws.zoo_path, arch, task_id, seed)
-            outputs += _finetune_pair(cfg, ws, ckpt, target, features, seed,
-                                      n_boot, "transfer")
-    return outputs
+    return run_jobs(cfg, ws, "transfer", grid(cfg, "finetune", INITS))
 
 
 def cmd_knn(cfg: dict, ws: Workspace) -> list[str]:
-    task_id = pretrain_task_id(cfg)
-    arch = (cfg.get("model") or {}).get("arch")
-    proto = cfg["protocol"]
-    k = proto.get("knn_k", 20)
-    distance = proto.get("distance", "euclidean")
-    n_boot = proto.get("n_bootstrap", 1000)
-    outputs = []
-    for target_id in target_task_ids(cfg):
-        target = task_manifest(cfg, target_id)
-        features = training.load_split_features(target)
-        for seed in cfg["seeds"]:
-            ckpt = zoo_find(ws.zoo_path, arch, task_id, seed)
-            rand_params = models.build_model(ckpt.cfg, seed=seed)
-            for init, params in (("pretrained", ckpt.params), ("random", rand_params)):
-                _, train_emb, train_y = transfer.embed_bags(
-                    ckpt.cfg, params, target, "train", features)
-                test_ids, test_emb, test_y = transfer.embed_bags(
-                    ckpt.cfg, params, target, "test", features)
-                res = transfer.knn_evaluate(
-                    train_emb, train_y, test_emb, test_y, target.task, k=k,
-                    distance=distance, bag_ids=test_ids, n_bootstrap=n_boot, seed=seed,
-                    context={"arch": ckpt.cfg.arch, "init": init, "seed": seed,
-                             "source_task": task_id if init == "pretrained" else "random",
-                             "target_task": target_id})
-                name = f"knn_{arch}_{target_id}_{init}_s{seed}"
-                outputs.append(str(ws.write_result(name, res)))
-                print(f"knn {arch} -> {target_id} [{init}, seed {seed}]: "
-                      f"{res.metric_name}={res.value:.4f}")
-    return outputs
+    return run_jobs(cfg, ws, "knn", grid(cfg, "knn", INITS))
 
 
 def cmd_fewshot(cfg: dict, ws: Workspace) -> list[str]:
-    task_id = pretrain_task_id(cfg)
-    arch = (cfg.get("model") or {}).get("arch")
-    proto = cfg["protocol"]
-    shots = proto.get("k_shots", [4, 16, 32])
-    n_boot = proto.get("n_bootstrap", 1000)
-    outputs = []
-    for target_id in target_task_ids(cfg):
-        target = task_manifest(cfg, target_id)
-        features = training.load_split_features(target)
-        for k in shots:
-            for seed in cfg["seeds"]:
-                sub = fewshot_sample(target, k, seed)
-                ckpt = zoo_find(ws.zoo_path, arch, task_id, seed)
-                tcfg = train_config(cfg, seed)
-                for init in ("pretrained", "random"):
-                    plan = (TransferPlan(target=sub, source=ckpt) if init == "pretrained"
-                            else TransferPlan(target=sub, model_cfg=ckpt.cfg))
-                    fin = transfer.finetune(plan, tcfg, features, n_bootstrap=n_boot)
-                    fin.eval_result.context["k_shot"] = k
-                    name = f"fewshot{k}_{arch}_{target_id}_{init}_s{seed}"
-                    outputs.append(str(ws.write_result(name, fin.eval_result)))
-                    print(f"fewshot K={k} {arch} -> {target_id} [{init}, seed {seed}]: "
-                          f"{fin.eval_result.metric_name}={fin.eval_result.value:.4f}")
-    return outputs
+    shots = cfg["protocol"].get("k_shots", [4, 16, 32])
+    return run_jobs(cfg, ws, "fewshot", grid(cfg, "finetune", INITS, k_shots=shots))
 
 
 def cmd_svcca(cfg: dict, ws: Workspace) -> list[str]:
-    task_id = pretrain_task_id(cfg)
-    arch = (cfg.get("model") or {}).get("arch")
-    proto = cfg["protocol"]
-    max_instances = proto.get("max_instances", analysis.DEFAULT_SAMPLE_BUDGET)
-    variance_keep = proto.get("variance_keep", 0.99)
-    outputs = []
-    for target_id in target_task_ids(cfg):
-        target = task_manifest(cfg, target_id)
-        features = training.load_split_features(target)
-        for seed in cfg["seeds"]:
-            ckpt = zoo_find(ws.zoo_path, arch, task_id, seed)
-            tcfg = train_config(cfg, seed)
-            for init in ("pretrained", "random"):
-                if init == "pretrained":
-                    start_cfg, start_params = transfer.init_from_pretrained(
-                        ckpt, target.task, seed=seed)
-                else:
-                    start_cfg = ckpt.cfg.retarget(target.task.n_classes)
-                    start_params = models.build_model(start_cfg, seed=seed)
-                result = training.train(start_cfg, start_params, target, tcfg, features)
-                before = Checkpoint(cfg=start_cfg, params=start_params)
-                report = analysis.layer_stability_report(
-                    before, result.params, target, max_instances=max_instances,
-                    seed=seed, variance_keep=variance_keep, features=features,
-                    model_tag=f"{arch}_{init}_s{seed}")
-                path = ws.results / f"svcca_{arch}_{target_id}_{init}_s{seed}.json"
-                path.write_text(report.to_json() + "\n")
-                outputs.append(str(path))
-                attn = next((l for l in report.layers if l["name"] == "attn"), None)
-                print(f"svcca {arch} -> {target_id} [{init}, seed {seed}]: "
-                      f"attn={attn['mean']:.1f}" if attn else "svcca done")
-    return outputs
+    return run_jobs(cfg, ws, "svcca", grid(cfg, "svcca", INITS))
 
 
 def cmd_reset(cfg: dict, ws: Workspace) -> list[str]:
-    task_id = pretrain_task_id(cfg)
-    arch = (cfg.get("model") or {}).get("arch")
-    proto = cfg["protocol"]
-    specs = proto.get("reset_specs", ["attn", "all"])
-    n_boot = proto.get("n_bootstrap", 1000)
-    outputs = []
-    for target_id in target_task_ids(cfg):
-        target = task_manifest(cfg, target_id)
-        features = training.load_split_features(target)
-        for seed in cfg["seeds"]:
-            ckpt = zoo_find(ws.zoo_path, arch, task_id, seed)
-            outputs += _finetune_pair(cfg, ws, ckpt, target, features, seed,
-                                      n_boot, "reset", inits=("pretrained",))
-            for spec in specs:
-                outputs += _finetune_pair(cfg, ws, ckpt, target, features, seed,
-                                          n_boot, "reset", reset_spec=spec,
-                                          inits=("pretrained",))
-    return outputs
+    # the un-reset baseline is transfer's finetune/pretrained job
+    specs = cfg["protocol"].get("reset_specs", ["attn", "all"])
+    return run_jobs(cfg, ws, "reset", grid(cfg, "finetune", [f"reset_{s}" for s in specs]))
 
 
 def cmd_scale_sweep(cfg: dict, ws: Workspace) -> list[str]:
-    task_id = pretrain_task_id(cfg)
-    proto = cfg["protocol"]
-    rows = proto.get("scale_rows")
+    rows = cfg["protocol"].get("scale_rows")
     if not rows:
         raise ConfigError("config: protocol.scale_rows is required for scale-sweep")
-    n_boot = proto.get("n_bootstrap", 1000)
-    manifest = task_manifest(cfg, task_id)
-    pre_features = training.load_split_features(manifest)
+    jobs = grid(cfg, "finetune", INITS)
+    manifest, features = _pretrain_data(cfg)
     outputs = []
     for row in rows:
-        for seed in cfg["seeds"]:
-            mcfg = model_config(cfg, manifest.task.n_classes, overrides=row)
-            n_params = models.param_count(mcfg)
-            name = f"{mcfg.arch}_{task_id}_p{n_params}_s{seed}"
-            ckpt, ckpt_path = _pretrain_one(cfg, ws, seed, mcfg, manifest,
-                                            pre_features, name, n_boot)
-            outputs.append(str(ckpt_path))
-            for target_id in target_task_ids(cfg):
-                target = task_manifest(cfg, target_id)
-                features = training.load_split_features(target)
-                tag = f"scale{n_params}"
-                outputs += _finetune_pair(cfg, ws, ckpt, target, features, seed,
-                                          n_boot, tag)
+        mcfg = model_config(cfg, manifest.task.n_classes, overrides=row)
+        n_params = models.param_count(mcfg)
+        ckpts, paths = _pretrain(cfg, ws, mcfg, manifest, features, f"_p{n_params}")
+        outputs += paths + run_jobs(cfg, ws, f"scale{n_params}", jobs, source=ckpts)
     return outputs
 
 
+REPORT_KEYS = ("protocol", "k_shot", "task", "arch", "init")
+
+
 def cmd_report(cfg: dict, ws: Workspace) -> list[str]:
-    paths = sorted(ws.results.glob("*.json"))
-    records = []
-    for path in paths:
+    # one group per (protocol, k_shot, task, arch, init): no mean mixes protocols
+    groups: dict[tuple, list[float]] = {}
+    for path in sorted(ws.results.glob("*.json")):
         try:
             res = EvalResult.from_json(path.read_text())
         except (json.JSONDecodeError, KeyError):
@@ -442,47 +440,44 @@ def cmd_report(cfg: dict, ws: Workspace) -> list[str]:
         ctx = res.context
         if not ctx.get("target_task") or not ctx.get("init"):
             continue
-        records.append({
-            "task": ctx["target_task"], "arch": ctx.get("arch", "?"),
-            "init": ctx["init"], "seed": ctx.get("seed"),
-            "protocol": ctx.get("protocol", "?"),
-            "k_shot": ctx.get("k_shot"),
-            "metric": res.metric_name, "value": res.value, "std": res.bootstrap_std,
-        })
-    if not records:
+        key = (ctx.get("protocol", "?"), ctx.get("k_shot"), ctx["target_task"],
+               ctx.get("arch", "?"), ctx["init"])
+        groups.setdefault(key, []).append(res.value)
+    if not groups:
         raise DataError(f"no evaluation results found under {ws.results}")
 
-    groups: dict[tuple, list[float]] = {}
-    for r in records:
-        groups.setdefault((r["task"], r["arch"], r["init"]), []).append(r["value"])
     table = []
-    for (task, arch, init), values in sorted(groups.items()):
-        table.append({"task": task, "arch": arch, "init": init,
-                      "mean": float(np.mean(values)), "n_runs": len(values)})
+    # k_shot None (a full-data run) sorts before every K
+    for key in sorted(groups, key=lambda key: (key[0], key[1] or 0, key[2:])):
+        row = dict(zip(REPORT_KEYS, key))
+        row.update(mean=float(np.mean(groups[key])), n_runs=len(groups[key]))
+        table.append(row)
 
     # deltas recomputed from the raw per-run values, never cached arithmetic
     deltas = {}
-    arch_gaps: dict[str, list[float]] = {}
-    for (task, arch, init), values in groups.items():
-        if init != "pretrained":
+    gaps: dict[str, list[float]] = {}
+    for (protocol, k_shot, task, arch, init), values in groups.items():
+        base = groups.get((protocol, k_shot, task, arch, "random"))
+        if init != "pretrained" or not base:
             continue
-        base = groups.get((task, arch, "random"))
-        if base:
-            delta = float(np.mean(values) - np.mean(base))
-            deltas[f"{task}/{arch}"] = delta
-            arch_gaps.setdefault(arch, []).append(delta)
-    average = {arch: float(np.mean(gaps)) for arch, gaps in sorted(arch_gaps.items())}
+        label = protocol if k_shot is None else f"{protocol}{k_shot}"
+        delta = float(np.mean(values) - np.mean(base))
+        deltas[f"{label}/{task}/{arch}"] = delta
+        gaps.setdefault(f"{label}/{arch}", []).append(delta)
+    average = {key: float(np.mean(g)) for key, g in sorted(gaps.items())}
 
     report = {"rows": table, "deltas": dict(sorted(deltas.items())), "average_delta": average,
-              "n_results": len(records)}
+              "n_results": sum(map(len, groups.values()))}
     report_path = ws.out / "report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    with atomic_open(report_path) as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     csv_path = ws.out / "report.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("task,arch,init,mean,n_runs\n")
+    with atomic_open(csv_path) as fh:
+        fh.write(",".join(REPORT_KEYS) + ",mean,n_runs\n")
         for row in table:
-            fh.write(f"{row['task']},{row['arch']},{row['init']},"
-                     f"{row['mean']:.6f},{row['n_runs']}\n")
+            k_shot = "" if row["k_shot"] is None else row["k_shot"]
+            fh.write(f"{row['protocol']},{k_shot},{row['task']},{row['arch']},"
+                     f"{row['init']},{row['mean']:.6f},{row['n_runs']}\n")
     for key, delta in sorted(deltas.items()):
         print(f"delta {key}: {delta:+.4f}")
     print(f"report written to {report_path}")

@@ -148,7 +148,7 @@ def _truncated_normal(rng: np.random.Generator, shape, fan_in: int, dtype) -> np
 
 def init_layer(rng: np.random.Generator, name: str, shape: tuple[int, ...],
                dtype=np.float32) -> np.ndarray:
-    if name.endswith(".bias") or ".norm" in name and name.endswith(".bias"):
+    if name.endswith(".bias"):
         return np.zeros(shape, dtype=dtype)
     if ".norm" in name and name.endswith(".weight"):
         return np.ones(shape, dtype=dtype)

@@ -5,7 +5,6 @@ layer reset, and finetuning.
 
 from __future__ import annotations
 
-import datetime
 import hashlib
 import json
 import struct
@@ -23,12 +22,14 @@ from .errors import (
     ShapeMismatchError,
     VersionMismatchError,
 )
+from .fileio import atomic_open
 from .metrics import EvalResult, evaluate_records
 from .models import ModelConfig, ModelParams
 from .training import TrainConfig, TrainResult
 
 CHECKPOINT_MAGIC = b"MILC"
 CHECKPOINT_VERSION = 1
+HEADER_START = 13  # magic (4) + version (1) + u64 header length (8)
 
 RESET_SPECS = ("attn", "lin3plus", "lin2plus", "all")
 
@@ -88,11 +89,11 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "cfg_digest": config_digest(ckpt.cfg),
         "pretrain_task_id": ckpt.pretrain_task_id,
         "train_summary": ckpt.train_summary,
-        "created_at": ckpt.created_at or datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "created_at": ckpt.created_at,
         "layers": layers,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(bytes([CHECKPOINT_VERSION]))
         fh.write(struct.pack("<Q", len(header_bytes)))
@@ -104,31 +105,36 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     data = Path(path).read_bytes()
     if data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"{path}: not a checkpoint (bad magic)")
+    if len(data) < HEADER_START:
+        raise CheckpointFormatError(f"{path}: truncated at {len(data)} bytes, inside the prefix")
     version = data[4]
     if version != CHECKPOINT_VERSION:
         raise VersionMismatchError(f"{path}: unsupported checkpoint version {version}")
     (header_len,) = struct.unpack_from("<Q", data, 5)
-    header_start = 13
+    blob_start = HEADER_START + header_len
+    if blob_start > len(data):
+        raise CheckpointFormatError(
+            f"{path}: header of {header_len} bytes overruns the {len(data)}-byte file")
     try:
-        header = json.loads(data[header_start:header_start + header_len])
-    except json.JSONDecodeError as exc:
-        raise CheckpointFormatError(f"{path}: corrupt header") from exc
-    cfg = config_from_dict(header["cfg"])
-    blob = data[header_start + header_len:]
+        header = json.loads(data[HEADER_START:blob_start])
+        cfg = config_from_dict(header["cfg"])
+        layers = [(str(layer["name"]), tuple(int(d) for d in layer["shape"]),
+                   int(layer["offset"]), int(layer["length"])) for layer in header["layers"]]
+        format_version = header["format_version"]
+    except (ValueError, KeyError, TypeError, ConfigError) as exc:
+        raise CheckpointFormatError(f"{path}: malformed header ({exc!r})") from exc
+    blob = data[blob_start:]
 
     schema = dict(models.param_schema(cfg))
     params: ModelParams = {}
     seen = set()
-    for layer in header["layers"]:
-        name = layer["name"]
-        shape = tuple(layer["shape"])
+    for name, shape, start, length in layers:
         if name not in schema:
             raise ShapeMismatchError(f"{path}: layer {name!r} not in {cfg.arch} schema")
         if shape != schema[name]:
             raise ShapeMismatchError(
                 f"{path}: layer {name!r} stored shape {shape} != config shape {schema[name]}")
-        start, length = layer["offset"], layer["length"]
-        if length != int(np.prod(shape)) * 4 or start + length > len(blob):
+        if length != int(np.prod(shape)) * 4 or not 0 <= start <= len(blob) - length:
             raise CheckpointFormatError(f"{path}: layer {name!r} has inconsistent extent")
         params[name] = np.frombuffer(blob[start:start + length], dtype="<f4").reshape(shape).copy()
         seen.add(name)
@@ -139,7 +145,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                       pretrain_task_id=header.get("pretrain_task_id", ""),
                       train_summary=header.get("train_summary", {}),
                       created_at=header.get("created_at", ""),
-                      format_version=header["format_version"])
+                      format_version=format_version)
 
 
 # ---------------------------------------------------------------------------

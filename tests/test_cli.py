@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 
 import pytest
 
-from miltransfer.cli import main
+from miltransfer import transfer
+from miltransfer.cli import main, zoo_update
 from miltransfer.metrics import EvalResult
 
 
@@ -107,7 +109,7 @@ def test_reset_command(pipeline):
     kinds = set()
     for p in out.glob("reset_abmil_tgt_*.json"):
         kinds.add(EvalResult.from_json(p.read_text()).context["init"])
-    assert kinds == {"pretrained", "reset_attn", "reset_all"}
+    assert kinds == {"reset_attn", "reset_all"}
 
 
 def test_svcca_command(pipeline):
@@ -122,13 +124,22 @@ def test_report_aggregates_and_computes_delta(pipeline):
     tmp, cfg, cfg_path = pipeline
     assert main(["--config", cfg_path, "report"]) == 0
     report = json.loads((tmp / "runs" / "report.json").read_text())
-    assert "tgt/abmil" in report["deltas"]
-    pre = next(r for r in report["rows"]
-               if r["task"] == "tgt" and r["init"] == "pretrained")
-    rand = next(r for r in report["rows"]
-                if r["task"] == "tgt" and r["init"] == "random")
-    assert report["deltas"]["tgt/abmil"] == pytest.approx(pre["mean"] - rand["mean"])
-    assert (tmp / "runs" / "report.csv").exists()
+    rows = {(r["protocol"], r["k_shot"], r["task"], r["init"]): r for r in report["rows"]}
+    for protocol in ("finetune", "knn"):
+        pre = rows[(protocol, None, "tgt", "pretrained")]
+        rand = rows[(protocol, None, "tgt", "random")]
+        # one run per seed: knn and reset results stay out of the finetune rows
+        assert pre["n_runs"] == rand["n_runs"] == len(cfg["seeds"])
+        delta = pre["mean"] - rand["mean"]
+        assert report["deltas"][f"{protocol}/tgt/abmil"] == pytest.approx(delta)
+        assert report["average_delta"][f"{protocol}/abmil"] == pytest.approx(delta)
+    transfer = EvalResult.from_json(
+        (tmp / "runs" / "results" / "transfer_abmil_tgt_pretrained_s0.json").read_text())
+    assert rows[("finetune", None, "tgt", "pretrained")]["mean"] == transfer.value
+    assert rows[("finetune", None, "tgt", "reset_attn")]["n_runs"] == len(cfg["seeds"])
+    lines = (tmp / "runs" / "report.csv").read_text().splitlines()
+    assert lines[0] == "protocol,k_shot,task,arch,init,mean,n_runs"
+    assert len(lines) == len(report["rows"]) + 1
 
 
 def test_report_empty_results_is_data_error(tmp_path):
@@ -195,3 +206,106 @@ def test_transfer_idempotent_results(pipeline):
     first = out.read_bytes()
     assert main(["--config", cfg_path, "transfer"]) == 0
     assert out.read_bytes() == first
+
+
+def test_pretrain_checkpoints_are_byte_identical(pipeline, tmp_path):
+    _, _, cfg_path = pipeline
+    for out in ("a", "b"):
+        assert main(["--config", cfg_path, "--out", str(tmp_path / out), "pretrain"]) == 0
+    name = "checkpoints/abmil_pre4_s0.milc"
+    assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_truncated_zoo_checkpoint_is_data_error(pipeline, tmp_path):
+    tmp, cfg, cfg_path = pipeline
+    zoo = json.loads((tmp / "runs" / "zoo.json").read_text())
+    entry = zoo["entries"][0]
+    cut = tmp_path / "cut.milc"
+    cut.write_bytes(open(entry["checkpoint"], "rb").read(8))
+    entry["checkpoint"] = str(cut)
+    bad_zoo = tmp_path / "zoo_cut.json"
+    bad_zoo.write_text(json.dumps(zoo))
+    argv = ["--config", cfg_path, "--out", str(tmp_path / "out"), "--zoo", str(bad_zoo)]
+    assert main(argv + ["transfer"]) == 3
+
+
+def test_zoo_update_failure_keeps_previous_zoo(tmp_path):
+    path = tmp_path / "zoo.json"
+    zoo_update(path, {"name": "a", "checkpoint": "a.milc"})
+    before = path.read_bytes()
+    # "b" sorts after "a", so the dump fails part-way through the file
+    with pytest.raises(TypeError):
+        zoo_update(path, {"name": "b", "checkpoint": object()})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["zoo.json", "zoo.lock"]
+
+
+GRID_COMMANDS = ("transfer", "knn", "reset", "fewshot")
+
+
+@pytest.fixture(scope="module")
+def two_target_grid(tmp_path_factory):
+    """Two seeds x two targets through transfer, knn, reset, fewshot and
+    report, counting checkpoint loads per command."""
+    tmp = tmp_path_factory.mktemp("grid")
+    cfg = base_config(tmp / "data", tmp / "runs")
+    cfg["seeds"] = [0, 1]
+    cfg["data"]["targets"] = ["tgt", "tgt2"]
+    cfg["synthetic"]["tasks"][1]["n_bags_per_class"] = 40
+    cfg["synthetic"]["tasks"].append(
+        {"task_id": "tgt2", "n_bags_per_class": 40, "concepts_per_class": [[1], [3]]})
+    cfg["protocol"]["k_shots"] = [4, 16]
+    cfg_path = write_config(tmp, cfg)
+    assert main(["--config", cfg_path, "generate"]) == 0
+    assert main(["--config", cfg_path, "pretrain"]) == 0
+    loads = {}
+    original = transfer.load_checkpoint
+    for command in GRID_COMMANDS:
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transfer, "load_checkpoint",
+                       lambda path: calls.append(path) or original(path))
+            assert main(["--config", cfg_path, command]) == 0
+        loads[command] = Counter(calls)
+    assert main(["--config", cfg_path, "report"]) == 0
+    return tmp, cfg, loads
+
+
+def test_grid_writes_each_job_key_once(two_target_grid):
+    tmp, cfg, _ = two_target_grid
+    keys = Counter()
+    for prefix in ("transfer", "knn", "reset"):
+        for path in (tmp / "runs" / "results").glob(f"{prefix}_*.json"):
+            ctx = EvalResult.from_json(path.read_text()).context
+            keys[(ctx["protocol"], ctx["target_task"], ctx["init"], ctx["seed"])] += 1
+    expected = {(protocol, target, init, seed)
+                for target in cfg["data"]["targets"] for seed in cfg["seeds"]
+                for protocol, inits in (
+                    ("finetune", ("pretrained", "random", "reset_attn", "reset_all")),
+                    ("knn", ("pretrained", "random")))
+                for init in inits}
+    assert set(keys) == expected
+    assert set(keys.values()) == {1}
+
+
+def test_checkpoint_loaded_once_per_seed_per_command(two_target_grid):
+    _, cfg, loads = two_target_grid
+    for command in GRID_COMMANDS:
+        assert len(loads[command]) == len(cfg["seeds"]), command
+        assert set(loads[command].values()) == {1}, command
+
+
+def test_report_keeps_fewshot_k_rows_apart(two_target_grid):
+    tmp, cfg, _ = two_target_grid
+    report = json.loads((tmp / "runs" / "report.json").read_text())
+    rows = {(r["protocol"], r["k_shot"], r["task"], r["init"]): r for r in report["rows"]}
+    for target in cfg["data"]["targets"]:
+        for k in (None, *cfg["protocol"]["k_shots"]):
+            pre = rows[("finetune", k, target, "pretrained")]
+            rand = rows[("finetune", k, target, "random")]
+            assert pre["n_runs"] == rand["n_runs"] == len(cfg["seeds"])
+            label = "finetune" if k is None else f"finetune{k}"
+            assert report["deltas"][f"{label}/{target}/abmil"] == pytest.approx(
+                pre["mean"] - rand["mean"])
+    assert set(report["average_delta"]) == {
+        "finetune/abmil", "finetune4/abmil", "finetune16/abmil", "knn/abmil"}

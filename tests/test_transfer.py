@@ -20,7 +20,13 @@ from miltransfer import (
     save_checkpoint,
     train,
 )
-from miltransfer.errors import ConfigError, DataError, ShapeMismatchError, VersionMismatchError
+from miltransfer.errors import (
+    CheckpointFormatError,
+    ConfigError,
+    DataError,
+    ShapeMismatchError,
+    VersionMismatchError,
+)
 from miltransfer.models import param_schema
 from miltransfer.transfer import TransferPlan, config_digest, knn_predict
 
@@ -73,6 +79,42 @@ def test_checkpoint_version_mismatch(tmp_path, abmil_ckpt):
     raw[4] = 99
     path.write_bytes(bytes(raw))
     with pytest.raises(VersionMismatchError):
+        load_checkpoint(path)
+
+
+def _edit_header(edit):
+    """A corruption that rewrites the JSON header through ``edit``."""
+    def corrupt(raw: bytes) -> bytes:
+        (n,) = struct.unpack_from("<Q", raw, 5)
+        header = json.dumps(edit(json.loads(raw[13:13 + n])), sort_keys=True).encode()
+        return raw[:5] + struct.pack("<Q", len(header)) + header + raw[13 + n:]
+    return corrupt
+
+
+def _drop_offset(header):
+    del header["layers"][0]["offset"]
+    return header
+
+
+MALFORMED_CHECKPOINTS = {
+    **{f"cut_at_{n}": (lambda raw, n=n: raw[:n]) for n in range(4, 13)},
+    "header_without_cfg": _edit_header(lambda h: {k: v for k, v in h.items() if k != "cfg"}),
+    "header_without_layers": _edit_header(
+        lambda h: {k: v for k, v in h.items() if k != "layers"}),
+    "layer_without_offset": _edit_header(_drop_offset),
+    "unknown_cfg_field": _edit_header(lambda h: {**h, "cfg": {**h["cfg"], "bogus": 1}}),
+    "layers_not_a_list": _edit_header(lambda h: {**h, "layers": 7}),
+    "header_is_a_list": _edit_header(lambda h: [h]),
+    "header_length_past_eof": lambda raw: raw[:5] + struct.pack("<Q", len(raw)) + raw[13:],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_malformed_checkpoint_is_format_error(tmp_path, abmil_ckpt, case):
+    path = tmp_path / "m.milc"
+    save_checkpoint(abmil_ckpt, path)
+    path.write_bytes(MALFORMED_CHECKPOINTS[case](path.read_bytes()))
+    with pytest.raises(CheckpointFormatError):
         load_checkpoint(path)
 
 
