@@ -128,6 +128,8 @@ def evaluate_split(cfg: ModelConfig, params: ModelParams, manifest: DatasetManif
     for e in entries:
         x = features[e.bag_id] if features is not None else manifest.load_features(e)
         out = models.forward(params, cfg, x)
+        if not np.isfinite(out.logits).all():
+            raise NumericError(f"non-finite logits on {split} bag {e.bag_id!r}")
         if task.metric == "auroc":
             value = float(models.softmax(out.logits)[1])
         else:

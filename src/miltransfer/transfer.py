@@ -33,6 +33,9 @@ HEADER_START = 13  # magic (4) + version (1) + u64 header length (8)
 
 RESET_SPECS = ("attn", "lin3plus", "lin2plus", "all")
 
+# Byte budget of the per-chunk (queries x train x dim) euclidean broadcast.
+_KNN_CHUNK_BYTES = 32 << 20
+
 
 @dataclass
 class Checkpoint:
@@ -259,11 +262,19 @@ def knn_predict(train_embeddings: np.ndarray, train_labels: np.ndarray,
     Majority vote; ties between classes broken by summed inverse distance,
     then by the lower class index.
     """
+    if k < 1:
+        raise ConfigError(f"knn k must be >= 1, got {k}")
     if k > train_embeddings.shape[0]:
         raise DataError(f"k={k} exceeds {train_embeddings.shape[0]} train embeddings")
     if distance == "euclidean":
-        d = np.sqrt(np.maximum(
-            ((query[:, None, :] - train_embeddings[None, :, :]) ** 2).sum(-1), 0.0))
+        # Query rows in chunks bound the broadcast temporary; each row's
+        # distances are the same arithmetic as one whole-query broadcast.
+        # With no queries the range still yields one (empty) chunk.
+        row_bytes = train_embeddings.size * np.result_type(query, train_embeddings).itemsize
+        step = max(1, _KNN_CHUNK_BYTES // max(row_bytes, 1))
+        d = np.concatenate([np.sqrt(np.maximum(
+            ((query[i:i + step, None, :] - train_embeddings[None, :, :]) ** 2).sum(-1), 0.0))
+            for i in range(0, max(query.shape[0], 1), step)])
     elif distance == "cosine":
         qn = query / np.maximum(np.linalg.norm(query, axis=1, keepdims=True), 1e-12)
         tn = train_embeddings / np.maximum(

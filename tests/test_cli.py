@@ -229,6 +229,16 @@ def test_truncated_zoo_checkpoint_is_data_error(pipeline, tmp_path):
     assert main(argv + ["transfer"]) == 3
 
 
+def test_knn_k_zero_is_config_error(pipeline, tmp_path):
+    tmp, cfg, _ = pipeline
+    bad = json.loads(json.dumps(cfg))
+    bad["protocol"]["knn_k"] = 0
+    argv = ["--config", write_config(tmp_path, bad), "--out", str(tmp_path / "out"),
+            "--zoo", str(tmp / "runs" / "zoo.json")]
+    assert main(argv + ["knn"]) == 2
+    assert not list((tmp_path / "out").glob("results/knn_*"))
+
+
 def test_zoo_update_failure_keeps_previous_zoo(tmp_path):
     path = tmp_path / "zoo.json"
     zoo_update(path, {"name": "a", "checkpoint": "a.milc"})

@@ -144,6 +144,13 @@ def test_checkpoint_on_best(easy_task, easy_features, tiny_abmil):
     assert val == pytest.approx(best, abs=1e-9)
 
 
+def test_evaluate_split_rejects_non_finite_logits(easy_task, easy_features, tiny_abmil):
+    params = build_model(tiny_abmil, seed=0)
+    params["classifier.bias"][1] = np.nan
+    with pytest.raises(NumericError):
+        evaluate_split(tiny_abmil, params, easy_task, "val", easy_features)
+
+
 def test_training_loss_decreases(easy_task, easy_features, tiny_abmil):
     result = train(tiny_abmil, build_model(tiny_abmil, seed=0), easy_task,
                    TrainConfig(seed=0, lr=1e-3), easy_features)

@@ -19,6 +19,7 @@ from miltransfer import (
     reset_layers,
     save_checkpoint,
     train,
+    transfer,
 )
 from miltransfer.errors import (
     CheckpointFormatError,
@@ -252,6 +253,25 @@ def test_knn_k_too_large():
     with pytest.raises(DataError):
         knn_predict(np.zeros((3, 2)), np.zeros(3, dtype=int), np.zeros((1, 2)),
                     k=4, n_classes=2)
+
+
+def test_knn_chunked_distances_match_one_broadcast(monkeypatch):
+    rng = np.random.default_rng(11)
+    train_emb = rng.standard_normal((40, 7)).astype(np.float32)
+    train_y = rng.integers(0, 2, 40)
+    test_emb = rng.standard_normal((9, 7)).astype(np.float32)
+    whole = knn_predict(train_emb, train_y, test_emb, k=6, n_classes=2)
+    # one query row of the broadcast is 40 * 7 float32 = 1120 bytes: 4 rows a chunk
+    monkeypatch.setattr(transfer, "_KNN_CHUNK_BYTES", 4 * 1120)
+    calls = []
+    real_sqrt = np.sqrt
+    monkeypatch.setattr(transfer.np, "sqrt", lambda x: calls.append(x.shape) or real_sqrt(x))
+    chunked = knn_predict(train_emb, train_y, test_emb, k=6, n_classes=2)
+    assert calls == [(4, 40), (4, 40), (1, 40)]
+    assert np.array_equal(whole[0], chunked[0])
+    assert np.array_equal(whole[1], chunked[1])
+    preds, pos = knn_predict(train_emb, train_y, test_emb[:0], k=6, n_classes=2)
+    assert preds.shape == (0,) and pos.shape == (0,)
 
 
 def test_knn_cosine_switch():
