@@ -26,7 +26,7 @@ from .models import (
     param_count,
     param_schema,
 )
-from .training import TrainConfig, TrainResult, adamw_step, compute_loss, cosine_lr, train
+from .training import TrainConfig, TrainResult, adamw_step, cosine_lr, train
 from .transfer import (
     Checkpoint,
     TransferPlan,

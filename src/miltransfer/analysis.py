@@ -19,6 +19,7 @@ import numpy as np
 from . import models
 from .bagdata import DatasetManifest
 from .errors import ConfigError, DataError
+from .fileio import atomic_open
 from .models import ModelConfig, ModelParams
 from .transfer import Checkpoint
 
@@ -224,7 +225,7 @@ def attention_export(cfg: ModelConfig, params: ModelParams, manifest: DatasetMan
     entries = manifest.split(split)
     if not entries:
         raise DataError(f"split {split!r} is empty")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bag_id", "instance_index", "attention_weight"])
         for e in entries:
@@ -240,7 +241,7 @@ def embedding_export(cfg: ModelConfig, params: ModelParams, manifest: DatasetMan
     """CSV of (bag_id, label, e_0..e_{D-1}) slide embeddings."""
     from .transfer import embed_bags
     bag_ids, emb, labels = embed_bags(cfg, params, manifest, split, features)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bag_id", "label"] + [f"e_{i}" for i in range(emb.shape[1])])
         for bag_id, label, row in zip(bag_ids, labels, emb):

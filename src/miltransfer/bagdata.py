@@ -27,6 +27,7 @@ from .errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
+from .fileio import atomic_open
 
 FEATURE_MAGIC = b"MILF"
 FEATURE_VERSION = 1
@@ -57,7 +58,7 @@ def write_feature_file(features: np.ndarray, path: str | Path) -> None:
         raise DataError("feature matrix contains non-finite values")
     arr = np.ascontiguousarray(arr, dtype="<f4")
     n, d = arr.shape
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(bytes([FEATURE_VERSION]))
         fh.write(b"\x00" * 8)
@@ -261,7 +262,10 @@ def load_manifest(path: str | Path, task: TaskSpec | None = None) -> DatasetMani
     if task is None:
         sidecar = path.parent / "task.json"
         if sidecar.exists():
-            task = TaskSpec.from_dict(json.loads(sidecar.read_text()))
+            try:
+                task = TaskSpec.from_dict(json.loads(sidecar.read_text()))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DataError(f"{sidecar}: malformed task spec ({exc!r})") from exc
         else:
             labels = sorted({r.label for r in rows})
             if not rows:
@@ -279,14 +283,13 @@ def load_manifest(path: str | Path, task: TaskSpec | None = None) -> DatasetMani
 
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bag_id", "path", "label", "split"])
         for e in manifest.entries:
             writer.writerow([e.bag_id, e.path, e.label, e.split])
-    (path.parent / "task.json").write_text(
-        json.dumps(manifest.task.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    with atomic_open(path.parent / "task.json") as fh:
+        fh.write(json.dumps(manifest.task.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,13 @@ one executor (``run_jobs``) on the zoo checkpoint of each seed:
     scale-sweep  per protocol.scale_rows row: pretrain, then finetune x
                  {pretrained, random} from that row's checkpoints
 
+Jobs that share (target, seed, k_shot) differ only in their init.  These
+init-siblings train in lockstep as one parameter stack
+(``training.train_group``): ``transfer``, ``fewshot``, ``svcca`` and each
+``scale-sweep`` row stack two jobs, and ``reset`` stacks one job per reset
+spec.  ``knn`` trains nothing and runs its jobs one by one.  A sibling's
+result equals the one its solo run would write, byte for byte.
+
 Each job writes ``<tag>_<arch>_<target>_<init>_s<seed>.json``, where the
 tag is the command name (``fewshot<K>``, ``scale<n_params>``).  ``reset``
 writes no un-reset run: its baseline is ``transfer``'s pretrained result.
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -73,7 +81,13 @@ def load_config(path: str | Path) -> dict:
             raise ConfigError(f"config {path}: missing {key!r}")
     if not cfg["seeds"]:
         raise ConfigError("config: seeds must be non-empty")
-    cfg.setdefault("protocol", {})
+    proto = cfg.setdefault("protocol", {})
+    if not isinstance(proto, dict):
+        raise ConfigError("config: protocol must be an object")
+    n_bootstrap = proto.get("n_bootstrap", 1000)
+    if isinstance(n_bootstrap, bool) or not isinstance(n_bootstrap, int) or n_bootstrap < 0:
+        raise ConfigError(f"config: protocol.n_bootstrap must be an integer >= 0, "
+                          f"got {n_bootstrap!r}")
     return cfg
 
 
@@ -158,7 +172,16 @@ class Workspace:
 def _zoo_read(path: Path) -> dict:
     if not path.exists():
         return {"entries": []}
-    return json.loads(path.read_text())
+    try:
+        zoo = json.loads(path.read_text())
+    except ValueError as exc:  # invalid JSON or not UTF-8
+        raise DataError(f"zoo {path}: not valid JSON ({exc})") from exc
+    entries = zoo.get("entries") if isinstance(zoo, dict) else None
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and "name" in e for e in entries):
+        raise DataError(f"zoo {path}: expected an object whose 'entries' list holds "
+                        "named entries")
+    return zoo
 
 
 def zoo_update(path: Path, entry: dict):
@@ -183,6 +206,9 @@ def zoo_lookup(path: Path, name: str) -> Checkpoint:
     zoo = _zoo_read(path)
     for e in zoo["entries"]:
         if e["name"] == name:
+            missing = [key for key in ("checkpoint", "cfg_digest") if key not in e]
+            if missing:
+                raise DataError(f"zoo entry {name!r} in {path} lacks {missing}")
             ckpt = transfer.load_checkpoint(e["checkpoint"])
             if config_digest(ckpt.cfg) != e["cfg_digest"]:
                 raise DataError(f"zoo entry {name!r}: digest does not match checkpoint header")
@@ -245,7 +271,8 @@ def _pretrain(cfg: dict, ws: Workspace, mcfg: ModelConfig, manifest: DatasetMani
                                                 "best_val": result.best_val_metric()})
         ckpt_path = ws.checkpoints / f"{name}.milc"
         transfer.save_checkpoint(ckpts[seed], ckpt_path)
-        (ws.checkpoints / f"{name}.history.jsonl").write_text(result.history_jsonl())
+        with atomic_open(ws.checkpoints / f"{name}.history.jsonl") as fh:
+            fh.write(result.history_jsonl())
         ws.write_result(f"pretrain_{name}", eval_result)
         zoo_update(ws.zoo_path, {
             "name": name,
@@ -301,53 +328,65 @@ def _zoo_source(cfg: dict, ws: Workspace, seed: int) -> Checkpoint:
     return zoo_lookup(ws.zoo_path, f"{arch}_{pretrain_task_id(cfg)}_s{seed}")
 
 
-def _run_finetune(cfg: dict, job: Job, ckpt: Checkpoint, target: DatasetManifest,
-                  features) -> EvalResult:
-    if job.k_shot is not None:
-        target = fewshot_sample(target, job.k_shot, job.seed)
+def _plan(job: Job, ckpt: Checkpoint, target: DatasetManifest) -> TransferPlan:
     if job.init == "random":
-        plan = TransferPlan(target=target, model_cfg=ckpt.cfg)
-    else:
-        spec = None if job.init == "pretrained" else job.init.removeprefix("reset_")
-        plan = TransferPlan(target=target, source=ckpt, reset_spec=spec)
-    res = transfer.finetune(plan, train_config(cfg, job.seed), features,
-                            n_bootstrap=cfg["protocol"].get("n_bootstrap", 1000)).eval_result
-    if job.k_shot is not None:
-        res.context["k_shot"] = job.k_shot
-    return res
+        return TransferPlan(target=target, model_cfg=ckpt.cfg)
+    spec = None if job.init == "pretrained" else job.init.removeprefix("reset_")
+    return TransferPlan(target=target, source=ckpt, reset_spec=spec)
 
 
-def _run_knn(cfg: dict, job: Job, ckpt: Checkpoint, target: DatasetManifest,
-             features) -> EvalResult:
+def _run_finetune(cfg: dict, jobs: list[Job], ckpt: Checkpoint, target: DatasetManifest,
+                  features) -> list[EvalResult]:
+    k_shot, seed = jobs[0].k_shot, jobs[0].seed
+    if k_shot is not None:
+        target = fewshot_sample(target, k_shot, seed)
+    fins = transfer.finetune_group([_plan(job, ckpt, target) for job in jobs],
+                                   train_config(cfg, seed), features,
+                                   n_bootstrap=cfg["protocol"].get("n_bootstrap", 1000))
+    results = [fin.eval_result for fin in fins]
+    if k_shot is not None:
+        for res in results:
+            res.context["k_shot"] = k_shot
+    return results
+
+
+def _run_knn(cfg: dict, jobs: list[Job], ckpt: Checkpoint, target: DatasetManifest,
+             features) -> list[EvalResult]:
     proto = cfg["protocol"]
-    params = (ckpt.params if job.init == "pretrained"
-              else models.build_model(ckpt.cfg, seed=job.seed))
-    _, train_emb, train_y = transfer.embed_bags(ckpt.cfg, params, target, "train", features)
-    test_ids, test_emb, test_y = transfer.embed_bags(ckpt.cfg, params, target, "test", features)
-    return transfer.knn_evaluate(
-        train_emb, train_y, test_emb, test_y, target.task, k=proto.get("knn_k", 20),
-        distance=proto.get("distance", "euclidean"), bag_ids=test_ids,
-        n_bootstrap=proto.get("n_bootstrap", 1000), seed=job.seed,
-        context={"arch": ckpt.cfg.arch, "init": job.init, "seed": job.seed,
-                 "source_task": ckpt.pretrain_task_id if job.init == "pretrained" else "random",
-                 "target_task": job.target})
+    results = []
+    for job in jobs:  # nothing is trained, so nothing is stacked
+        params = (ckpt.params if job.init == "pretrained"
+                  else models.build_model(ckpt.cfg, seed=job.seed))
+        _, train_emb, train_y = transfer.embed_bags(ckpt.cfg, params, target, "train", features)
+        test_ids, test_emb, test_y = transfer.embed_bags(ckpt.cfg, params, target, "test",
+                                                         features)
+        results.append(transfer.knn_evaluate(
+            train_emb, train_y, test_emb, test_y, target.task, k=proto.get("knn_k", 20),
+            distance=proto.get("distance", "euclidean"), bag_ids=test_ids,
+            n_bootstrap=proto.get("n_bootstrap", 1000), seed=job.seed,
+            context={"arch": ckpt.cfg.arch, "init": job.init, "seed": job.seed,
+                     "source_task": (ckpt.pretrain_task_id if job.init == "pretrained"
+                                     else "random"),
+                     "target_task": job.target}))
+    return results
 
 
-def _run_svcca(cfg: dict, job: Job, ckpt: Checkpoint, target: DatasetManifest,
-               features) -> analysis.StabilityReport:
+def _run_svcca(cfg: dict, jobs: list[Job], ckpt: Checkpoint, target: DatasetManifest,
+               features) -> list[analysis.StabilityReport]:
     proto = cfg["protocol"]
-    if job.init == "pretrained":
-        start_cfg, start_params = transfer.init_from_pretrained(ckpt, target.task, seed=job.seed)
-    else:
-        start_cfg = ckpt.cfg.retarget(target.task.n_classes)
-        start_params = models.build_model(start_cfg, seed=job.seed)
-    result = training.train(start_cfg, start_params, target, train_config(cfg, job.seed),
-                            features)
-    return analysis.layer_stability_report(
-        Checkpoint(cfg=start_cfg, params=start_params), result.params, target,
+    seed = jobs[0].seed
+    start_cfg = ckpt.cfg.retarget(target.task.n_classes)
+    starts = [transfer.init_from_pretrained(ckpt, target.task, seed=seed)[1]
+              if job.init == "pretrained" else models.build_model(start_cfg, seed=seed)
+              for job in jobs]
+    results = training.train_group(start_cfg, starts, target, train_config(cfg, seed),
+                                   features, names=[job.init for job in jobs])
+    return [analysis.layer_stability_report(
+        Checkpoint(cfg=start_cfg, params=start), result.params, target,
         max_instances=proto.get("max_instances", analysis.DEFAULT_SAMPLE_BUDGET),
-        seed=job.seed, variance_keep=proto.get("variance_keep", 0.99), features=features,
-        model_tag=f"{ckpt.cfg.arch}_{job.init}_s{job.seed}")
+        seed=seed, variance_keep=proto.get("variance_keep", 0.99), features=features,
+        model_tag=f"{ckpt.cfg.arch}_{job.init}_s{seed}")
+        for job, start, result in zip(jobs, starts, results)]
 
 
 RUNNERS = {"finetune": _run_finetune, "knn": _run_knn, "svcca": _run_svcca}
@@ -363,6 +402,9 @@ def run_jobs(cfg: dict, ws: Workspace, tag: str, jobs: list[Job],
              source: dict[int, Checkpoint] | None = None) -> list[str]:
     """Run ``jobs`` in order and write one result per job.
 
+    Consecutive jobs that share (protocol, target, seed, k_shot) are
+    init-siblings and go to their runner together, which trains them as
+    one stack; the ``grid`` order puts siblings next to each other.
     ``source`` maps seed -> checkpoint; seeds it lacks come from the zoo,
     each loaded once.  A target's manifest and features are read once per
     run of consecutive jobs on it, which the ``grid`` order makes once per
@@ -371,20 +413,23 @@ def run_jobs(cfg: dict, ws: Workspace, tag: str, jobs: list[Job],
     sources = dict(source or {})
     loaded_target, target, features = None, None, None
     outputs = []
-    for job in jobs:
-        if job.target != loaded_target:
-            target = task_manifest(cfg, job.target)
+    for (protocol, target_id, seed, k_shot), siblings in itertools.groupby(
+            jobs, key=lambda job: (job.protocol, job.target, job.seed, job.k_shot)):
+        siblings = list(siblings)
+        if target_id != loaded_target:
+            target = task_manifest(cfg, target_id)
             features = training.load_split_features(target)
-            loaded_target = job.target
-        if job.seed not in sources:
-            sources[job.seed] = _zoo_source(cfg, ws, job.seed)
-        ckpt = sources[job.seed]
-        result = RUNNERS[job.protocol](cfg, job, ckpt, target, features)
-        prefix = tag if job.k_shot is None else f"{tag}{job.k_shot}"
-        name = f"{prefix}_{ckpt.cfg.arch}_{job.target}_{job.init}_s{job.seed}"
-        outputs.append(str(ws.write_result(name, result)))
-        print(f"{prefix} {ckpt.cfg.arch} -> {job.target} [{job.init}, seed {job.seed}]: "
-              f"{_summary(result)}")
+            loaded_target = target_id
+        if seed not in sources:
+            sources[seed] = _zoo_source(cfg, ws, seed)
+        ckpt = sources[seed]
+        results = RUNNERS[protocol](cfg, siblings, ckpt, target, features)
+        prefix = tag if k_shot is None else f"{tag}{k_shot}"
+        for job, result in zip(siblings, results):
+            name = f"{prefix}_{ckpt.cfg.arch}_{target_id}_{job.init}_s{seed}"
+            outputs.append(str(ws.write_result(name, result)))
+            print(f"{prefix} {ckpt.cfg.arch} -> {target_id} [{job.init}, seed {seed}]: "
+                  f"{_summary(result)}")
     return outputs
 
 

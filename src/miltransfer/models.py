@@ -13,6 +13,12 @@ Parameters are plain dicts of numpy arrays keyed by a canonical layer-name
 schema (``fc.{i}.weight`` ...), which checkpointing, layer reset and the
 activation tooling all rely on.  Gradients are hand-derived; the
 finite-difference suite in the tests is the correctness oracle.
+
+One forward/backward kernel serves one model and a stack of J
+init-siblings: give every parameter a leading job axis, shape
+``(J, *schema_shape)``, and the bag, label and dropout masks are shared
+while each job's outputs and gradients equal its own unstacked call bit
+for bit.
 """
 
 from __future__ import annotations
@@ -84,6 +90,7 @@ class ModelConfig:
 
 @dataclass
 class ForwardOutput:
+    """One bag's outputs; a stack of J siblings adds a leading J axis."""
     logits: np.ndarray      # (n_classes,)
     embedding: np.ndarray   # (embed_dim,) pooled pre-classifier representation
     attention: np.ndarray   # (n_instances,) nonnegative, sums to 1
@@ -171,9 +178,35 @@ def copy_params(params: ModelParams) -> ModelParams:
     return {k: v.copy() for k, v in params.items()}
 
 
+def stack_params(params_list: list[ModelParams]) -> ModelParams:
+    """One dict with a leading job axis; row j is ``params_list[j]``."""
+    return {k: np.stack([p[k] for p in params_list]) for k in params_list[0]}
+
+
 # ---------------------------------------------------------------------------
 # numerics helpers
+#
+# Every kernel below takes arrays whose trailing axes are one bag's
+# (instances, width) or one layer's schema shape, behind any leading axes.
+# Parameters with a leading job axis J evaluate J init-siblings on the same
+# bag at once; each matmul is then J per-job BLAS calls on the same
+# per-job shapes and strides, so row j equals the unstacked call bit for
+# bit.
 # ---------------------------------------------------------------------------
+
+def _T(w: np.ndarray) -> np.ndarray:
+    return w.swapaxes(-1, -2)
+
+
+def _vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``v @ m`` for a vector v per leading index."""
+    return (v[..., None, :] @ m)[..., 0, :]
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``m @ v`` for a vector v per leading index."""
+    return (m @ v[..., :, None])[..., 0]
+
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     z = z - z.max(axis=axis, keepdims=True)
@@ -186,46 +219,44 @@ def log_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
 
 
-def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Scalar CE loss and its gradient w.r.t. the logits."""
-    p = softmax(logits)
-    loss = -float(log_softmax(logits)[label])
-    grad = p.copy()
-    grad[label] -= 1.0
+def cross_entropy(logits: np.ndarray, label: int) -> tuple[np.ndarray, np.ndarray]:
+    """CE loss of every row of ``logits`` (classes on the last axis) against
+    one class, and its gradient w.r.t. the logits."""
+    loss = -log_softmax(logits)[..., label]
+    grad = softmax(logits)
+    grad[..., label] -= 1.0
     return loss, grad
 
 
-def aux_instance_targets(attention: np.ndarray, label: int,
-                         n_classes: int) -> list[tuple[int, int]]:
-    """(instance, pseudo-label) pairs for the auxiliary loss: the top-k
-    attended instances take the bag label, the bottom-k take the extra
-    "other" class (index ``n_classes``).  k = min(8, n)."""
-    n = attention.shape[0]
-    k = min(AUX_TOPK, n)
-    order = np.argsort(attention, kind="stable")
-    pairs = [(int(i), label) for i in order[-k:]]
-    pairs += [(int(i), n_classes) for i in order[:k]]
-    return pairs
-
-
 def aux_loss(aux_logits: np.ndarray, attention: np.ndarray, label: int,
-             n_classes: int) -> tuple[float, np.ndarray]:
+             n_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean instance CE over the pseudo-labeled set, plus its gradient
-    w.r.t. ``aux_logits``.  Selection is treated as constant."""
-    pairs = aux_instance_targets(attention, label, n_classes)
+    w.r.t. ``aux_logits``.  Selection is treated as constant.
+
+    The top-k attended instances take the bag label and the bottom-k take
+    the extra "other" class (index ``n_classes``), k = min(8, n).  The loss
+    is float64, summed in pair order.
+    """
+    n = attention.shape[-1]
+    k = min(AUX_TOPK, n)
+    order = np.argsort(attention, axis=-1, kind="stable")
+    top, bottom = order[..., -k:, None], order[..., :k, None]
+    l_top, g_top = cross_entropy(np.take_along_axis(aux_logits, top, axis=-2), label)
+    l_bot, g_bot = cross_entropy(np.take_along_axis(aux_logits, bottom, axis=-2), n_classes)
+    total = np.cumsum(np.concatenate([l_top, l_bot], axis=-1), axis=-1, dtype=np.float64)
+    # an instance in both sets (n < 2k) gets both gradients
     g = np.zeros_like(aux_logits)
-    total = 0.0
-    for i, target in pairs:
-        li, gi = cross_entropy(aux_logits[i], target)
-        total += li
-        g[i] += gi
-    scale = 1.0 / len(pairs)
-    return total * scale, g * scale
+    for idx, g_sel in ((top, g_top), (bottom, g_bot)):
+        np.put_along_axis(g, idx, np.take_along_axis(g, idx, axis=-2) + g_sel, axis=-2)
+    scale = 1.0 / (2 * k)
+    return total[..., -1] * scale, g * scale
 
 
 def _dropout(rng: np.random.Generator, x: np.ndarray, rate: float):
-    """Inverted dropout; returns (output, mask) with mask already scaled."""
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    """Inverted dropout; returns (output, mask) with mask already scaled.
+    The mask covers one bag's (instances, width) and is shared by every
+    leading index, so init-siblings see the same pattern."""
+    mask = (rng.random(x.shape[-2:]) >= rate) / (1.0 - rate)
     mask = mask.astype(x.dtype)
     return x * mask, mask
 
@@ -241,7 +272,7 @@ def _fc_forward(params, cfg, x, rng):
     n_layers = len(cfg.fc_dims()) - 1
     for i in range(n_layers):
         w, b = params[f"fc.{i}.weight"], params[f"fc.{i}.bias"]
-        z = a @ w.T + b
+        z = a @ _T(w) + b[..., None, :]
         relu_mask = z > 0
         out = z * relu_mask
         drop = None
@@ -258,39 +289,40 @@ def _fc_backward(g, fc_cache, params, grads):
         if c["drop"] is not None:
             g = g * c["drop"]
         g = g * c["relu_mask"]
-        grads[f"fc.{i}.weight"] += g.T @ c["inp"]
-        grads[f"fc.{i}.bias"] += g.sum(axis=0)
-        g = g @ params[f"fc.{i}.weight"]
-    return g
+        grads[f"fc.{i}.weight"] += _T(g) @ c["inp"]
+        grads[f"fc.{i}.bias"] += g.sum(axis=-2)
+        if i:  # nothing needs the gradient w.r.t. the bag features
+            g = g @ params[f"fc.{i}.weight"]
 
 
 def _gated_attention_forward(params, h):
-    t = np.tanh(h @ params["attn.V.weight"].T + params["attn.V.bias"])
-    s = 1.0 / (1.0 + np.exp(-(h @ params["attn.U.weight"].T + params["attn.U.bias"])))
+    t = np.tanh(h @ _T(params["attn.V.weight"]) + params["attn.V.bias"][..., None, :])
+    s = 1.0 / (1.0 + np.exp(-(h @ _T(params["attn.U.weight"])
+                              + params["attn.U.bias"][..., None, :])))
     m = t * s
-    scores = (m @ params["attn.w.weight"].T).ravel() + params["attn.w.bias"][0]
+    scores = (m @ _T(params["attn.w.weight"]))[..., 0] + params["attn.w.bias"]
     att = softmax(scores)
-    pooled = att @ h
+    pooled = _vecmat(att, h)
     return {"h": h, "t": t, "s": s, "m": m, "scores": scores, "att": att, "pooled": pooled}
 
 
 def _gated_attention_backward(g_pooled, c, params, grads):
     """Backprop through pooled = softmax(score(h)) @ h; returns grad w.r.t. h."""
     h, att, m = c["h"], c["att"], c["m"]
-    g_h = att[:, None] * g_pooled[None, :]
-    g_att = h @ g_pooled
-    g_scores = att * (g_att - float(att @ g_att))
-    grads["attn.w.weight"] += (g_scores @ m)[None, :]
-    grads["attn.w.bias"] += g_scores.sum(keepdims=True)
-    g_m = g_scores[:, None] * params["attn.w.weight"][0][None, :]
+    g_h = att[..., :, None] * g_pooled[..., None, :]
+    g_att = _matvec(h, g_pooled)
+    g_scores = att * (g_att - _vecmat(att, g_att[..., :, None]))
+    grads["attn.w.weight"] += _vecmat(g_scores, m)[..., None, :]
+    grads["attn.w.bias"] += g_scores.sum(axis=-1, keepdims=True)
+    g_m = g_scores[..., :, None] * params["attn.w.weight"]
     g_t = g_m * c["s"]
     g_s = g_m * c["t"]
     g_v_pre = g_t * (1.0 - c["t"] ** 2)
     g_u_pre = g_s * c["s"] * (1.0 - c["s"])
-    grads["attn.V.weight"] += g_v_pre.T @ h
-    grads["attn.V.bias"] += g_v_pre.sum(axis=0)
-    grads["attn.U.weight"] += g_u_pre.T @ h
-    grads["attn.U.bias"] += g_u_pre.sum(axis=0)
+    grads["attn.V.weight"] += _T(g_v_pre) @ h
+    grads["attn.V.bias"] += g_v_pre.sum(axis=-2)
+    grads["attn.U.weight"] += _T(g_u_pre) @ h
+    grads["attn.U.bias"] += g_u_pre.sum(axis=-2)
     g_h += g_v_pre @ params["attn.V.weight"] + g_u_pre @ params["attn.U.weight"]
     return g_h
 
@@ -300,30 +332,31 @@ def _layernorm_forward(x, gamma, beta):
     var = x.var(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (x - mu) * inv_std
-    return xhat * gamma + beta, {"xhat": xhat, "inv_std": inv_std}
+    return xhat * gamma[..., None, :] + beta[..., None, :], {"xhat": xhat, "inv_std": inv_std}
 
 
 def _layernorm_backward(g_y, c, gamma):
     xhat, inv_std = c["xhat"], c["inv_std"]
-    g_xhat = g_y * gamma
+    g_xhat = g_y * gamma[..., None, :]
     g_x = inv_std * (
         g_xhat
         - g_xhat.mean(axis=-1, keepdims=True)
         - xhat * (g_xhat * xhat).mean(axis=-1, keepdims=True)
     )
-    g_gamma = (g_y * xhat).sum(axis=0)
-    g_beta = g_y.sum(axis=0)
+    g_gamma = (g_y * xhat).sum(axis=-2)
+    g_beta = g_y.sum(axis=-2)
     return g_x, g_gamma, g_beta
 
 
 def _split_heads(x, n_heads):
-    m, e = x.shape
-    return x.reshape(m, n_heads, e // n_heads).transpose(1, 0, 2)
+    """(..., tokens, e) -> (..., heads, tokens, e // heads)"""
+    x = x.reshape(*x.shape[:-1], n_heads, x.shape[-1] // n_heads)
+    return np.swapaxes(x, -3, -2)
 
 
 def _merge_heads(x):
-    h, m, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(m, h * dh)
+    x = np.swapaxes(x, -3, -2)
+    return x.reshape(*x.shape[:-2], x.shape[-2] * x.shape[-1])
 
 
 def _tx_block_forward(params, cfg, x, i, rng):
@@ -331,43 +364,43 @@ def _tx_block_forward(params, cfg, x, i, rng):
     c: dict = {"x_in": x}
     y1, c["ln1"] = _layernorm_forward(x, params[f"tx.{i}.norm1.weight"], params[f"tx.{i}.norm1.bias"])
     c["y1"] = y1
-    qkv = y1 @ params[f"tx.{i}.qkv.weight"].T + params[f"tx.{i}.qkv.bias"]
-    q = _split_heads(qkv[:, :e], N_HEADS)
-    k = _split_heads(qkv[:, e:2 * e], N_HEADS)
-    v = _split_heads(qkv[:, 2 * e:], N_HEADS)
+    qkv = y1 @ _T(params[f"tx.{i}.qkv.weight"]) + params[f"tx.{i}.qkv.bias"][..., None, :]
+    q = _split_heads(qkv[..., :e], N_HEADS)
+    k = _split_heads(qkv[..., e:2 * e], N_HEADS)
+    v = _split_heads(qkv[..., 2 * e:], N_HEADS)
     scale = 1.0 / math.sqrt(e // N_HEADS)
-    scores = (q @ k.transpose(0, 2, 1)) * scale
+    scores = (q @ _T(k)) * scale
     p = softmax(scores, axis=-1)
     ctx = _merge_heads(p @ v)
     c.update(q=q, k=k, v=v, p=p, ctx=ctx, scale=scale)
-    attn_out = ctx @ params[f"tx.{i}.proj.weight"].T + params[f"tx.{i}.proj.bias"]
+    attn_out = ctx @ _T(params[f"tx.{i}.proj.weight"]) + params[f"tx.{i}.proj.bias"][..., None, :]
     x = x + attn_out
     if cfg.encoder_hidden_dim is not None:
         c["x_mid"] = x
         y2, c["ln2"] = _layernorm_forward(x, params[f"tx.{i}.norm2.weight"], params[f"tx.{i}.norm2.bias"])
         c["y2"] = y2
-        f1_pre = y2 @ params[f"tx.{i}.ff1.weight"].T + params[f"tx.{i}.ff1.bias"]
+        f1_pre = y2 @ _T(params[f"tx.{i}.ff1.weight"]) + params[f"tx.{i}.ff1.bias"][..., None, :]
         relu_mask = f1_pre > 0
         f1 = f1_pre * relu_mask
         drop = None
         if rng is not None and cfg.dropout_ff > 0:
             f1, drop = _dropout(rng, f1, cfg.dropout_ff)
         c.update(relu_mask=relu_mask, drop=drop, f1=f1)
-        x = x + f1 @ params[f"tx.{i}.ff2.weight"].T + params[f"tx.{i}.ff2.bias"]
+        x = x + f1 @ _T(params[f"tx.{i}.ff2.weight"]) + params[f"tx.{i}.ff2.bias"][..., None, :]
     return x, c
 
 
 def _tx_block_backward(g, c, params, cfg, i, grads):
     if cfg.encoder_hidden_dim is not None:
         g_ff_out = g
-        grads[f"tx.{i}.ff2.weight"] += g_ff_out.T @ c["f1"]
-        grads[f"tx.{i}.ff2.bias"] += g_ff_out.sum(axis=0)
+        grads[f"tx.{i}.ff2.weight"] += _T(g_ff_out) @ c["f1"]
+        grads[f"tx.{i}.ff2.bias"] += g_ff_out.sum(axis=-2)
         g_f1 = g_ff_out @ params[f"tx.{i}.ff2.weight"]
         if c["drop"] is not None:
             g_f1 = g_f1 * c["drop"]
         g_f1_pre = g_f1 * c["relu_mask"]
-        grads[f"tx.{i}.ff1.weight"] += g_f1_pre.T @ c["y2"]
-        grads[f"tx.{i}.ff1.bias"] += g_f1_pre.sum(axis=0)
+        grads[f"tx.{i}.ff1.weight"] += _T(g_f1_pre) @ c["y2"]
+        grads[f"tx.{i}.ff1.bias"] += g_f1_pre.sum(axis=-2)
         g_y2 = g_f1_pre @ params[f"tx.{i}.ff1.weight"]
         g_mid_ln, g_gamma2, g_beta2 = _layernorm_backward(g_y2, c["ln2"], params[f"tx.{i}.norm2.weight"])
         grads[f"tx.{i}.norm2.weight"] += g_gamma2
@@ -375,18 +408,18 @@ def _tx_block_backward(g, c, params, cfg, i, grads):
         g = g + g_mid_ln  # residual join at x_mid
 
     g_attn_out = g
-    grads[f"tx.{i}.proj.weight"] += g_attn_out.T @ c["ctx"]
-    grads[f"tx.{i}.proj.bias"] += g_attn_out.sum(axis=0)
+    grads[f"tx.{i}.proj.weight"] += _T(g_attn_out) @ c["ctx"]
+    grads[f"tx.{i}.proj.bias"] += g_attn_out.sum(axis=-2)
     g_ctx = _split_heads(g_attn_out @ params[f"tx.{i}.proj.weight"], N_HEADS)
     p, q, k, v = c["p"], c["q"], c["k"], c["v"]
-    g_p = g_ctx @ v.transpose(0, 2, 1)
-    g_v = p.transpose(0, 2, 1) @ g_ctx
+    g_p = g_ctx @ _T(v)
+    g_v = _T(p) @ g_ctx
     g_scores = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True))
     g_q = (g_scores @ k) * c["scale"]
-    g_k = (g_scores.transpose(0, 2, 1) @ q) * c["scale"]
-    g_qkv = np.concatenate([_merge_heads(g_q), _merge_heads(g_k), _merge_heads(g_v)], axis=1)
-    grads[f"tx.{i}.qkv.weight"] += g_qkv.T @ c["y1"]
-    grads[f"tx.{i}.qkv.bias"] += g_qkv.sum(axis=0)
+    g_k = (_T(g_scores) @ q) * c["scale"]
+    g_qkv = np.concatenate([_merge_heads(g_q), _merge_heads(g_k), _merge_heads(g_v)], axis=-1)
+    grads[f"tx.{i}.qkv.weight"] += _T(g_qkv) @ c["y1"]
+    grads[f"tx.{i}.qkv.bias"] += g_qkv.sum(axis=-2)
     g_y1 = g_qkv @ params[f"tx.{i}.qkv.weight"]
     g_x_ln, g_gamma1, g_beta1 = _layernorm_backward(g_y1, c["ln1"], params[f"tx.{i}.norm1.weight"])
     grads[f"tx.{i}.norm1.weight"] += g_gamma1
@@ -412,58 +445,65 @@ def _forward_cached(params: ModelParams, cfg: ModelConfig, features: np.ndarray,
         x, cache["input_drop"] = _dropout(rng, x, cfg.dropout_input)
     h, cache["fc"] = _fc_forward(params, cfg, x, rng)
     cache["h"] = h
+    lead = h.shape[:-2]  # () for one model, (J,) for a stack of siblings
     wc, bc = params["classifier.weight"], params["classifier.bias"]
 
     if cfg.arch == "mean":
-        pooled = h.mean(axis=0)
-        logits = pooled @ wc.T + bc
-        attention = np.full(n, 1.0 / n, dtype=h.dtype)
+        pooled = h.mean(axis=-2)
+        logits = _vecmat(pooled, _T(wc)) + bc
+        attention = np.full((*lead, n), 1.0 / n, dtype=h.dtype)
         out = ForwardOutput(logits, pooled, attention)
     elif cfg.arch == "max":
-        inst_logits = h @ wc.T + bc
+        inst_logits = h @ _T(wc) + bc[..., None, :]
         # binary: rank instances by the positive-class logit; otherwise by
         # their best logit over classes
-        sel = inst_logits[:, 1] if cfg.n_classes == 2 else inst_logits.max(axis=1)
-        best = int(np.argmax(sel))
+        sel = inst_logits[..., 1] if cfg.n_classes == 2 else inst_logits.max(axis=-1)
+        best = np.argmax(sel, axis=-1)[..., None, None]
         cache["best"] = best
-        attention = np.zeros(n, dtype=h.dtype)
-        attention[best] = 1.0
-        out = ForwardOutput(inst_logits[best], h[best], attention)
+        attention = np.zeros((*lead, n, 1), dtype=h.dtype)
+        np.put_along_axis(attention, best, 1.0, axis=-2)
+        out = ForwardOutput(np.take_along_axis(inst_logits, best, axis=-2)[..., 0, :],
+                            np.take_along_axis(h, best, axis=-2)[..., 0, :], attention[..., 0])
     elif cfg.arch in ("abmil", "auxmil"):
         att_c = _gated_attention_forward(params, h)
         cache["attn"] = att_c
-        logits = att_c["pooled"] @ wc.T + bc
+        logits = _vecmat(att_c["pooled"], _T(wc)) + bc
         aux_logits = None
         if cfg.arch == "auxmil":
-            aux_logits = h @ params["aux.head.weight"].T + params["aux.head.bias"]
+            aux_logits = h @ _T(params["aux.head.weight"]) + params["aux.head.bias"][..., None, :]
         out = ForwardOutput(logits, att_c["pooled"], att_c["att"], aux_logits)
     else:  # transformer
-        tokens = np.vstack([params["cls_token"][None, :], h])
+        cls = np.broadcast_to(params["cls_token"][..., None, :], (*lead, 1, cfg.embed_dim))
+        tokens = np.concatenate([cls, h], axis=-2)
         blocks = []
         for i in range(cfg.n_layers):
             tokens, bc_cache = _tx_block_forward(params, cfg, tokens, i, rng)
             blocks.append(bc_cache)
         cache["blocks"] = blocks
-        pooled = tokens[0]
-        logits = pooled @ wc.T + bc
+        pooled = tokens[..., 0, :]
+        logits = _vecmat(pooled, _T(wc)) + bc
         # class-token attention over instances, averaged across the final
         # block's heads and renormalized without the cls->cls mass
-        raw = blocks[-1]["p"][:, 0, 1:].mean(axis=0)
-        attention = raw / raw.sum()
+        raw = blocks[-1]["p"][..., 0, 1:].mean(axis=-2)
+        attention = raw / raw.sum(axis=-1, keepdims=True)
         out = ForwardOutput(logits, pooled, attention)
     return out, cache
+
+
+def _dropout_rng(train_mode: bool, dropout_seed) -> np.random.Generator | None:
+    if not train_mode:
+        return None
+    if dropout_seed is None:
+        raise ConfigError("train_mode requires a dropout_seed")
+    return np.random.default_rng(dropout_seed)
 
 
 def forward(params: ModelParams, cfg: ModelConfig, features: np.ndarray,
             train_mode: bool = False, dropout_seed: int | None = None) -> ForwardOutput:
     """Evaluate one bag.  Deterministic in eval mode; in train mode the
-    dropout pattern is a pure function of ``dropout_seed``."""
-    rng = None
-    if train_mode:
-        if dropout_seed is None:
-            raise ConfigError("train_mode forward requires a dropout_seed")
-        rng = np.random.default_rng(dropout_seed)
-    out, _ = _forward_cached(params, cfg, features, rng)
+    dropout pattern is a pure function of ``dropout_seed``.  Parameters
+    with a leading job axis give outputs with that axis."""
+    out, _ = _forward_cached(params, cfg, features, _dropout_rng(train_mode, dropout_seed))
     return out
 
 
@@ -473,61 +513,54 @@ def attention_scores(params: ModelParams, cfg: ModelConfig, features: np.ndarray
 
 def loss_and_grads(params: ModelParams, cfg: ModelConfig, features: np.ndarray,
                    label: int, aux_weight: float = 0.0, train_mode: bool = False,
-                   dropout_seed: int | None = None):
+                   dropout_seed: int | None = None, grads: ModelParams | None = None):
     """Cross-entropy loss (plus the weighted auxiliary term for auxmil) and
     its gradient w.r.t. every parameter.
 
-    Returns ``(loss, grads, output)``.
+    Returns ``(loss, grads, output)``.  With a leading job axis J on every
+    parameter, J siblings train on the same bag, label and dropout masks:
+    ``loss`` is then a float64 array of shape (J,) and each gradient has
+    the parameter's shape.  ``grads``, when given, is a zeroed dict of that
+    shape that the gradients are accumulated into.
     """
     if not 0 <= label < cfg.n_classes:
         raise DataError(f"label {label} out of range for {cfg.n_classes} classes")
-    rng = None
-    if train_mode:
-        if dropout_seed is None:
-            raise ConfigError("train_mode requires a dropout_seed")
-        rng = np.random.default_rng(dropout_seed)
-    out, cache = _forward_cached(params, cfg, features, rng)
-    grads = zeros_like_params(params)
+    out, cache = _forward_cached(params, cfg, features, _dropout_rng(train_mode, dropout_seed))
+    if grads is None:
+        grads = zeros_like_params(params)
     h = cache["h"]
     wc = params["classifier.weight"]
 
     loss, g_logits = cross_entropy(out.logits, label)
+    loss = loss.astype(np.float64)
     g_logits = g_logits.astype(h.dtype)
 
+    grads["classifier.weight"] += g_logits[..., :, None] * out.embedding[..., None, :]
+    grads["classifier.bias"] += g_logits
+    g_pooled = _vecmat(g_logits, wc)
     if cfg.arch == "mean":
-        grads["classifier.weight"] += np.outer(g_logits, out.embedding)
-        grads["classifier.bias"] += g_logits
-        g_pooled = g_logits @ wc
-        g_h = np.broadcast_to(g_pooled / h.shape[0], h.shape).copy()
+        g_h = np.broadcast_to(g_pooled[..., None, :] / h.shape[-2], h.shape).copy()
         _fc_backward(g_h, cache["fc"], params, grads)
     elif cfg.arch == "max":
-        best = cache["best"]
-        grads["classifier.weight"] += np.outer(g_logits, h[best])
-        grads["classifier.bias"] += g_logits
         g_h = np.zeros_like(h)
-        g_h[best] = g_logits @ wc
+        np.put_along_axis(g_h, cache["best"], g_pooled[..., None, :], axis=-2)
         _fc_backward(g_h, cache["fc"], params, grads)
     elif cfg.arch in ("abmil", "auxmil"):
-        grads["classifier.weight"] += np.outer(g_logits, out.embedding)
-        grads["classifier.bias"] += g_logits
-        g_pooled = g_logits @ wc
         g_h = _gated_attention_backward(g_pooled, cache["attn"], params, grads)
         if cfg.arch == "auxmil" and aux_weight != 0.0:
             l_aux, g_aux = aux_loss(out.aux_logits, out.attention, label, cfg.n_classes)
             loss += aux_weight * l_aux
             g_aux = aux_weight * g_aux
-            grads["aux.head.weight"] += g_aux.T @ h
-            grads["aux.head.bias"] += g_aux.sum(axis=0)
+            grads["aux.head.weight"] += _T(g_aux) @ h
+            grads["aux.head.bias"] += g_aux.sum(axis=-2)
             g_h += g_aux @ params["aux.head.weight"]
         _fc_backward(g_h, cache["fc"], params, grads)
     else:  # transformer
-        grads["classifier.weight"] += np.outer(g_logits, out.embedding)
-        grads["classifier.bias"] += g_logits
-        g_tokens = np.zeros((h.shape[0] + 1, cfg.embed_dim), dtype=h.dtype)
-        g_tokens[0] = g_logits @ wc
+        g_tokens = np.zeros((*h.shape[:-2], h.shape[-2] + 1, cfg.embed_dim), dtype=h.dtype)
+        g_tokens[..., 0, :] = g_pooled
         for i in reversed(range(cfg.n_layers)):
             g_tokens = _tx_block_backward(g_tokens, cache["blocks"][i], params, cfg, i, grads)
-        grads["cls_token"] += g_tokens[0]
-        _fc_backward(g_tokens[1:], cache["fc"], params, grads)
-
-    return loss, grads, out
+        grads["cls_token"] += g_tokens[..., 0, :]
+        _fc_backward(g_tokens[..., 1:, :], cache["fc"], params, grads)
+    # a float for one model, the (J,) array for a stack of siblings
+    return (float(loss) if loss.ndim == 0 else loss), grads, out

@@ -3,12 +3,32 @@ with class-weighted sampling, early stopping on the validation metric.
 
 The recipe is fixed: lr 1e-4, weight decay 1e-5, at most 20 epochs with
 patience 5 after a minimum of 10, and exactly 10 epochs when the dataset has
-no validation split.  Identical (config, manifest, seed) reproduce bitwise
-identical parameters.
+no validation split.
+
+Sibling lockstep.  Jobs that differ only in their initial parameters
+(init-siblings: pretrained, random and layer-reset starts on one target,
+seed and K) visit the same bags in the same order, under the same cosine
+schedule and the same dropout masks, because the epoch order and the step
+seeds read only the manifest, seed, epoch and step.  ``train_group`` trains
+them as one stack: one ``models.loss_and_grads`` and one ``adamw_step``
+per step, each over all jobs.  ``train`` is the stack of one job.
+
+Arena layout.  A ``ParamStack`` keeps parameters, gradients and both Adam
+moments in one (J, P) buffer each.  Row j holds job j's P parameters,
+layer after layer in ``param_schema`` order, which is the order of a MILC
+checkpoint blob.  Per-layer (J, *shape) views feed the model kernel, and
+the same views of one row are that job's dict of arrays.
+
+Early stopping stays per job.  A job that stops leaves the stack at its
+epoch boundary with its best-validation snapshot; the others train on.
+
+Determinism: identical (config, manifest, seed) reproduce bitwise identical
+parameters, and each job's bytes equal its solo run.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,7 +39,7 @@ from . import models
 from .bagdata import DatasetManifest, weighted_epoch_order
 from .errors import DataError, NumericError
 from .metrics import metric_fn
-from .models import ForwardOutput, ModelConfig, ModelParams
+from .models import ModelConfig, ModelParams
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -46,17 +66,6 @@ class TrainConfig:
 
 
 @dataclass
-class AdamWState:
-    m: ModelParams
-    v: ModelParams
-    step: int = 0
-
-    @classmethod
-    def zeros(cls, params: ModelParams) -> "AdamWState":
-        return cls(models.zeros_like_params(params), models.zeros_like_params(params))
-
-
-@dataclass
 class TrainResult:
     params: ModelParams
     history: list[dict] = field(default_factory=list)
@@ -76,40 +85,95 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
     return base_lr * (1.0 + math.cos(math.pi * step / total_steps)) / 2.0
 
 
-def adamw_step(params: ModelParams, grads: ModelParams, state: AdamWState,
-               lr: float, weight_decay: float) -> None:
-    """One AdamW update in place: bias-corrected adaptive step plus
-    decoupled weight decay (param -= lr * wd * param, applied separately)."""
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient in layer {name!r}")
-    state.step += 1
-    t = state.step
+class ParamStack:
+    """Parameters, gradients and AdamW moments of J jobs, one (J, P)
+    buffer each, columns laid out in ``layout`` order.
+
+    ``layers`` and ``grad_layers`` are the per-layer (J, *shape) views of
+    ``params`` and ``grads`` that the model kernel reads and accumulates
+    into; ``names`` labels the rows in error messages.
+    """
+
+    def __init__(self, layout, params: np.ndarray, names=None):
+        self.layout = [(name, tuple(shape)) for name, shape in layout]
+        sizes = [math.prod(shape) for _, shape in self.layout]
+        self.starts = [0, *np.cumsum(sizes).tolist()]
+        self.names = list(range(len(params)) if names is None else names)
+        self.step = 0
+        self._set(params, np.zeros_like(params), np.zeros_like(params))
+
+    @classmethod
+    def from_params(cls, params_list: list[ModelParams], layout=None,
+                    names=None) -> "ParamStack":
+        """Stack copies of the given dicts; ``layout`` defaults to the first
+        dict's (name, shape) order."""
+        if layout is None:
+            layout = [(name, p.shape) for name, p in params_list[0].items()]
+        for params in params_list:
+            for name, shape in layout:
+                if params[name].shape != tuple(shape):
+                    raise DataError(f"layer {name!r}: shape {params[name].shape} != {shape}")
+        flat = np.stack([np.concatenate([params[name].ravel() for name, _ in layout])
+                         for params in params_list])
+        return cls(layout, flat, names)
+
+    def _set(self, params: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
+        self.params, self.m, self.v = params, m, v
+        self.grads = np.zeros_like(params)
+        self._scratch = (np.empty_like(params), np.empty_like(params))
+        self._finite = np.empty(params.shape, dtype=bool)
+        self.layers = self.views(params)
+        self.grad_layers = self.views(self.grads)
+
+    def views(self, buf: np.ndarray) -> ModelParams:
+        """Per-layer views of a (P,) row or a (J, P) buffer in this layout."""
+        lead = buf.shape[:-1]
+        return {name: buf[..., lo:hi].reshape(*lead, *shape)
+                for (name, shape), lo, hi in zip(self.layout, self.starts, self.starts[1:])}
+
+    def layer_at(self, column: int) -> str:
+        return self.layout[bisect.bisect_right(self.starts, column) - 1][0]
+
+    def keep(self, rows: list[int]) -> None:
+        """Drop every job not in ``rows``; the kept jobs' state is unchanged."""
+        self.names = [self.names[r] for r in rows]
+        self._set(self.params[rows], self.m[rows], self.v[rows])
+
+
+def adamw_step(stack: ParamStack, lr: float, weight_decay: float) -> None:
+    """One AdamW update of every job in place, from ``stack.grads``:
+    bias-corrected adaptive step plus decoupled weight decay
+    (param -= lr * wd * param, applied separately).
+
+    Whole-buffer ufuncs write into the stack's scratch, so a step allocates
+    no P-sized temporaries.
+    """
+    g = stack.grads
+    finite = np.isfinite(g, out=stack._finite)
+    if not finite.all():
+        job, column = divmod(int(np.argmin(finite)), g.shape[1])
+        raise NumericError(f"non-finite gradient in layer {stack.layer_at(column)!r} "
+                           f"of job {stack.names[job]}")
+    stack.step += 1
+    t = stack.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p -= (lr * weight_decay) * p
-        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-
-
-def compute_loss(output: ForwardOutput, label: int, n_classes: int,
-                 aux_weight: float = 0.0) -> float:
-    """Cross-entropy on the bag logits, plus the weighted auxiliary
-    instance loss when the output carries aux logits."""
-    loss, _ = models.cross_entropy(output.logits, label)
-    if output.aux_logits is not None and aux_weight != 0.0:
-        l_aux, _ = models.aux_loss(output.aux_logits, output.attention, label, n_classes)
-        loss += aux_weight * l_aux
-    return loss
+    p, m, v = stack.params, stack.m, stack.v
+    a, b = stack._scratch
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+    v += np.multiply(a, g, out=a)
+    p -= np.multiply(p, lr * weight_decay, out=a)
+    # p -= lr * m_hat / (sqrt(v_hat) + eps)
+    np.divide(m, bc1, out=a)
+    a *= lr
+    np.divide(v, bc2, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+    p -= a
 
 
 def evaluate_split(cfg: ModelConfig, params: ModelParams, manifest: DatasetManifest,
@@ -118,27 +182,30 @@ def evaluate_split(cfg: ModelConfig, params: ModelParams, manifest: DatasetManif
 
     Returns (metric_value, bag_ids, labels, values) where values are
     positive-class probabilities for auroc tasks and argmax predictions
-    otherwise.
+    otherwise, one per bag.  Parameters with a leading job axis J give J
+    metric values and (J, n_bags) values.
     """
     entries = manifest.split(split)
     if not entries:
         raise DataError(f"split {split!r} is empty")
     task = manifest.task
-    bag_ids, labels, values = [], [], []
+    logits = []
     for e in entries:
         x = features[e.bag_id] if features is not None else manifest.load_features(e)
         out = models.forward(params, cfg, x)
         if not np.isfinite(out.logits).all():
             raise NumericError(f"non-finite logits on {split} bag {e.bag_id!r}")
-        if task.metric == "auroc":
-            value = float(models.softmax(out.logits)[1])
-        else:
-            value = int(np.argmax(out.logits))
-        bag_ids.append(e.bag_id)
-        labels.append(e.label)
-        values.append(value)
+        logits.append(out.logits)
+    logits = np.stack(logits, axis=-2)
+    if task.metric == "auroc":
+        values = models.softmax(logits)[..., 1].astype(np.float64)
+    else:
+        values = np.argmax(logits, axis=-1)
+    labels = [e.label for e in entries]
     fn = metric_fn(task.metric, task.n_classes)
-    return fn(np.asarray(labels), np.asarray(values)), bag_ids, labels, values
+    y = np.asarray(labels)
+    metric = fn(y, values) if values.ndim == 1 else np.array([fn(y, row) for row in values])
+    return metric, [e.bag_id for e in entries], labels, values
 
 
 def load_split_features(manifest: DatasetManifest, splits=("train", "val", "test")):
@@ -158,6 +225,17 @@ def train(cfg: ModelConfig, params: ModelParams, manifest: DatasetManifest,
     after min_epochs) and the best-validation parameters are returned.
     Without one: exactly 10 epochs, final parameters returned.
     """
+    return train_group(cfg, [params], manifest, train_cfg, features)[0]
+
+
+def train_group(cfg: ModelConfig, starts: list[ModelParams], manifest: DatasetManifest,
+                train_cfg: TrainConfig, features: dict[str, np.ndarray] | None = None,
+                names=None) -> list[TrainResult]:
+    """``train`` for each of ``starts``, run as one stack in lockstep.
+
+    Result j equals ``train(cfg, starts[j], manifest, train_cfg, features)``
+    bit for bit.  ``names`` label the jobs in ``NumericError`` messages.
+    """
     train_entries = manifest.split("train")
     if not train_entries:
         raise DataError("train split is empty")
@@ -170,54 +248,72 @@ def train(cfg: ModelConfig, params: ModelParams, manifest: DatasetManifest,
     steps_per_epoch = len(train_entries)
     total_steps = planned_epochs * steps_per_epoch
 
-    params = models.copy_params(params)
-    state = AdamWState.zeros(params)
+    stack = ParamStack.from_params(starts, models.param_schema(cfg), names)
     aux_weight = train_cfg.aux_weight if cfg.arch == "auxmil" else 0.0
 
-    best_metric = -math.inf
-    best_params = None
-    epochs_since_best = 0
-    history: list[dict] = []
+    jobs = list(range(len(starts)))  # the job in each stack row
+    best = np.empty_like(stack.params)
+    best_metric = [-math.inf] * len(jobs)  # -inf: no snapshot in best[j] yet
+    epochs_since_best = [0] * len(jobs)
+    histories: list[list[dict]] = [[] for _ in jobs]
+    finals: list[np.ndarray | None] = [None] * len(jobs)
     global_step = 0
+
+    def finish(rows: list[int]) -> None:
+        for r in rows:
+            j = jobs[r]
+            finals[j] = best[j] if best_metric[j] > -math.inf else stack.params[r].copy()
 
     for epoch in range(planned_epochs):
         order = weighted_epoch_order(manifest, steps_per_epoch,
                                      seed=_epoch_seed(train_cfg.seed, epoch))
-        epoch_loss = 0.0
+        epoch_loss = np.zeros(len(jobs))
         lr = train_cfg.lr
         for bag_id in order:
             lr = cosine_lr(global_step, total_steps, train_cfg.lr)
-            loss, grads, _ = models.loss_and_grads(
-                params, cfg, features[bag_id], labels[bag_id],
+            stack.grads.fill(0.0)
+            loss, _, _ = models.loss_and_grads(
+                stack.layers, cfg, features[bag_id], labels[bag_id],
                 aux_weight=aux_weight, train_mode=True,
-                dropout_seed=_step_seed(train_cfg.seed, global_step))
-            if not math.isfinite(loss):
-                raise NumericError(f"non-finite loss at step {global_step} on bag {bag_id!r}")
-            adamw_step(params, grads, state, lr, train_cfg.weight_decay)
+                dropout_seed=_step_seed(train_cfg.seed, global_step), grads=stack.grad_layers)
+            if not np.isfinite(loss).all():
+                job = stack.names[int(np.argmin(np.isfinite(loss)))]
+                raise NumericError(f"non-finite loss at step {global_step} on bag {bag_id!r} "
+                                   f"in job {job}")
+            adamw_step(stack, lr, train_cfg.weight_decay)
             epoch_loss += loss
             global_step += 1
 
-        record = {
-            "epoch": epoch,
-            "train_loss": epoch_loss / steps_per_epoch,
-            "val_metric": None,
-            "lr": lr,
-        }
-        if has_val:
-            val_metric, _, _, _ = evaluate_split(cfg, params, manifest, "val", features)
-            record["val_metric"] = float(val_metric)
-            if val_metric > best_metric:
-                best_metric = val_metric
-                best_params = models.copy_params(params)
-                epochs_since_best = 0
-            else:
-                epochs_since_best += 1
-        history.append(record)
-        if has_val and epochs_since_best >= train_cfg.patience and epoch + 1 >= train_cfg.min_epochs:
+        val = evaluate_split(cfg, stack.layers, manifest, "val", features)[0] if has_val else None
+        stopped = []
+        for r, j in enumerate(jobs):
+            record = {
+                "epoch": epoch,
+                "train_loss": float(epoch_loss[r] / steps_per_epoch),
+                "val_metric": None,
+                "lr": lr,
+            }
+            if has_val:
+                record["val_metric"] = float(val[r])
+                if val[r] > best_metric[j]:
+                    best_metric[j] = val[r]
+                    best[j] = stack.params[r]
+                    epochs_since_best[j] = 0
+                else:
+                    epochs_since_best[j] += 1
+                if epochs_since_best[j] >= train_cfg.patience and epoch + 1 >= train_cfg.min_epochs:
+                    stopped.append(r)
+            histories[j].append(record)
+        if stopped:
+            finish(stopped)
+            kept = [r for r in range(len(jobs)) if r not in stopped]
+            jobs = [jobs[r] for r in kept]
+            stack.keep(kept)
+        if not jobs:
             break
-
-    final = best_params if best_params is not None else params
-    return TrainResult(params=final, history=history)
+    finish(range(len(jobs)))
+    return [TrainResult(params=stack.views(final), history=history)
+            for final, history in zip(finals, histories)]
 
 
 def _epoch_seed(seed: int, epoch: int) -> np.random.SeedSequence:

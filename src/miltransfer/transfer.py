@@ -332,14 +332,11 @@ class TransferPlan:
     target: DatasetManifest
     source: Checkpoint | None = None          # None = random initialization
     model_cfg: ModelConfig | None = None      # required for random init
-    mode: str = "finetune"
     reset_spec: str | None = None             # optional layer reset before transfer
 
     def __post_init__(self):
         if self.source is None and self.model_cfg is None:
             raise ConfigError("random-init plan needs a model_cfg")
-        if self.mode not in ("finetune", "knn"):
-            raise ConfigError(f"unknown transfer mode {self.mode!r}")
         if self.reset_spec is not None and self.source is None:
             raise ConfigError("reset_spec requires a pretrained source")
 
@@ -363,32 +360,51 @@ def finetune(plan: TransferPlan, train_cfg: TrainConfig,
     and re-initialize the classifier; a random source is exactly
     ``build_model`` followed by ``train``.
     """
-    task = plan.target.task
-    if plan.source is not None:
-        src = plan.source
-        if plan.reset_spec is not None:
-            src = Checkpoint(cfg=src.cfg, params=reset_layers(src, plan.reset_spec, train_cfg.seed),
-                             pretrain_task_id=src.pretrain_task_id)
-        cfg, params = init_from_pretrained(src, task, seed=train_cfg.seed)
-        init_kind = "pretrained" if plan.reset_spec is None else f"reset_{plan.reset_spec}"
-        source_task = plan.source.pretrain_task_id
-    else:
-        cfg = plan.model_cfg.retarget(task.n_classes)
-        params = models.build_model(cfg, seed=train_cfg.seed)
-        init_kind = "random"
-        source_task = "random"
+    return finetune_group([plan], train_cfg, features, n_bootstrap)[0]
 
+
+def _start(plan: TransferPlan, seed: int) -> tuple[ModelConfig, ModelParams, str, str]:
+    """(config, initial parameters, init kind, source task) of a plan."""
+    task = plan.target.task
+    if plan.source is None:
+        cfg = plan.model_cfg.retarget(task.n_classes)
+        return cfg, models.build_model(cfg, seed=seed), "random", "random"
+    src = plan.source
+    if plan.reset_spec is not None:
+        src = Checkpoint(cfg=src.cfg, params=reset_layers(src, plan.reset_spec, seed),
+                         pretrain_task_id=src.pretrain_task_id)
+    cfg, params = init_from_pretrained(src, task, seed=seed)
+    init_kind = "pretrained" if plan.reset_spec is None else f"reset_{plan.reset_spec}"
+    return cfg, params, init_kind, plan.source.pretrain_task_id
+
+
+def finetune_group(plans: list[TransferPlan], train_cfg: TrainConfig,
+                   features: dict[str, np.ndarray] | None = None,
+                   n_bootstrap: int = 1000) -> list[FinetuneResult]:
+    """``finetune`` for init-siblings: plans on one target with one model
+    config, trained in lockstep as one stack (``training.train_group``).
+    Result j equals ``finetune(plans[j], ...)``."""
+    target = plans[0].target
+    task = target.task
+    starts = [_start(plan, train_cfg.seed) for plan in plans]
+    cfg = starts[0][0]
+    if any(plan.target != target for plan in plans) or any(s[0] != cfg for s in starts):
+        raise ConfigError("finetune_group plans must share a target and a model config")
     if features is None:
-        features = training.load_split_features(plan.target)
-    result = training.train(cfg, params, plan.target, train_cfg, features)
-    metric_value, bag_ids, labels, values = training.evaluate_split(
-        cfg, result.params, plan.target, "test", features)
-    eval_result = evaluate_records(
-        task.metric, task.n_classes, bag_ids, labels, values,
-        n_bootstrap=n_bootstrap, seed=train_cfg.seed,
-        context={"protocol": "finetune", "arch": cfg.arch, "init": init_kind,
-                 "source_task": source_task, "target_task": task.task_id,
-                 "seed": train_cfg.seed})
-    return FinetuneResult(cfg=cfg, result=result, eval_result=eval_result,
-                          init_kind=init_kind, source_task=source_task,
-                          target_task=task.task_id)
+        features = training.load_split_features(target)
+    results = training.train_group(cfg, [s[1] for s in starts], target, train_cfg, features,
+                                   names=[s[2] for s in starts])
+    _, bag_ids, labels, values = training.evaluate_split(
+        cfg, models.stack_params([r.params for r in results]), target, "test", features)
+    out = []
+    for (_, _, init_kind, source_task), result, job_values in zip(starts, results, values):
+        eval_result = evaluate_records(
+            task.metric, task.n_classes, bag_ids, labels, job_values,
+            n_bootstrap=n_bootstrap, seed=train_cfg.seed,
+            context={"protocol": "finetune", "arch": cfg.arch, "init": init_kind,
+                     "source_task": source_task, "target_task": task.task_id,
+                     "seed": train_cfg.seed})
+        out.append(FinetuneResult(cfg=cfg, result=result, eval_result=eval_result,
+                                  init_kind=init_kind, source_task=source_task,
+                                  target_task=task.task_id))
+    return out

@@ -1,11 +1,19 @@
+import builtins
 import json
+import shutil
 from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from miltransfer import transfer
+from miltransfer import ModelConfig, build_model, fileio, transfer
+from miltransfer.analysis import attention_export, embedding_export
+from miltransfer.bagdata import load_manifest, write_feature_file, write_manifest
 from miltransfer.cli import main, zoo_update
 from miltransfer.metrics import EvalResult
+from miltransfer.training import load_split_features
 
 
 def base_config(root, out):
@@ -237,6 +245,133 @@ def test_knn_k_zero_is_config_error(pipeline, tmp_path):
             "--zoo", str(tmp / "runs" / "zoo.json")]
     assert main(argv + ["knn"]) == 2
     assert not list((tmp_path / "out").glob("results/knn_*"))
+
+
+def test_negative_n_bootstrap_is_config_error(pipeline, tmp_path):
+    tmp, cfg, _ = pipeline
+    bad = json.loads(json.dumps(cfg))
+    bad["protocol"]["n_bootstrap"] = -1
+    argv = ["--config", write_config(tmp_path, bad), "--out", str(tmp_path / "out"),
+            "--zoo", str(tmp / "runs" / "zoo.json")]
+    assert main(argv + ["knn"]) == 2
+    assert not list((tmp_path / "out").glob("results/knn_*"))
+
+
+def _drop_checkpoint(good: bytes) -> bytes:
+    zoo = json.loads(good)
+    del zoo["entries"][0]["checkpoint"]
+    return json.dumps(zoo).encode()
+
+
+# case -> (the file it corrupts, its corrupted bytes from the good ones)
+PARSE_FAILURES = {
+    "zoo_truncated": ("zoo", lambda good: good[: len(good) // 2]),
+    "zoo_not_json": ("zoo", lambda good: b"\xff\xfe\x00 not json"),
+    "zoo_empty_object": ("zoo", lambda good: b"{}"),
+    "zoo_list": ("zoo", lambda good: b"[]"),
+    "zoo_entry_without_checkpoint": ("zoo", _drop_checkpoint),
+    "task_json_truncated": ("task", lambda good: good[: len(good) // 2]),
+    "task_json_list": ("task", lambda good: b"[]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_FAILURES))
+def test_zoo_and_task_json_parse_failures_are_data_errors(pipeline, tmp_path, capsys, case):
+    tmp, cfg, _ = pipeline
+    which, corrupt = PARSE_FAILURES[case]
+    cfg = json.loads(json.dumps(cfg))
+    zoo = tmp_path / "zoo.json"
+    zoo.write_bytes((tmp / "runs" / "zoo.json").read_bytes())
+    if which == "zoo":
+        zoo.write_bytes(corrupt(zoo.read_bytes()))
+    else:
+        shutil.copytree(tmp / "data" / "tgt", tmp_path / "data" / "tgt")
+        sidecar = tmp_path / "data" / "tgt" / "task.json"
+        sidecar.write_bytes(corrupt(sidecar.read_bytes()))
+        cfg["data"]["root"] = str(tmp_path / "data")
+    argv = ["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out"),
+            "--zoo", str(zoo)]
+    capsys.readouterr()
+    assert main(argv + ["transfer"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+
+
+class _PartialFile:
+    """A file whose first write stores half of its data, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def _atomic_writes(pipeline, tmp_path):
+    """case -> (path, write of the previous file, write of a different one)."""
+    tmp, cfg, _ = pipeline
+    manifest = load_manifest(tmp / "data" / "tgt" / "manifest.csv")
+    features = load_split_features(manifest)
+    mcfg = ModelConfig("abmil", in_dim=12, embed_dim=10, n_classes=2, attn_dim=6)
+    bag, csv_dir = tmp_path / "bag.milf", tmp_path / "m"
+    csv_dir.mkdir()
+
+    def pretrain(epochs):
+        c = json.loads(json.dumps(cfg))
+        c["train"].update(max_epochs=epochs, min_epochs=epochs)
+        argv = ["--config", write_config(tmp_path, c), "--out", str(tmp_path / "runs"),
+                "--zoo", str(tmp_path / "zoo.json"), "pretrain"]
+        return lambda: main(argv)
+
+    def export(fn, path, seed):
+        return lambda: fn(mcfg, build_model(mcfg, seed), manifest, "test", path, features)
+
+    other_task = replace(manifest, task=replace(manifest.task, task_id="other"))
+    return {
+        "feature_file": (bag, lambda: write_feature_file(np.ones((2, 3)), bag),
+                         lambda: write_feature_file(np.zeros((4, 3)), bag)),
+        "manifest_csv": (csv_dir / "manifest.csv",
+                         lambda: write_manifest(manifest, csv_dir / "manifest.csv"),
+                         lambda: write_manifest(manifest.with_entries(manifest.entries[:5]),
+                                                csv_dir / "manifest.csv")),
+        "task_json": (csv_dir / "task.json",
+                      lambda: write_manifest(manifest, csv_dir / "manifest.csv"),
+                      lambda: write_manifest(other_task, csv_dir / "manifest.csv")),
+        "history_jsonl": (tmp_path / "runs" / "checkpoints" / "abmil_pre4_s0.history.jsonl",
+                          pretrain(1), pretrain(2)),
+        "attention_csv": (tmp_path / "att.csv", export(attention_export, tmp_path / "att.csv", 0),
+                          export(attention_export, tmp_path / "att.csv", 1)),
+        "embedding_csv": (tmp_path / "emb.csv", export(embedding_export, tmp_path / "emb.csv", 0),
+                          export(embedding_export, tmp_path / "emb.csv", 1)),
+    }
+
+
+@pytest.mark.parametrize("case", ["feature_file", "manifest_csv", "task_json", "history_jsonl",
+                                  "attention_csv", "embedding_csv"])
+def test_failed_write_keeps_previous_file(pipeline, tmp_path, monkeypatch, case):
+    path, write_previous, write_new = _atomic_writes(pipeline, tmp_path)[case]
+    write_previous()
+    before = path.read_bytes()
+
+    def partial_open(file, *args, **kwargs):
+        fh = builtins.open(file, *args, **kwargs)
+        return _PartialFile(fh) if Path(file).name.startswith(f".{path.name}.") else fh
+
+    monkeypatch.setattr(fileio, "open", partial_open, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write_new()
+    assert path.read_bytes() == before
+    assert not [p for p in tmp_path.rglob("*.tmp")]
 
 
 def test_zoo_update_failure_keeps_previous_zoo(tmp_path):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import random_bag
-from miltransfer import ModelConfig, TrainConfig, build_model, compute_loss, cosine_lr, forward, train
+from miltransfer import ModelConfig, TrainConfig, build_model, cosine_lr, forward, train
 from miltransfer.bagdata import DatasetManifest
 from miltransfer.errors import DataError, NumericError
-from miltransfer.models import copy_params, loss_and_grads, zeros_like_params
-from miltransfer.training import AdamWState, adamw_step, evaluate_split
+from miltransfer.models import aux_loss, copy_params, cross_entropy, loss_and_grads, zeros_like_params
+from miltransfer.training import ParamStack, adamw_step, evaluate_split
 
 
 # ---------------------------------------------------------------------------
@@ -34,19 +34,27 @@ def make_params():
     return {"w": np.array([1.0, -2.0, 3.0]), "b": np.array([0.5])}
 
 
+def adamw(params, grads, lr, weight_decay):
+    """One ``adamw_step`` on a one-job stack of hand-made dicts; returns
+    the updated parameters."""
+    stack = ParamStack.from_params([params])
+    for name, g in grads.items():
+        stack.grad_layers[name][0] = g
+    adamw_step(stack, lr, weight_decay)
+    return stack.views(stack.params[0])
+
+
 def test_adamw_zero_grad_zero_decay_identity():
     params = make_params()
     before = copy_params(params)
-    state = AdamWState.zeros(params)
-    adamw_step(params, zeros_like_params(params), state, lr=1e-3, weight_decay=0.0)
+    params = adamw(params, zeros_like_params(params), lr=1e-3, weight_decay=0.0)
     assert all(np.array_equal(params[k], before[k]) for k in params)
 
 
 def test_adamw_first_step_is_signed():
     params = {"w": np.zeros(3)}
     grads = {"w": np.array([0.5, -2.0, 1e-3])}
-    state = AdamWState.zeros(params)
-    adamw_step(params, grads, state, lr=1e-3, weight_decay=0.0)
+    params = adamw(params, grads, lr=1e-3, weight_decay=0.0)
     # bias-corrected first step equals -lr * sign(g) up to O(eps)
     assert np.allclose(params["w"], -1e-3 * np.sign(grads["w"]), rtol=1e-4)
 
@@ -54,8 +62,7 @@ def test_adamw_first_step_is_signed():
 def test_adamw_decoupled_decay():
     params = make_params()
     before = copy_params(params)
-    state = AdamWState.zeros(params)
-    adamw_step(params, zeros_like_params(params), state, lr=1e-4, weight_decay=1e-5)
+    params = adamw(params, zeros_like_params(params), lr=1e-4, weight_decay=1e-5)
     for k in params:
         assert np.allclose(params[k], before[k] * (1 - 1e-9), rtol=1e-15)
 
@@ -65,23 +72,33 @@ def test_adamw_nonfinite_gradient_names_layer():
     grads = zeros_like_params(params)
     grads["b"][0] = np.inf
     with pytest.raises(NumericError, match="'b'"):
-        adamw_step(params, grads, AdamWState.zeros(params), 1e-3, 0.0)
+        adamw(params, grads, 1e-3, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# compute_loss
+# the training loss, from loss_and_grads
 # ---------------------------------------------------------------------------
+
+def logit_model(bias):
+    """A float64 abmil whose logits equal ``bias`` on every bag."""
+    cfg = ModelConfig("abmil", in_dim=8, embed_dim=6, n_classes=len(bias), attn_dim=4)
+    params = build_model(cfg, seed=0, dtype=np.float64)
+    params["classifier.weight"][:] = 0.0
+    params["classifier.bias"][:] = bias
+    return cfg, params
+
 
 def test_loss_uniform_logits_ln2():
-    from miltransfer.models import ForwardOutput
-    out = ForwardOutput(np.zeros(2), np.zeros(4), np.ones(1))
-    assert compute_loss(out, 0, 2) == pytest.approx(math.log(2), abs=1e-12)
+    cfg, params = logit_model([0.0, 0.0])
+    loss, _, _ = loss_and_grads(params, cfg, random_bag(cfg), 0)
+    assert loss == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_loss_vanishes_with_margin():
-    from miltransfer.models import ForwardOutput
-    losses = [compute_loss(ForwardOutput(np.array([m, 0.0]), np.zeros(4), np.ones(1)), 0, 2)
-              for m in (1.0, 5.0, 20.0)]
+    losses = []
+    for m in (1.0, 5.0, 20.0):
+        cfg, params = logit_model([m, 0.0])
+        losses.append(loss_and_grads(params, cfg, random_bag(cfg), 0)[0])
     assert losses == sorted(losses, reverse=True)
     assert losses[-1] < 1e-8
 
@@ -91,17 +108,18 @@ def test_auxmil_zero_weight_matches_abmil_loss():
     params = build_model(cfg, seed=0)
     x = random_bag(cfg, n=5, seed=1)
     out = forward(params, cfg, x)
-    plain = compute_loss(out, 1, 2, aux_weight=0.0)
+    plain = float(cross_entropy(out.logits, 1)[0])
     loss0, _, _ = loss_and_grads(params, cfg, x, 1, aux_weight=0.0)
     assert plain == pytest.approx(loss0, abs=1e-9)
 
 
-def test_compute_loss_matches_loss_and_grads_with_aux():
+def test_loss_and_grads_matches_forward_loss_with_aux():
     cfg = ModelConfig("auxmil", in_dim=8, embed_dim=6, n_classes=3, attn_dim=4)
     params = build_model(cfg, seed=2)
     x = random_bag(cfg, n=12, seed=3)
     out = forward(params, cfg, x)
-    expected = compute_loss(out, 2, 3, aux_weight=0.3)
+    expected = (float(cross_entropy(out.logits, 2)[0])
+                + 0.3 * float(aux_loss(out.aux_logits, out.attention, 2, 3)[0]))
     actual, _, _ = loss_and_grads(params, cfg, x, 2, aux_weight=0.3)
     assert actual == pytest.approx(expected, abs=1e-9)
 
