@@ -2,7 +2,6 @@
 supervised pretraining and transfer evaluation."""
 
 from .bagdata import (
-    Bag,
     DatasetManifest,
     ManifestEntry,
     SynthTaskConfig,
@@ -19,7 +18,6 @@ from .bagdata import (
 from .models import (
     ForwardOutput,
     ModelConfig,
-    attention_scores,
     build_model,
     forward,
     loss_and_grads,

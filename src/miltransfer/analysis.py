@@ -1,6 +1,12 @@
 """Representation analysis: activation capture, SVCCA layer stability,
 attention and embedding export.
 
+Every reader here consumes ``models.eval_pass``: activations are the
+``ForwardOutput.activations`` that the eval-mode forward already computes
+(``fc.{i}`` post-ReLU, ``attn`` pre-softmax score), attention maps its
+``attention`` and embeddings its ``embedding`` (through
+``transfer.embed_bags``).
+
 SVCCA centers both activation matrices, truncates each to the smallest
 singular-vector basis holding the requested share of squared singular
 mass, runs CCA between the truncated subspaces via whitening, and reports
@@ -16,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import models
+from . import models, training, transfer
 from .bagdata import DatasetManifest
 from .errors import ConfigError, DataError
 from .fileio import atomic_open
@@ -59,14 +65,11 @@ def _capturable_layers(cfg: ModelConfig) -> list[str]:
 def sample_instances(manifest: DatasetManifest, split: str, max_instances: int,
                      seed: int, features: dict[str, np.ndarray] | None = None):
     """Deterministic subsample of up to max_instances (bag, instance) pairs
-    across a split, in manifest order."""
-    entries = manifest.split(split)
-    if not entries:
-        raise DataError(f"split {split!r} is empty")
+    across a split, in manifest order.  An empty split gives no pairs."""
     if features is None:
-        features = {e.bag_id: manifest.load_features(e) for e in entries}
+        features = training.load_split_features(manifest, (split,))
     pairs = []
-    for e in entries:
+    for e in manifest.split(split):
         for j in range(features[e.bag_id].shape[0]):
             pairs.append((e.bag_id, j))
     if len(pairs) > max_instances:
@@ -87,7 +90,8 @@ def capture_activations(cfg: ModelConfig, params: ModelParams,
 
     ``fc.{i}`` captures the post-ReLU layer output; ``attn`` captures the
     pre-softmax attention score (width 1), which stays comparable across
-    bags of different sizes.
+    bags of different sizes.  Only the bags that hold sampled instances
+    are forwarded.
     """
     known = _capturable_layers(cfg)
     for name in layer_names:
@@ -100,27 +104,17 @@ def capture_activations(cfg: ModelConfig, params: ModelParams,
     for bag_id, j in pairs:
         by_bag.setdefault(bag_id, []).append(j)
 
-    rows: dict[str, list[np.ndarray]] = {name: [] for name in layer_names}
-    order: list[str] = []
-    for bag_id, inst_idx in by_bag.items():
-        x = features[bag_id]
-        out, cache = models._forward_cached(params, cfg, x, rng=None)
-        idx = np.asarray(inst_idx)
-        for name in layer_names:
-            if name == "attn":
-                scores = cache["attn"]["scores"][idx][:, None]
-                rows[name].append(scores.astype(np.float32))
-            else:
-                layer = int(name.split(".")[1])
-                # post-ReLU output of fc layer `layer` = input of layer+1,
-                # or the final stack output for the last layer
-                fc = cache["fc"]
-                acts = fc[layer + 1]["inp"] if layer + 1 < len(fc) else cache["h"]
-                rows[name].append(acts[idx].astype(np.float32))
-        order.extend(f"{bag_id}:{j}" for j in inst_idx)
-
-    return [ActivationDump(name, np.concatenate(rows[name], axis=0), list(order))
-            for name in layer_names]
+    picked: dict[str, list[np.ndarray]] = {}
+    for e, out in models.eval_pass(params, cfg, manifest, split, features, bag_ids=by_bag):
+        idx = np.asarray(by_bag[e.bag_id])
+        picked[e.bag_id] = [out.activations[name][idx].astype(np.float32)
+                            for name in layer_names]
+    missing = [bag_id for bag_id in by_bag if bag_id not in picked]
+    if missing:
+        raise DataError(f"sampled bags {missing} are not in the {split!r} split")
+    order = [f"{bag_id}:{j}" for bag_id, inst_idx in by_bag.items() for j in inst_idx]
+    return [ActivationDump(name, np.concatenate([picked[b][k] for b in by_bag], axis=0), order)
+            for k, name in enumerate(layer_names)]
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +216,11 @@ def attention_export(cfg: ModelConfig, params: ModelParams, manifest: DatasetMan
                      features: dict[str, np.ndarray] | None = None) -> None:
     """CSV of (bag_id, instance_index, attention_weight); weights of each
     bag sum to 1."""
-    entries = manifest.split(split)
-    if not entries:
-        raise DataError(f"split {split!r} is empty")
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bag_id", "instance_index", "attention_weight"])
-        for e in entries:
-            x = features[e.bag_id] if features is not None else manifest.load_features(e)
-            att = models.attention_scores(params, cfg, x)
-            for j, a in enumerate(att):
+        for e, out in models.eval_pass(params, cfg, manifest, split, features):
+            for j, a in enumerate(out.attention):
                 writer.writerow([e.bag_id, j, f"{float(a):.8g}"])
 
 
@@ -239,8 +228,7 @@ def embedding_export(cfg: ModelConfig, params: ModelParams, manifest: DatasetMan
                      split: str, path: str | Path,
                      features: dict[str, np.ndarray] | None = None) -> None:
     """CSV of (bag_id, label, e_0..e_{D-1}) slide embeddings."""
-    from .transfer import embed_bags
-    bag_ids, emb, labels = embed_bags(cfg, params, manifest, split, features)
+    bag_ids, emb, labels = transfer.embed_bags(cfg, params, manifest, split, features)
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bag_id", "label"] + [f"e_{i}" for i in range(emb.shape[1])])

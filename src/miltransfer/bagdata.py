@@ -97,32 +97,6 @@ def read_feature_file(path: str | Path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Bag:
-    """One sample: an instance-feature matrix plus its label and identity."""
-    bag_id: str
-    features: np.ndarray  # n_instances x feat_dim, float32
-    label: int
-
-    def __post_init__(self):
-        feats = np.asarray(self.features)
-        if feats.ndim != 2 or feats.shape[0] < 1:
-            raise DataError(f"bag {self.bag_id!r}: features must be a non-empty matrix")
-        if not np.isfinite(feats).all():
-            raise DataError(f"bag {self.bag_id!r}: non-finite feature values")
-        if self.label < 0:
-            raise DataError(f"bag {self.bag_id!r}: negative label")
-        object.__setattr__(self, "features", feats.astype(np.float32, copy=False))
-
-    @property
-    def n_instances(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def feat_dim(self) -> int:
-        return self.features.shape[1]
-
-
-@dataclass(frozen=True)
 class TaskSpec:
     task_id: str
     n_classes: int
@@ -212,11 +186,6 @@ class DatasetManifest:
         if not path.exists():
             raise DataError(f"bag {entry.bag_id!r}: feature file {path} missing")
         return read_feature_file(path)
-
-    def load_bag(self, entry: ManifestEntry | str) -> Bag:
-        if isinstance(entry, str):
-            entry = self.entry(entry)
-        return Bag(entry.bag_id, self.load_features(entry), entry.label)
 
     def class_counts(self, split_tag: str = "train") -> np.ndarray:
         counts = np.zeros(self.task.n_classes, dtype=np.int64)

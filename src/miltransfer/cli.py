@@ -19,8 +19,9 @@ Jobs that share (target, seed, k_shot) differ only in their init.  These
 init-siblings train in lockstep as one parameter stack
 (``training.train_group``): ``transfer``, ``fewshot``, ``svcca`` and each
 ``scale-sweep`` row stack two jobs, and ``reset`` stacks one job per reset
-spec.  ``knn`` trains nothing and runs its jobs one by one.  A sibling's
-result equals the one its solo run would write, byte for byte.
+spec.  ``knn`` trains nothing; its two siblings are embedded as one stack
+per split (``transfer.embed_bags``).  A sibling's result equals the one its
+solo run would write, byte for byte.
 
 Each job writes ``<tag>_<arch>_<target>_<init>_s<seed>.json``, where the
 tag is the command name (``fewshot<K>``, ``scale<n_params>``).  ``reset``
@@ -66,14 +67,27 @@ CONFIG_VERSION = 1
 # config handling
 # ---------------------------------------------------------------------------
 
+def _is_int(value, minimum: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+def _check_ints(value, where: str, minimum: int) -> None:
+    """``value`` must be a list of integers >= ``minimum``."""
+    if not isinstance(value, list) or not all(_is_int(v, minimum) for v in value):
+        raise ConfigError(f"config: {where} must be a list of integers >= {minimum}, "
+                          f"got {value!r}")
+
+
 def load_config(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        cfg = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        cfg = json.loads(path.read_bytes().decode("utf-8"))
+    except ValueError as exc:  # invalid JSON or not UTF-8
         raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path}: expected a JSON object")
     if cfg.get("config_version") != CONFIG_VERSION:
         raise ConfigError(f"config {path}: expected config_version {CONFIG_VERSION}")
     for key in ("output_dir", "seeds"):
@@ -81,13 +95,21 @@ def load_config(path: str | Path) -> dict:
             raise ConfigError(f"config {path}: missing {key!r}")
     if not cfg["seeds"]:
         raise ConfigError("config: seeds must be non-empty")
+    _check_ints(cfg["seeds"], "seeds", 0)
+    for key in ("data", "model", "train", "synthetic"):
+        if cfg.get(key) is not None and not isinstance(cfg[key], dict):
+            raise ConfigError(f"config: {key} must be an object")
+    if "fc_hidden_dims" in (cfg.get("model") or {}):
+        _check_ints(cfg["model"]["fc_hidden_dims"], "model.fc_hidden_dims", 1)
     proto = cfg.setdefault("protocol", {})
     if not isinstance(proto, dict):
         raise ConfigError("config: protocol must be an object")
-    n_bootstrap = proto.get("n_bootstrap", 1000)
-    if isinstance(n_bootstrap, bool) or not isinstance(n_bootstrap, int) or n_bootstrap < 0:
-        raise ConfigError(f"config: protocol.n_bootstrap must be an integer >= 0, "
-                          f"got {n_bootstrap!r}")
+    for key, minimum in (("n_bootstrap", 0), ("knn_k", 1), ("max_instances", 1)):
+        if key in proto and not _is_int(proto[key], minimum):
+            raise ConfigError(f"config: protocol.{key} must be an integer >= {minimum}, "
+                              f"got {proto[key]!r}")
+    if "k_shots" in proto:
+        _check_ints(proto["k_shots"], "protocol.k_shots", 1)
     return cfg
 
 
@@ -230,14 +252,24 @@ def cmd_generate(cfg: dict, ws: Workspace) -> list[str]:
     shared["bag_size_range"] = tuple(shared.get("bag_size_range", (16, 32)))
     outputs = []
     root = data_root(cfg)
-    for task in synth.get("tasks", []):
-        task_cfg = SynthTaskConfig(
-            task_id=task["task_id"],
-            concepts_per_class=tuple(tuple(s) for s in task["concepts_per_class"]),
-            n_bags_per_class=task["n_bags_per_class"],
-            split_fractions=tuple(task.get("split_fractions", (0.6, 0.2, 0.2))),
-            **shared,
-        )
+    tasks = synth.get("tasks", [])
+    if not isinstance(tasks, list) or not all(isinstance(task, dict) for task in tasks):
+        raise ConfigError("config: synthetic.tasks must be a list of objects")
+    for i, task in enumerate(tasks):
+        missing = [key for key in ("task_id", "concepts_per_class", "n_bags_per_class")
+                   if key not in task]
+        if missing:
+            raise ConfigError(f"config: synthetic.tasks[{i}] lacks {missing}")
+        try:
+            task_cfg = SynthTaskConfig(
+                task_id=task["task_id"],
+                concepts_per_class=tuple(tuple(s) for s in task["concepts_per_class"]),
+                n_bags_per_class=task["n_bags_per_class"],
+                split_fractions=tuple(task.get("split_fractions", (0.6, 0.2, 0.2))),
+                **shared,
+            )
+        except TypeError as exc:
+            raise ConfigError(f"config: bad synthetic.tasks[{i}] ({exc})") from exc
         manifest = synth_generate(task_cfg, root / task_cfg.task_id)
         outputs.append(str(root / task_cfg.task_id / "manifest.csv"))
         print(f"generated {task_cfg.task_id}: {len(manifest.entries)} bags "
@@ -353,40 +385,39 @@ def _run_finetune(cfg: dict, jobs: list[Job], ckpt: Checkpoint, target: DatasetM
 def _run_knn(cfg: dict, jobs: list[Job], ckpt: Checkpoint, target: DatasetManifest,
              features) -> list[EvalResult]:
     proto = cfg["protocol"]
-    results = []
-    for job in jobs:  # nothing is trained, so nothing is stacked
-        params = (ckpt.params if job.init == "pretrained"
-                  else models.build_model(ckpt.cfg, seed=job.seed))
-        _, train_emb, train_y = transfer.embed_bags(ckpt.cfg, params, target, "train", features)
-        test_ids, test_emb, test_y = transfer.embed_bags(ckpt.cfg, params, target, "test",
-                                                         features)
-        results.append(transfer.knn_evaluate(
-            train_emb, train_y, test_emb, test_y, target.task, k=proto.get("knn_k", 20),
-            distance=proto.get("distance", "euclidean"), bag_ids=test_ids,
-            n_bootstrap=proto.get("n_bootstrap", 1000), seed=job.seed,
-            context={"arch": ckpt.cfg.arch, "init": job.init, "seed": job.seed,
-                     "source_task": (ckpt.pretrain_task_id if job.init == "pretrained"
-                                     else "random"),
-                     "target_task": job.target}))
-    return results
+    # the checkpoint's own config and head, not init_from_pretrained's fresh
+    # one: under max pooling the classifier picks the embedded instance
+    params = models.stack_params([ckpt.params if job.init == "pretrained"
+                                  else models.build_model(ckpt.cfg, seed=job.seed)
+                                  for job in jobs])
+    _, train_emb, train_y = transfer.embed_bags(ckpt.cfg, params, target, "train", features)
+    test_ids, test_emb, test_y = transfer.embed_bags(ckpt.cfg, params, target, "test", features)
+    return [transfer.knn_evaluate(
+        train_emb[j], train_y, test_emb[j], test_y, target.task, k=proto.get("knn_k", 20),
+        distance=proto.get("distance", "euclidean"), bag_ids=test_ids,
+        n_bootstrap=proto.get("n_bootstrap", 1000), seed=job.seed,
+        context={"arch": ckpt.cfg.arch, "init": job.init, "seed": job.seed,
+                 "source_task": (ckpt.pretrain_task_id if job.init == "pretrained"
+                                 else "random"),
+                 "target_task": job.target})
+        for j, job in enumerate(jobs)]
 
 
 def _run_svcca(cfg: dict, jobs: list[Job], ckpt: Checkpoint, target: DatasetManifest,
                features) -> list[analysis.StabilityReport]:
     proto = cfg["protocol"]
     seed = jobs[0].seed
-    start_cfg = ckpt.cfg.retarget(target.task.n_classes)
-    starts = [transfer.init_from_pretrained(ckpt, target.task, seed=seed)[1]
-              if job.init == "pretrained" else models.build_model(start_cfg, seed=seed)
-              for job in jobs]
-    results = training.train_group(start_cfg, starts, target, train_config(cfg, seed),
-                                   features, names=[job.init for job in jobs])
+    starts = [transfer.plan_start(_plan(job, ckpt, target), seed)[:2] for job in jobs]
+    start_cfg = starts[0][0]
+    results = training.train_group(start_cfg, [params for _, params in starts], target,
+                                   train_config(cfg, seed), features,
+                                   names=[job.init for job in jobs])
     return [analysis.layer_stability_report(
         Checkpoint(cfg=start_cfg, params=start), result.params, target,
         max_instances=proto.get("max_instances", analysis.DEFAULT_SAMPLE_BUDGET),
         seed=seed, variance_keep=proto.get("variance_keep", 0.99), features=features,
         model_tag=f"{ckpt.cfg.arch}_{job.init}_s{seed}")
-        for job, start, result in zip(jobs, starts, results)]
+        for job, (_, start), result in zip(jobs, starts, results)]
 
 
 RUNNERS = {"finetune": _run_finetune, "knn": _run_knn, "svcca": _run_svcca}
@@ -474,13 +505,28 @@ def cmd_scale_sweep(cfg: dict, ws: Workspace) -> list[str]:
 REPORT_KEYS = ("protocol", "k_shot", "task", "arch", "init")
 
 
+def _read_result(path: Path) -> EvalResult | None:
+    """A result file as an ``EvalResult``; None for an SVCCA report."""
+    try:
+        d = json.loads(path.read_bytes().decode("utf-8"))
+    except ValueError as exc:  # invalid JSON or not UTF-8
+        raise DataError(f"result {path}: not valid JSON ({exc})") from exc
+    if isinstance(d, dict) and "layers" in d:
+        return None
+    if not isinstance(d, dict) or not isinstance(d.get("context", {}), dict):
+        raise DataError(f"result {path}: expected an evaluation result object")
+    try:
+        return EvalResult.from_dict(d)
+    except KeyError as exc:
+        raise DataError(f"result {path}: lacks {exc}") from exc
+
+
 def cmd_report(cfg: dict, ws: Workspace) -> list[str]:
     # one group per (protocol, k_shot, task, arch, init): no mean mixes protocols
     groups: dict[tuple, list[float]] = {}
     for path in sorted(ws.results.glob("*.json")):
-        try:
-            res = EvalResult.from_json(path.read_text())
-        except (json.JSONDecodeError, KeyError):
+        res = _read_result(path)
+        if res is None:
             continue
         ctx = res.context
         if not ctx.get("target_task") or not ctx.get("init"):

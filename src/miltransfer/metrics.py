@@ -210,7 +210,10 @@ class EvalResult:
 
     @classmethod
     def from_json(cls, text: str) -> "EvalResult":
-        d = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "EvalResult":
         return cls(d["metric"], d["value"], d["std"], d["n_bootstrap"], d["skipped"],
                    d.get("bag_ids", []), d.get("labels", []), d.get("scores", []),
                    d.get("context", {}))

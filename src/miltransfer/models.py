@@ -19,6 +19,10 @@ init-siblings: give every parameter a leading job axis, shape
 ``(J, *schema_shape)``, and the bag, label and dropout masks are shared
 while each job's outputs and gradients equal its own unstacked call bit
 for bit.
+
+``eval_pass`` is the one eval-mode loop over a split's bags: embeddings,
+test logits, attention maps and SVCCA activations are all read from the
+``ForwardOutput`` it yields.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 
 ARCHS = ("mean", "max", "abmil", "transformer", "auxmil")
 N_HEADS = 8
@@ -95,6 +99,11 @@ class ForwardOutput:
     embedding: np.ndarray   # (embed_dim,) pooled pre-classifier representation
     attention: np.ndarray   # (n_instances,) nonnegative, sums to 1
     aux_logits: np.ndarray | None = None  # (n_instances, n_classes + 1), auxmil only
+    # (n_instances, width) per canonical layer name, for SVCCA: ``fc.{i}``
+    # is FC layer i's post-ReLU output (before dropout) and ``attn`` the
+    # pre-softmax gated-attention score (width 1).  These are the arrays
+    # the forward computes anyway, not copies.
+    activations: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +181,6 @@ def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
 
 def zeros_like_params(params: ModelParams) -> ModelParams:
     return {k: np.zeros_like(v) for k, v in params.items()}
-
-
-def copy_params(params: ModelParams) -> ModelParams:
-    return {k: v.copy() for k, v in params.items()}
 
 
 def stack_params(params_list: list[ModelParams]) -> ModelParams:
@@ -274,11 +279,11 @@ def _fc_forward(params, cfg, x, rng):
         w, b = params[f"fc.{i}.weight"], params[f"fc.{i}.bias"]
         z = a @ _T(w) + b[..., None, :]
         relu_mask = z > 0
-        out = z * relu_mask
+        relu = out = z * relu_mask
         drop = None
         if rng is not None and cfg.dropout_ff > 0:
             out, drop = _dropout(rng, out, cfg.dropout_ff)
-        cache.append({"inp": a, "relu_mask": relu_mask, "drop": drop})
+        cache.append({"inp": a, "relu_mask": relu_mask, "drop": drop, "relu": relu})
         a = out
     return a, cache
 
@@ -445,6 +450,7 @@ def _forward_cached(params: ModelParams, cfg: ModelConfig, features: np.ndarray,
         x, cache["input_drop"] = _dropout(rng, x, cfg.dropout_input)
     h, cache["fc"] = _fc_forward(params, cfg, x, rng)
     cache["h"] = h
+    activations = {f"fc.{i}": c["relu"] for i, c in enumerate(cache["fc"])}
     lead = h.shape[:-2]  # () for one model, (J,) for a stack of siblings
     wc, bc = params["classifier.weight"], params["classifier.bias"]
 
@@ -467,6 +473,7 @@ def _forward_cached(params: ModelParams, cfg: ModelConfig, features: np.ndarray,
     elif cfg.arch in ("abmil", "auxmil"):
         att_c = _gated_attention_forward(params, h)
         cache["attn"] = att_c
+        activations["attn"] = att_c["scores"][..., None]
         logits = _vecmat(att_c["pooled"], _T(wc)) + bc
         aux_logits = None
         if cfg.arch == "auxmil":
@@ -487,6 +494,7 @@ def _forward_cached(params: ModelParams, cfg: ModelConfig, features: np.ndarray,
         raw = blocks[-1]["p"][..., 0, 1:].mean(axis=-2)
         attention = raw / raw.sum(axis=-1, keepdims=True)
         out = ForwardOutput(logits, pooled, attention)
+    out.activations = activations
     return out, cache
 
 
@@ -507,8 +515,29 @@ def forward(params: ModelParams, cfg: ModelConfig, features: np.ndarray,
     return out
 
 
-def attention_scores(params: ModelParams, cfg: ModelConfig, features: np.ndarray) -> np.ndarray:
-    return forward(params, cfg, features).attention
+def eval_pass(params: ModelParams, cfg: ModelConfig, manifest, split: str,
+              features: dict[str, np.ndarray] | None = None, bag_ids=None):
+    """Eval-mode ``forward`` over one split of a ``DatasetManifest``, in
+    manifest order.
+
+    Yields ``(entry, ForwardOutput)`` per bag and keeps none of them.  A
+    bag's features come from ``features`` (keyed by bag id) when given,
+    else from its feature file.  ``bag_ids``, when given, restricts the
+    pass to those bags.  Parameters with a leading job axis evaluate every
+    sibling on each bag.  Raises ``DataError`` for an empty split and
+    ``NumericError`` naming the first bag whose logits are not finite.
+    """
+    entries = manifest.split(split)
+    if not entries:
+        raise DataError(f"split {split!r} is empty")
+    for e in entries:
+        if bag_ids is not None and e.bag_id not in bag_ids:
+            continue
+        x = features[e.bag_id] if features is not None else manifest.load_features(e)
+        out = forward(params, cfg, x)
+        if not np.isfinite(out.logits).all():
+            raise NumericError(f"non-finite logits on {split} bag {e.bag_id!r}")
+        yield e, out
 
 
 def loss_and_grads(params: ModelParams, cfg: ModelConfig, features: np.ndarray,

@@ -185,16 +185,10 @@ def evaluate_split(cfg: ModelConfig, params: ModelParams, manifest: DatasetManif
     otherwise, one per bag.  Parameters with a leading job axis J give J
     metric values and (J, n_bags) values.
     """
-    entries = manifest.split(split)
-    if not entries:
-        raise DataError(f"split {split!r} is empty")
     task = manifest.task
-    logits = []
-    for e in entries:
-        x = features[e.bag_id] if features is not None else manifest.load_features(e)
-        out = models.forward(params, cfg, x)
-        if not np.isfinite(out.logits).all():
-            raise NumericError(f"non-finite logits on {split} bag {e.bag_id!r}")
+    entries, logits = [], []
+    for e, out in models.eval_pass(params, cfg, manifest, split, features):
+        entries.append(e)
         logits.append(out.logits)
     logits = np.stack(logits, axis=-2)
     if task.metric == "auroc":

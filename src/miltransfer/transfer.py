@@ -239,19 +239,16 @@ def embed_bags(cfg: ModelConfig, params: ModelParams, manifest: DatasetManifest,
                split: str, features: dict[str, np.ndarray] | None = None):
     """Eval-mode slide embedding per bag, in manifest order.
 
-    Returns (bag_ids, embeddings matrix, labels).
+    Returns (bag_ids, embeddings, labels).  Embeddings are float32 of shape
+    (n_bags, embed_dim); parameters with a leading job axis J give
+    (J, n_bags, embed_dim), row j equal to job j's unstacked call.
     """
-    entries = manifest.split(split)
-    if not entries:
-        raise DataError(f"split {split!r} is empty")
     rows, bag_ids, labels = [], [], []
-    for e in entries:
-        x = features[e.bag_id] if features is not None else manifest.load_features(e)
-        out = models.forward(params, cfg, x)
+    for e, out in models.eval_pass(params, cfg, manifest, split, features):
         rows.append(np.asarray(out.embedding, dtype=np.float32))
         bag_ids.append(e.bag_id)
         labels.append(e.label)
-    return bag_ids, np.stack(rows), np.asarray(labels, dtype=np.int64)
+    return bag_ids, np.stack(rows, axis=-2), np.asarray(labels, dtype=np.int64)
 
 
 def knn_predict(train_embeddings: np.ndarray, train_labels: np.ndarray,
@@ -363,7 +360,7 @@ def finetune(plan: TransferPlan, train_cfg: TrainConfig,
     return finetune_group([plan], train_cfg, features, n_bootstrap)[0]
 
 
-def _start(plan: TransferPlan, seed: int) -> tuple[ModelConfig, ModelParams, str, str]:
+def plan_start(plan: TransferPlan, seed: int) -> tuple[ModelConfig, ModelParams, str, str]:
     """(config, initial parameters, init kind, source task) of a plan."""
     task = plan.target.task
     if plan.source is None:
@@ -386,7 +383,7 @@ def finetune_group(plans: list[TransferPlan], train_cfg: TrainConfig,
     Result j equals ``finetune(plans[j], ...)``."""
     target = plans[0].target
     task = target.task
-    starts = [_start(plan, train_cfg.seed) for plan in plans]
+    starts = [plan_start(plan, train_cfg.seed) for plan in plans]
     cfg = starts[0][0]
     if any(plan.target != target for plan in plans) or any(s[0] != cfg for s in starts):
         raise ConfigError("finetune_group plans must share a target and a model config")

@@ -13,9 +13,9 @@ from miltransfer import (
     layer_stability_report,
     svcca,
 )
-from miltransfer.analysis import sample_instances
-from miltransfer.errors import ConfigError, DataError
-from miltransfer.transfer import reset_layers
+from miltransfer.errors import ConfigError, DataError, NumericError
+from miltransfer.models import forward, softmax
+from miltransfer.transfer import embed_bags, reset_layers
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +129,44 @@ def test_capture_seeded_sample_ids(abmil_setup):
     b = capture_activations(cfg, params, manifest, ["attn"], max_instances=30,
                             seed=7, features=feats)
     assert a[0].sample_ids == b[0].sample_ids
+
+
+def test_capture_is_the_forward_activations(abmil_setup):
+    """One FC layer: fc.0 is relu(x W^T + b), and attn holds the scores
+    whose softmax is the forward's attention, at every sampled instance."""
+    cfg, params, manifest, feats = abmil_setup
+    assert cfg.fc_hidden_dims == ()
+    full = capture_activations(cfg, params, manifest, ["fc.0", "attn"],
+                               max_instances=10_000, seed=0, features=feats)
+    sub = capture_activations(cfg, params, manifest, ["fc.0", "attn"],
+                              max_instances=40, seed=3, features=feats)
+    row_of = {sample_id: i for i, sample_id in enumerate(full[0].sample_ids)}
+    w, b = params["fc.0.weight"], params["fc.0.bias"]
+    for e in manifest.split("test"):
+        x = feats[e.bag_id]
+        rows = [row_of[f"{e.bag_id}:{j}"] for j in range(len(x))]
+        np.testing.assert_allclose(full[0].matrix[rows], np.maximum(x @ w.T + b, 0.0),
+                                   rtol=1e-6, atol=1e-7)
+        np.testing.assert_allclose(softmax(full[1].matrix[rows, 0]),
+                                   forward(params, cfg, x).attention, rtol=1e-6, atol=1e-7)
+    rows = [row_of[sample_id] for sample_id in sub[0].sample_ids]
+    for dump_sub, dump_full in zip(sub, full):
+        assert dump_sub.matrix.tobytes() == dump_full.matrix[rows].tobytes()
+
+
+@pytest.mark.parametrize("reader", ["embed_bags", "attention_export"])
+def test_nonfinite_forward_names_the_bag(abmil_setup, tmp_path, reader):
+    cfg, params, manifest, feats = abmil_setup
+    bad = {name: value.copy() for name, value in params.items()}
+    bad["attn.w.bias"][:] = np.nan
+    first = manifest.split("test")[0].bag_id
+    path = tmp_path / "attn.csv"
+    with pytest.raises(NumericError, match=f"test bag {first!r}"):
+        if reader == "embed_bags":
+            embed_bags(cfg, bad, manifest, "test", feats)
+        else:
+            attention_export(cfg, bad, manifest, "test", path, features=feats)
+    assert not path.exists()
 
 
 def test_capture_unknown_layer(abmil_setup):

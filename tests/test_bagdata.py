@@ -153,23 +153,15 @@ def test_taskspec_validation():
 
 
 def test_bag_type_and_load(tmp_path):
-    from miltransfer import Bag
     x = np.ones((3, 4), dtype=np.float32)
-    bag = Bag("b0", x, 1)
-    assert bag.n_instances == 3 and bag.feat_dim == 4
-    with pytest.raises(DataError):
-        Bag("bad", np.full((2, 2), np.nan, dtype=np.float32), 0)
-    with pytest.raises(DataError):
-        Bag("bad", np.zeros((0, 4), dtype=np.float32), 0)
-    with pytest.raises(DataError):
-        Bag("bad", x, -1)
-
     csv = tmp_path / "manifest.csv"
     write_feature_file(x, tmp_path / "b0.milf")
     write_csv(csv, [("b0", "b0.milf", 1, "train"), ("b1", "b0.milf", 0, "train")])
     m = load_manifest(csv)
-    loaded = m.load_bag("b0")
-    assert loaded.label == 1 and loaded.n_instances == 3
+    assert m.entry("b0").label == 1
+    loaded = m.load_features("b0")
+    assert loaded.dtype == np.float32 and loaded.tobytes() == x.tobytes()
+    assert loaded.shape == (3, 4)
 
 
 # ---------------------------------------------------------------------------

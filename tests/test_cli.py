@@ -156,6 +156,78 @@ def test_report_empty_results_is_data_error(tmp_path):
     assert main(["--config", cfg_path, "report"]) == 3
 
 
+def _result_bytes(**changes) -> bytes:
+    res = EvalResult("auroc", 0.75, 0.01, 8, 0, ["b0"], [1], [0.75],
+                     {"protocol": "finetune", "target_task": "tgt", "arch": "abmil",
+                      "init": "pretrained", "seed": 0})
+    d = json.loads(res.to_json())
+    d.update(changes)
+    return json.dumps(d).encode()
+
+
+# case -> (bytes of results/bad.json, or None for none, expected exit code)
+REPORT_INPUTS = {
+    "list": (b"[]", 3),
+    "not_utf8": (b"\xff\xfe\x00 not json", 3),
+    "context_list": (_result_bytes(context=[]), 3),
+    "truncated": (_result_bytes()[:40], 3),
+    "no_metric": (b'{"value": 0.5}', 3),
+    "only_good_and_svcca": (None, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_INPUTS))
+def test_report_malformed_result_is_data_error(tmp_path, capsys, case):
+    bad, want = REPORT_INPUTS[case]
+    cfg = base_config(tmp_path / "data", tmp_path / "runs")
+    results = tmp_path / "runs" / "results"
+    results.mkdir(parents=True)
+    (results / "good.json").write_bytes(_result_bytes())
+    # an SVCCA report is not an evaluation result; report skips it
+    (results / "svcca.json").write_text(json.dumps({"layers": [], "n_samples": 0}))
+    if bad is not None:
+        (results / "bad.json").write_bytes(bad)
+    capsys.readouterr()
+    assert main(["--config", write_config(tmp_path, cfg), "report"]) == want
+    err = capsys.readouterr().err
+    if want:
+        assert err.startswith("data error: result ") and "bad.json" in err
+    else:
+        report = json.loads((tmp_path / "runs" / "report.json").read_text())
+        assert report["n_results"] == 1
+
+
+def _without_concepts(cfg):
+    del cfg["synthetic"]["tasks"][0]["concepts_per_class"]
+
+
+# case -> edit of a valid config that makes it malformed
+CONFIG_SHAPE_ERRORS = {
+    "seeds_int": lambda cfg: cfg.update(seeds=3),
+    "model_list": lambda cfg: cfg.update(model=[]),
+    "data_list": lambda cfg: cfg.update(data=[]),
+    "train_list": lambda cfg: cfg.update(train=[]),
+    "synthetic_list": lambda cfg: cfg.update(synthetic=[]),
+    "knn_k_string": lambda cfg: cfg["protocol"].update(knn_k="5"),
+    "k_shots_string": lambda cfg: cfg["protocol"].update(k_shots="abc"),
+    "fc_hidden_dims_int": lambda cfg: cfg["model"].update(fc_hidden_dims=5),
+    "task_without_concepts": _without_concepts,
+}
+
+
+@pytest.mark.parametrize("case", ["top_level_list", *sorted(CONFIG_SHAPE_ERRORS)])
+def test_config_shape_errors_are_config_errors(tmp_path, capsys, case):
+    cfg = base_config(tmp_path / "data", tmp_path / "runs")
+    if case == "top_level_list":
+        cfg = [cfg]
+    else:
+        CONFIG_SHAPE_ERRORS[case](cfg)
+    capsys.readouterr()
+    assert main(["--config", write_config(tmp_path, cfg), "generate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
 def test_scale_sweep(tmp_path):
     cfg = base_config(tmp_path / "data", tmp_path / "runs")
     cfg["protocol"]["scale_rows"] = [

@@ -5,15 +5,23 @@ the model kernel per step, and the trainer over whole runs, early stopping
 included.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import random_bag, tiny_configs
 from miltransfer import SynthTaskConfig, TrainConfig, build_model, synth_generate, train
 from miltransfer.errors import NumericError
-from miltransfer.models import loss_and_grads, param_schema
+from miltransfer.models import loss_and_grads, param_schema, stack_params
 from miltransfer.training import ParamStack, load_split_features, train_group
-from miltransfer.transfer import Checkpoint, TransferPlan, finetune_group, save_checkpoint
+from miltransfer.transfer import (
+    Checkpoint,
+    TransferPlan,
+    embed_bags,
+    finetune_group,
+    save_checkpoint,
+)
 
 
 def stacked(cfg, params_list):
@@ -52,7 +60,20 @@ def test_stacked_loss_and_grads_equal_solo_bitwise(name, train_mode, n):
         for layer in solo:
             assert grads[layer][j].tobytes() == solo[layer].tobytes(), layer
         assert out.logits[j].tobytes() == solo_out.logits.tobytes()
+        assert out.embedding[j].tobytes() == solo_out.embedding.tobytes()
         assert out.attention[j].tobytes() == solo_out.attention.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(tiny_configs()))
+def test_stacked_embed_bags_equal_solo_bitwise(name, easy_task, easy_features):
+    cfg = replace(tiny_configs()[name], in_dim=16)
+    params = [build_model(cfg, seed=s) for s in (3, 4)]
+    ids, emb, labels = embed_bags(cfg, stack_params(params), easy_task, "test", easy_features)
+    assert emb.shape == (2, len(ids), cfg.embed_dim)
+    for j, solo in enumerate(params):
+        solo_ids, solo_emb, solo_labels = embed_bags(cfg, solo, easy_task, "test", easy_features)
+        assert ids == solo_ids and labels.tobytes() == solo_labels.tobytes()
+        assert emb[j].tobytes() == solo_emb.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_bag, tiny_configs
-from miltransfer import ModelConfig, attention_scores, build_model, forward, param_count
+from miltransfer import ModelConfig, build_model, forward, param_count
 from miltransfer.errors import ConfigError, DataError
 from miltransfer.models import param_schema, softmax
 
@@ -138,12 +138,12 @@ def test_auxmil_aux_logits_shape():
 
 
 # ---------------------------------------------------------------------------
-# attention_scores examples
+# attention examples
 # ---------------------------------------------------------------------------
 
 def test_attention_single_instance_is_one(tiny_cfg):
     params = build_model(tiny_cfg, seed=0)
-    att = attention_scores(params, tiny_cfg, random_bag(tiny_cfg, n=1))
+    att = forward(params, tiny_cfg, random_bag(tiny_cfg, n=1)).attention
     assert att.shape == (1,)
     assert att[0] == pytest.approx(1.0, abs=1e-6)
 
@@ -153,7 +153,7 @@ def test_attention_zero_w_uniform():
     params = build_model(cfg, seed=0)
     params["attn.w.weight"][:] = 0.0
     params["attn.w.bias"][:] = 0.0
-    att = attention_scores(params, cfg, random_bag(cfg, n=6))
+    att = forward(params, cfg, random_bag(cfg, n=6)).attention
     assert np.allclose(att, 1 / 6, atol=1e-7)
 
 
@@ -162,7 +162,7 @@ def test_attention_duplicated_instance_equal():
     params = build_model(cfg, seed=3)
     x = random_bag(cfg, n=4, seed=7)
     x[2] = x[0]
-    att = attention_scores(params, cfg, x)
+    att = forward(params, cfg, x).attention
     assert abs(att[0] - att[2]) <= 1e-6
 
 

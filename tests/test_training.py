@@ -7,7 +7,7 @@ from conftest import random_bag
 from miltransfer import ModelConfig, TrainConfig, build_model, cosine_lr, forward, train
 from miltransfer.bagdata import DatasetManifest
 from miltransfer.errors import DataError, NumericError
-from miltransfer.models import aux_loss, copy_params, cross_entropy, loss_and_grads, zeros_like_params
+from miltransfer.models import aux_loss, cross_entropy, loss_and_grads, zeros_like_params
 from miltransfer.training import ParamStack, adamw_step, evaluate_split
 
 
@@ -46,7 +46,7 @@ def adamw(params, grads, lr, weight_decay):
 
 def test_adamw_zero_grad_zero_decay_identity():
     params = make_params()
-    before = copy_params(params)
+    before = {k: v.copy() for k, v in params.items()}
     params = adamw(params, zeros_like_params(params), lr=1e-3, weight_decay=0.0)
     assert all(np.array_equal(params[k], before[k]) for k in params)
 
@@ -61,7 +61,7 @@ def test_adamw_first_step_is_signed():
 
 def test_adamw_decoupled_decay():
     params = make_params()
-    before = copy_params(params)
+    before = {k: v.copy() for k, v in params.items()}
     params = adamw(params, zeros_like_params(params), lr=1e-4, weight_decay=1e-5)
     for k in params:
         assert np.allclose(params[k], before[k] * (1 - 1e-9), rtol=1e-15)
