@@ -7,10 +7,14 @@ Every reader here consumes ``models.eval_pass``: activations are the
 ``attention`` and embeddings its ``embedding`` (through
 ``transfer.embed_bags``).
 
-SVCCA centers both activation matrices, truncates each to the smallest
-singular-vector basis holding the requested share of squared singular
-mass, runs CCA between the truncated subspaces via whitening, and reports
-the mean canonical correlation on a 0-100 scale.
+SVCCA works on Gram matrices.  It centers both activation matrices X and Y
+(n samples by width w), forms the three w x w Grams X'X, Y'Y and X'Y, and
+takes each self-Gram's eigendecomposition X'X = V S^2 V'.  Each side keeps the
+smallest set of principal directions holding the requested share of S^2.
+The canonical correlations are the singular values of
+S_x^-1 V_x' (X'Y) V_y S_y^-1, which equals U_x'U_y for the left singular
+vectors U = X V S^-1.  No n-row basis is built.  The mean canonical
+correlation is reported on a 0-100 scale.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from . import models, training, transfer
 from .bagdata import DatasetManifest
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .fileio import atomic_open
 from .models import ModelConfig, ModelParams
 from .transfer import Checkpoint
@@ -121,34 +125,36 @@ def capture_activations(cfg: ModelConfig, params: ModelParams,
 # SVCCA
 # ---------------------------------------------------------------------------
 
-def _svd_truncate(x: np.ndarray, variance_keep: float) -> np.ndarray:
-    """Project centered activations onto the smallest singular basis
-    carrying >= variance_keep of the squared singular mass."""
-    u, s, _ = np.linalg.svd(x, full_matrices=False)
-    tiny = s.max() * max(x.shape) * np.finfo(np.float64).eps if s.size else 0.0
-    rank = int((s > tiny).sum())
-    if rank == 0:
-        return np.zeros((x.shape[0], 0))
-    s = s[:rank]
+def _principal_directions(gram: np.ndarray, n_samples: int, variance_keep: float):
+    """Kept eigenvectors V and singular values S of a centered activation
+    matrix with Gram ``gram``, largest first.
+
+    Rank counts the eigenvalues above lambda_max * max(n_samples, width) *
+    eps(float64), the rounding level of a Gram formed and decomposed in
+    float64.  As singular values that is S > S_max * sqrt(max(n, w) * eps).
+    Of those, the smallest leading set whose share of sum(S^2) reaches
+    ``variance_keep`` is kept.
+    """
+    lam, vec = np.linalg.eigh(gram)
+    lam, vec = lam[::-1], vec[:, ::-1]
+    if lam.size == 0 or lam[0] <= 0.0:
+        return vec[:, :0], lam[:0]
+    lam = lam[lam > lam[0] * max(n_samples, gram.shape[0]) * np.finfo(np.float64).eps]
     if variance_keep >= 1.0:
-        keep = rank
+        keep = lam.size
     else:
-        energy = np.cumsum(s ** 2) / np.sum(s ** 2)
+        energy = np.cumsum(lam) / np.sum(lam)
         keep = int(np.searchsorted(energy, variance_keep) + 1)
-    return u[:, :keep] * s[:keep]
-
-
-def _inv_sqrt(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    w = np.maximum(w, w.max() * 1e-12 if w.size else 0.0)
-    return v @ np.diag(1.0 / np.sqrt(w)) @ v.T
+    return vec[:, :keep], np.sqrt(lam[:keep])
 
 
 def svcca(x: np.ndarray, y: np.ndarray, variance_keep: float = 0.99):
     """Mean canonical correlation between two activation spaces, 0-100.
 
-    Returns (mean, per-component correlations).  Width-1 inputs reduce to
-    100 * |Pearson r|.  Rank-0 (constant) input yields 0.
+    Returns (mean, per-component correlations), largest first.  Width-1
+    inputs reduce to 100 * |Pearson r|.  Rank-0 (constant) input yields 0.
+    The method and its rank tolerance are in the module docstring and
+    ``_principal_directions``.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -158,17 +164,15 @@ def svcca(x: np.ndarray, y: np.ndarray, variance_keep: float = 0.99):
     if n <= max(x.shape[1], y.shape[1]):
         raise DataError(f"svcca needs n_samples > max width, got n={n}, "
                         f"widths ({x.shape[1]}, {y.shape[1]})")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NumericError("svcca activations hold non-finite values")
     xc = x - x.mean(axis=0)
     yc = y - y.mean(axis=0)
-    xr = _svd_truncate(xc, variance_keep)
-    yr = _svd_truncate(yc, variance_keep)
-    if xr.shape[1] == 0 or yr.shape[1] == 0:
+    vx, sx = _principal_directions(xc.T @ xc, n, variance_keep)
+    vy, sy = _principal_directions(yc.T @ yc, n, variance_keep)
+    if sx.size == 0 or sy.size == 0:
         return 0.0, np.zeros(0)
-
-    cxx = xr.T @ xr / (n - 1)
-    cyy = yr.T @ yr / (n - 1)
-    cxy = xr.T @ yr / (n - 1)
-    m = _inv_sqrt(cxx) @ cxy @ _inv_sqrt(cyy)
+    m = (vx.T @ (xc.T @ yc) @ vy) / np.outer(sx, sy)
     corrs = np.clip(np.linalg.svd(m, compute_uv=False), 0.0, 1.0)
     return float(100.0 * corrs.mean()), corrs
 

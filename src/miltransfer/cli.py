@@ -110,6 +110,14 @@ def load_config(path: str | Path) -> dict:
                               f"got {proto[key]!r}")
     if "k_shots" in proto:
         _check_ints(proto["k_shots"], "protocol.k_shots", 1)
+    rows = proto.get("scale_rows") or []
+    if not isinstance(rows, list):
+        raise ConfigError(f"config: protocol.scale_rows must be a list, got {rows!r}")
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ConfigError(f"config: protocol.scale_rows[{i}] must be an object, got {row!r}")
+        if "fc_hidden_dims" in row:
+            _check_ints(row["fc_hidden_dims"], f"protocol.scale_rows[{i}].fc_hidden_dims", 1)
     return cfg
 
 

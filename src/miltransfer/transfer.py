@@ -19,6 +19,7 @@ from .errors import (
     CheckpointFormatError,
     ConfigError,
     DataError,
+    NumericError,
     ShapeMismatchError,
     VersionMismatchError,
 )
@@ -32,9 +33,6 @@ CHECKPOINT_VERSION = 1
 HEADER_START = 13  # magic (4) + version (1) + u64 header length (8)
 
 RESET_SPECS = ("attn", "lin3plus", "lin2plus", "all")
-
-# Byte budget of the per-chunk (queries x train x dim) euclidean broadcast.
-_KNN_CHUNK_BYTES = 32 << 20
 
 
 @dataclass
@@ -256,47 +254,113 @@ def knn_predict(train_embeddings: np.ndarray, train_labels: np.ndarray,
                 distance: str = "euclidean"):
     """Per-query KNN vote.  Returns (predictions, positive-neighbor fraction).
 
-    Majority vote; ties between classes broken by summed inverse distance,
-    then by the lower class index.
+    Neighbors are the k smallest distances, equal distances taken in train
+    order.  Majority vote; ties between classes broken by summed inverse
+    distance, then by the lower class index.
+
+    Euclidean distance is ``sqrt(sum((q - t) ** 2))`` in the embeddings'
+    dtype (float32 or float64; other dtypes are taken as float64).  It is
+    found through one float64 Gram G = |q|^2 + |t|^2 - 2 q.t and computed
+    exactly only on each query's candidates: the train points with
+
+        G <= rho * (G_k + e) + e + 3 d eta,
+
+    where G_k is the query's k-th smallest G, d the width, u and eta the
+    unit roundoff and smallest subnormal of the dtype, and
+
+    - gamma = (d+2) u / (1 - (d+2) u) bounds the relative rounding of the
+      dtype's sum of d squared differences;
+    - rho = (1+gamma) (1+u)^2 / ((1-gamma) (1-u)^2) adds the rounding of
+      the square root;
+    - e = (d+4) u64 (|q| + max |t|)^2 + d eta bounds the float64 Gram's
+      rounding and underflow.
+
+    Every point whose exact distance is at most the k-th smallest lies
+    within that margin, so neighbors, ties and votes equal those of the
+    exact distance to every train point.  The bound needs (d+2) u <= 1/5,
+    which float32 meets for d below 3 million.  Queries where the squared
+    distances could overflow the dtype take every point as a candidate.
+
+    Cosine distance ``1 - cos`` is one matrix product over all points.
     """
     if k < 1:
         raise ConfigError(f"knn k must be >= 1, got {k}")
-    if k > train_embeddings.shape[0]:
-        raise DataError(f"k={k} exceeds {train_embeddings.shape[0]} train embeddings")
+    train, query = (x if x.dtype in (np.float32, np.float64) else x.astype(np.float64)
+                    for x in (np.asarray(train_embeddings), np.asarray(query)))
+    train_labels = np.asarray(train_labels)
+    if train.ndim != 2 or query.ndim != 2 or train.shape[1] != query.shape[1]:
+        raise DataError(f"knn needs (n, d) train and (q, d) query embeddings, "
+                        f"got {train.shape} and {query.shape}")
+    if train_labels.shape != train.shape[:1]:
+        raise DataError(f"{train_labels.shape} train labels for {train.shape[0]} embeddings")
+    if k > train.shape[0]:
+        raise DataError(f"k={k} exceeds {train.shape[0]} train embeddings")
+    if train_labels.dtype.kind not in "biu" or not (
+            0 <= train_labels.min() and train_labels.max() < n_classes):
+        raise DataError(f"train labels must be integers in [0, {n_classes})")
+    if not (np.isfinite(train).all() and np.isfinite(query).all()):
+        raise NumericError("knn embeddings hold non-finite values")
+
     if distance == "euclidean":
-        # Query rows in chunks bound the broadcast temporary; each row's
-        # distances are the same arithmetic as one whole-query broadcast.
-        # With no queries the range still yields one (empty) chunk.
-        row_bytes = train_embeddings.size * np.result_type(query, train_embeddings).itemsize
-        step = max(1, _KNN_CHUNK_BYTES // max(row_bytes, 1))
-        d = np.concatenate([np.sqrt(np.maximum(
-            ((query[i:i + step, None, :] - train_embeddings[None, :, :]) ** 2).sum(-1), 0.0))
-            for i in range(0, max(query.shape[0], 1), step)])
+        neighbors, dist = _euclidean_neighbors(train, query, k)
     elif distance == "cosine":
         qn = query / np.maximum(np.linalg.norm(query, axis=1, keepdims=True), 1e-12)
-        tn = train_embeddings / np.maximum(
-            np.linalg.norm(train_embeddings, axis=1, keepdims=True), 1e-12)
+        tn = train / np.maximum(np.linalg.norm(train, axis=1, keepdims=True), 1e-12)
         d = 1.0 - qn @ tn.T
+        neighbors = np.argsort(d, axis=1, kind="stable")[:, :k]
+        dist = np.take_along_axis(d, neighbors, axis=1)
     else:
         raise ConfigError(f"unknown distance {distance!r}")
+    return _vote(train_labels[neighbors], dist, n_classes)
 
-    preds = np.zeros(query.shape[0], dtype=np.int64)
-    pos_fraction = np.zeros(query.shape[0])
-    for i in range(query.shape[0]):
-        order = np.argsort(d[i], kind="stable")[:k]
-        neigh_labels = train_labels[order]
-        votes = np.bincount(neigh_labels, minlength=n_classes)
-        best = votes.max()
-        tied = np.flatnonzero(votes == best)
-        if tied.size > 1:
-            inv = np.zeros(n_classes)
-            for c in tied:
-                mask = neigh_labels == c
-                inv[c] = (1.0 / (d[i][order][mask] + 1e-12)).sum()
-            tied = tied[inv[tied] == inv[tied].max()]
-        preds[i] = tied[0]
-        pos_fraction[i] = (neigh_labels == 1).mean()
-    return preds, pos_fraction
+
+def _euclidean_neighbors(train: np.ndarray, query: np.ndarray, k: int):
+    """(q, k) indices and exact distances of each query's k nearest train
+    points, by the Gram margin of ``knn_predict``."""
+    dt = np.result_type(train, query)
+    train, query = train.astype(dt, copy=False), query.astype(dt, copy=False)
+    n_q, dim = query.shape
+    t64, q64 = train.astype(np.float64, copy=False), query.astype(np.float64, copy=False)
+    tt, qq = (t64 * t64).sum(axis=1), (q64 * q64).sum(axis=1)
+    gram = qq[:, None] + tt[None, :] - 2.0 * (q64 @ t64.T)
+    g_k = np.partition(gram, k - 1, axis=1)[:, k - 1]
+
+    fin = np.finfo(dt)
+    u, eta = fin.eps / 2, float(fin.smallest_subnormal)
+    gamma = (dim + 2) * u / (1 - (dim + 2) * u)
+    rho = (1 + gamma) * (1 + u) ** 2 / ((1 - gamma) * (1 - u) ** 2)
+    err = ((dim + 4) * np.finfo(np.float64).eps / 2
+           * (np.sqrt(qq) + np.sqrt(tt.max())) ** 2 + dim * eta)
+    limit = rho * (g_k + err) + err + 3 * dim * eta
+    limit[(1 + gamma) * (g_k + err) + dim * eta >= fin.max / 2] = np.inf
+    qi, ti = np.nonzero(~(gram > limit[:, None]))
+
+    # the exact expression, on the candidates only, in index order
+    diff = query[qi]
+    diff -= train[ti]
+    diff **= 2
+    dist = np.sqrt(np.maximum(diff.sum(-1), 0.0))
+    # each query's candidates sorted by distance, then index; its first k
+    order = np.lexsort((ti, dist, qi))
+    counts = np.bincount(qi, minlength=n_q)
+    pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    return ti[pick], dist[pick]
+
+
+def _vote(neighbor_labels: np.ndarray, dist: np.ndarray, n_classes: int):
+    """Majority vote over (q, k) neighbor labels, ties by summed inverse
+    distance, then by the lower class."""
+    n_q = neighbor_labels.shape[0]
+    votes = np.bincount((np.arange(n_q)[:, None] * n_classes + neighbor_labels).ravel(),
+                        minlength=n_q * n_classes).reshape(n_q, n_classes)
+    preds = votes.argmax(axis=1).astype(np.int64)
+    for i in np.flatnonzero((votes == votes.max(axis=1, keepdims=True)).sum(axis=1) > 1):
+        tied = np.flatnonzero(votes[i] == votes[i].max())
+        inv = np.zeros(n_classes)
+        for c in tied:
+            inv[c] = (1.0 / (dist[i][neighbor_labels[i] == c] + 1e-12)).sum()
+        preds[i] = tied[inv[tied] == inv[tied].max()][0]
+    return preds, (neighbor_labels == 1).mean(axis=1)
 
 
 def knn_evaluate(train_embeddings, train_labels, test_embeddings, test_labels,

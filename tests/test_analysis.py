@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miltransfer import (
     Checkpoint,
@@ -84,6 +86,82 @@ def test_svcca_range():
         mean, comps = svcca(x, y)
         assert 0.0 <= mean <= 100.0
         assert ((comps >= 0) & (comps <= 1)).all()
+
+
+def test_svcca_non_finite_is_numeric_error():
+    x = np.random.default_rng(6).standard_normal((50, 3))
+    y = x.copy()
+    y[7, 1] = np.nan
+    with pytest.raises(NumericError):
+        svcca(x, y)
+    with pytest.raises(NumericError):
+        svcca(np.where(x > 1.5, np.inf, x), x)
+
+
+# ---------------------------------------------------------------------------
+# Gram-matrix SVCCA against the SVD reference
+# ---------------------------------------------------------------------------
+# The reference truncates each side with a thin SVD of the n x w activations
+# and whitens the truncated covariances.  The Gram form squares the condition
+# number of what it decomposes, so results agree to a tolerance, not bitwise.
+
+def _ref_svd_truncate(x, variance_keep):
+    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    tiny = s.max() * max(x.shape) * np.finfo(np.float64).eps if s.size else 0.0
+    rank = int((s > tiny).sum())
+    if rank == 0:
+        return np.zeros((x.shape[0], 0))
+    s = s[:rank]
+    if variance_keep >= 1.0:
+        keep = rank
+    else:
+        energy = np.cumsum(s ** 2) / np.sum(s ** 2)
+        keep = int(np.searchsorted(energy, variance_keep) + 1)
+    return u[:, :keep] * s[:keep]
+
+
+def _ref_inv_sqrt(mat):
+    w, v = np.linalg.eigh(mat)
+    w = np.maximum(w, w.max() * 1e-12 if w.size else 0.0)
+    return v @ np.diag(1.0 / np.sqrt(w)) @ v.T
+
+
+def _ref_svcca(x, y, variance_keep=0.99):
+    n = x.shape[0]
+    xr = _ref_svd_truncate(x - x.mean(axis=0), variance_keep)
+    yr = _ref_svd_truncate(y - y.mean(axis=0), variance_keep)
+    if xr.shape[1] == 0 or yr.shape[1] == 0:
+        return 0.0, np.zeros(0)
+    m = (_ref_inv_sqrt(xr.T @ xr / (n - 1)) @ (xr.T @ yr / (n - 1))
+         @ _ref_inv_sqrt(yr.T @ yr / (n - 1)))
+    corrs = np.clip(np.linalg.svd(m, compute_uv=False), 0.0, 1.0)
+    return float(100.0 * corrs.mean()), corrs
+
+
+def _svcca_case(kind, rng, n, wx, wy):
+    x = rng.standard_normal((n, wx)) * rng.uniform(0.1, 10.0, wx)
+    if kind == "identical":
+        return x, x.copy()
+    if kind == "rank_deficient":  # both sides span at most two shared directions
+        z = rng.standard_normal((n, 2))
+        return z @ rng.standard_normal((2, wx)), z @ rng.standard_normal((2, wy))
+    if kind == "width_one":
+        return x[:, :1], 0.7 * x[:, :1] + rng.standard_normal((n, 1))
+    return x, x @ rng.standard_normal((wx, wy)) + rng.standard_normal((n, wy))
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(12, 150), wx=st.integers(1, 8),
+       wy=st.integers(1, 8), kind=st.sampled_from(
+           ["mixed", "identical", "rank_deficient", "width_one"]),
+       variance_keep=st.sampled_from([0.99, 1.0]))
+def test_svcca_matches_svd_reference(seed, n, wx, wy, kind, variance_keep):
+    x, y = _svcca_case(kind, np.random.default_rng(seed), n, wx, wy)
+    mean, comps = svcca(x, y, variance_keep)
+    want_mean, want_comps = _ref_svcca(x, y, variance_keep)
+    assert comps.shape == want_comps.shape
+    assert abs(mean - want_mean) <= 1e-9
+    assert np.abs(comps - want_comps).max(initial=0.0) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,17 @@ def test_scale_sweep(tmp_path):
     assert len(pretrains) == 2  # one per scale row, named by param count
 
 
+@pytest.mark.parametrize("rows", [[[1]], [{"fc_hidden_dims": 5}],
+                                  [{"fc_hidden_dims": ["8"]}], {"embed_dim": 8}])
+def test_scale_rows_shape_errors_are_config_errors(tmp_path, capsys, rows):
+    cfg = base_config(tmp_path / "data", tmp_path / "runs")
+    cfg["protocol"]["scale_rows"] = rows
+    capsys.readouterr()
+    assert main(["--config", write_config(tmp_path, cfg), "scale-sweep"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
 def test_missing_config_is_config_error(tmp_path):
     assert main(["--config", str(tmp_path / "nope.json"), "report"]) == 2
 

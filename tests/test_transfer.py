@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_bag
 from miltransfer import (
@@ -19,12 +21,12 @@ from miltransfer import (
     reset_layers,
     save_checkpoint,
     train,
-    transfer,
 )
 from miltransfer.errors import (
     CheckpointFormatError,
     ConfigError,
     DataError,
+    NumericError,
     ShapeMismatchError,
     VersionMismatchError,
 )
@@ -255,23 +257,130 @@ def test_knn_k_too_large():
                     k=4, n_classes=2)
 
 
-def test_knn_chunked_distances_match_one_broadcast(monkeypatch):
+# ---------------------------------------------------------------------------
+# Gram-matrix KNN against the broadcast reference
+# ---------------------------------------------------------------------------
+# The reference is the whole-query broadcast with a per-query vote loop that
+# the Gram form replaced.  Neighbors, predictions and positive fractions must
+# match it bitwise: the Gram only chooses candidates, whose distances are then
+# the reference's own expression.
+
+def _ref_knn_predict(train_embeddings, train_labels, query, k, n_classes,
+                     distance="euclidean"):
+    if distance == "euclidean":
+        d = np.sqrt(np.maximum(
+            ((query[:, None, :] - train_embeddings[None, :, :]) ** 2).sum(-1), 0.0))
+    else:
+        qn = query / np.maximum(np.linalg.norm(query, axis=1, keepdims=True), 1e-12)
+        tn = train_embeddings / np.maximum(
+            np.linalg.norm(train_embeddings, axis=1, keepdims=True), 1e-12)
+        d = 1.0 - qn @ tn.T
+    preds = np.zeros(query.shape[0], dtype=np.int64)
+    pos_fraction = np.zeros(query.shape[0])
+    for i in range(query.shape[0]):
+        order = np.argsort(d[i], kind="stable")[:k]
+        neigh_labels = train_labels[order]
+        votes = np.bincount(neigh_labels, minlength=n_classes)
+        tied = np.flatnonzero(votes == votes.max())
+        if tied.size > 1:
+            inv = np.zeros(n_classes)
+            for c in tied:
+                inv[c] = (1.0 / (d[i][order][neigh_labels == c] + 1e-12)).sum()
+            tied = tied[inv[tied] == inv[tied].max()]
+        preds[i] = tied[0]
+        pos_fraction[i] = (neigh_labels == 1).mean()
+    return preds, pos_fraction
+
+
+def _knn_case(kind, rng, n, q, dim, dtype):
+    """(train, query) embeddings of one kind of hard case."""
+    if kind == "ties":  # small integer grid: many exactly equal distances
+        train = rng.integers(-2, 3, (n, dim)).astype(dtype)
+        query = rng.integers(-2, 3, (q, dim)).astype(dtype)
+    elif kind == "duplicates":  # repeated train points, queries on top of some
+        base = rng.standard_normal((max(1, n // 3), dim)).astype(dtype)
+        train = base[rng.integers(0, len(base), n)]
+        query = np.concatenate([train[rng.integers(0, n, q // 2)],
+                                rng.standard_normal((q - q // 2, dim)).astype(dtype)])
+    elif kind == "ulp":  # copies of one point, coordinates one float32 ulp apart
+        point = rng.standard_normal(dim).astype(np.float32)
+        steps = rng.integers(-1, 2, (n, dim))
+        train = np.where(steps > 0, np.nextafter(point, np.float32(np.inf)),
+                         np.where(steps < 0, np.nextafter(point, np.float32(-np.inf)), point))
+        train = train.astype(dtype)
+        query = (point + rng.choice([0.0, 1e-3, 1.0], (q, 1))
+                 * rng.standard_normal((q, dim))).astype(dtype)
+    else:
+        train = rng.standard_normal((n, dim)).astype(dtype)
+        query = rng.standard_normal((q, dim)).astype(dtype)
+    return train, query
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 40), q=st.integers(0, 12),
+       dim=st.integers(1, 16), n_classes=st.integers(2, 4),
+       kind=st.sampled_from(["random", "ties", "duplicates", "ulp"]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       distance=st.sampled_from(["euclidean", "cosine"]), data=st.data())
+def test_knn_matches_broadcast_reference(seed, n, q, dim, n_classes, kind, dtype,
+                                         distance, data):
+    rng = np.random.default_rng(seed)
+    train_emb, query = _knn_case(kind, rng, n, q, dim, dtype)
+    train_y = rng.integers(0, n_classes, n)
+    k = data.draw(st.one_of(st.just(n), st.integers(1, n)), label="k")
+    preds, pos = knn_predict(train_emb, train_y, query, k, n_classes, distance)
+    want_preds, want_pos = _ref_knn_predict(train_emb, train_y, query, k, n_classes,
+                                            distance)
+    assert preds.dtype == want_preds.dtype and np.array_equal(preds, want_preds)
+    assert pos.tobytes() == want_pos.tobytes()
+
+
+def test_knn_k_equals_n_on_wide_float32():
     rng = np.random.default_rng(11)
-    train_emb = rng.standard_normal((40, 7)).astype(np.float32)
+    train_emb = rng.standard_normal((40, 512)).astype(np.float32)
     train_y = rng.integers(0, 2, 40)
-    test_emb = rng.standard_normal((9, 7)).astype(np.float32)
-    whole = knn_predict(train_emb, train_y, test_emb, k=6, n_classes=2)
-    # one query row of the broadcast is 40 * 7 float32 = 1120 bytes: 4 rows a chunk
-    monkeypatch.setattr(transfer, "_KNN_CHUNK_BYTES", 4 * 1120)
-    calls = []
-    real_sqrt = np.sqrt
-    monkeypatch.setattr(transfer.np, "sqrt", lambda x: calls.append(x.shape) or real_sqrt(x))
-    chunked = knn_predict(train_emb, train_y, test_emb, k=6, n_classes=2)
-    assert calls == [(4, 40), (4, 40), (1, 40)]
-    assert np.array_equal(whole[0], chunked[0])
-    assert np.array_equal(whole[1], chunked[1])
-    preds, pos = knn_predict(train_emb, train_y, test_emb[:0], k=6, n_classes=2)
+    query = rng.standard_normal((9, 512)).astype(np.float32)
+    for k in (1, 20, 40):
+        got = knn_predict(train_emb, train_y, query, k, 2)
+        want = _ref_knn_predict(train_emb, train_y, query, k, 2)
+        assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
+    preds, pos = knn_predict(train_emb, train_y, query[:0], 6, 2)
     assert preds.shape == (0,) and pos.shape == (0,)
+
+
+def test_knn_float32_rounding_ties_keep_train_order():
+    # three points one ulp apart along x; seen from 1000 away along y their
+    # float32 squared distances round to one value, so train order picks the
+    # neighbor, while the float64 Gram alone would pick the nearest, index 2
+    point = np.float32(0.3)
+    train_emb = np.array([[np.nextafter(point, np.float32(-1)), 0.0], [point, 0.0],
+                          [np.nextafter(point, np.float32(1)), 0.0]], dtype=np.float32)
+    train_y = np.array([0, 0, 1])
+    query = np.array([[point + np.float32(1.0), 1000.0]], dtype=np.float32)
+    preds, pos = knn_predict(train_emb, train_y, query, k=1, n_classes=2)
+    assert preds.tolist() == [0] and pos.tolist() == [0.0]
+    assert np.array_equal(preds, _ref_knn_predict(train_emb, train_y, query, 1, 2)[0])
+
+
+KNN_BAD_INPUTS = {
+    "width_mismatch": (DataError, lambda t, y, q: (t, y, q[:, :3])),
+    "label_too_large": (DataError, lambda t, y, q: (t, np.where(y == 1, 5, y), q)),
+    "label_negative": (DataError, lambda t, y, q: (t, y - 1, q)),
+    "label_count": (DataError, lambda t, y, q: (t, y[:-1], q)),
+    "nan_train": (NumericError, lambda t, y, q: (np.where(t > 1.0, np.nan, t), y, q)),
+    "inf_query": (NumericError, lambda t, y, q: (t, y, np.where(q > 1.0, np.inf, q))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KNN_BAD_INPUTS))
+def test_knn_rejects_bad_inputs(case):
+    rng = np.random.default_rng(2)
+    train_emb = rng.standard_normal((12, 4)).astype(np.float32)
+    train_y = rng.integers(0, 2, 12)
+    query = rng.standard_normal((5, 4)).astype(np.float32)
+    error, corrupt = KNN_BAD_INPUTS[case]
+    with pytest.raises(error):
+        knn_predict(*corrupt(train_emb, train_y, query), k=3, n_classes=2)
 
 
 def test_knn_cosine_switch():
