@@ -39,9 +39,7 @@ from .transfer import (
 from .analysis import (
     ActivationDump,
     StabilityReport,
-    attention_export,
     capture_activations,
-    embedding_export,
     layer_stability_report,
     svcca,
 )

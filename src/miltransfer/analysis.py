@@ -1,11 +1,7 @@
-"""Representation analysis: activation capture, SVCCA layer stability,
-attention and embedding export.
+"""Representation analysis: activation capture and SVCCA layer stability.
 
-Every reader here consumes ``models.eval_pass``: activations are the
-``ForwardOutput.activations`` that the eval-mode forward already computes
-(``fc.{i}`` post-ReLU, ``attn`` pre-softmax score), attention maps its
-``attention`` and embeddings its ``embedding`` (through
-``transfer.embed_bags``).
+Activations are the ``ForwardOutput.activations`` that ``models.eval_pass``
+already computes (``fc.{i}`` post-ReLU, ``attn`` pre-softmax score).
 
 SVCCA works on Gram matrices.  It centers both activation matrices X and Y
 (n samples by width w), forms the three w x w Grams X'X, Y'Y and X'Y, and
@@ -19,17 +15,14 @@ correlation is reported on a 0-100 scale.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from . import models, training, transfer
+from . import models, training
 from .bagdata import DatasetManifest
 from .errors import ConfigError, DataError, NumericError
-from .fileio import atomic_open
 from .models import ModelConfig, ModelParams
 from .transfer import Checkpoint
 
@@ -39,7 +32,7 @@ DEFAULT_SAMPLE_BUDGET = 5000
 @dataclass
 class ActivationDump:
     layer_name: str
-    matrix: np.ndarray            # n_samples x layer_width, float32
+    matrix: np.ndarray            # ([J,] n_samples, layer_width) float32
     sample_ids: list[str]
 
 
@@ -95,7 +88,8 @@ def capture_activations(cfg: ModelConfig, params: ModelParams,
     ``fc.{i}`` captures the post-ReLU layer output; ``attn`` captures the
     pre-softmax attention score (width 1), which stays comparable across
     bags of different sizes.  Only the bags that hold sampled instances
-    are forwarded.
+    are forwarded.  Parameters with a leading job axis J give each dump a
+    leading J axis.
     """
     known = _capturable_layers(cfg)
     for name in layer_names:
@@ -107,18 +101,20 @@ def capture_activations(cfg: ModelConfig, params: ModelParams,
     by_bag: dict[str, list[int]] = {}
     for bag_id, j in pairs:
         by_bag.setdefault(bag_id, []).append(j)
-
-    picked: dict[str, list[np.ndarray]] = {}
+    ends = dict(zip(by_bag, np.cumsum([len(inst_idx) for inst_idx in by_bag.values()])))
+    # each bag's rows are written in place, at its ``by_bag`` position
+    mats: list[np.ndarray] = []
     for e, out in models.eval_pass(params, cfg, manifest, split, features, bag_ids=by_bag):
-        idx = np.asarray(by_bag[e.bag_id])
-        picked[e.bag_id] = [out.activations[name][idx].astype(np.float32)
-                            for name in layer_names]
-    missing = [bag_id for bag_id in by_bag if bag_id not in picked]
-    if missing:
-        raise DataError(f"sampled bags {missing} are not in the {split!r} split")
+        idx, end = by_bag[e.bag_id], ends.pop(e.bag_id)
+        for k, name in enumerate(layer_names):
+            act = out.activations[name]
+            if k == len(mats):
+                mats.append(np.empty((*act.shape[:-2], len(pairs), act.shape[-1]), np.float32))
+            mats[k][..., end - len(idx):end, :] = act[..., idx, :]
+    if ends:
+        raise DataError(f"sampled bags {list(ends)} are not in the {split!r} split")
     order = [f"{bag_id}:{j}" for bag_id, inst_idx in by_bag.items() for j in inst_idx]
-    return [ActivationDump(name, np.concatenate([picked[b][k] for b in by_bag], axis=0), order)
-            for k, name in enumerate(layer_names)]
+    return [ActivationDump(name, mat, order) for name, mat in zip(layer_names, mats)]
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +152,8 @@ def svcca(x: np.ndarray, y: np.ndarray, variance_keep: float = 0.99):
     The method and its rank tolerance are in the module docstring and
     ``_principal_directions``.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x = np.array(x, dtype=np.float64)  # copies, centered in place below
+    y = np.array(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise DataError("svcca needs two (n_samples x width) matrices with equal n_samples")
     n = x.shape[0]
@@ -166,13 +162,13 @@ def svcca(x: np.ndarray, y: np.ndarray, variance_keep: float = 0.99):
                         f"widths ({x.shape[1]}, {y.shape[1]})")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise NumericError("svcca activations hold non-finite values")
-    xc = x - x.mean(axis=0)
-    yc = y - y.mean(axis=0)
-    vx, sx = _principal_directions(xc.T @ xc, n, variance_keep)
-    vy, sy = _principal_directions(yc.T @ yc, n, variance_keep)
+    x -= x.mean(axis=0)
+    y -= y.mean(axis=0)
+    vx, sx = _principal_directions(x.T @ x, n, variance_keep)
+    vy, sy = _principal_directions(y.T @ y, n, variance_keep)
     if sx.size == 0 or sy.size == 0:
         return 0.0, np.zeros(0)
-    m = (vx.T @ (xc.T @ yc) @ vy) / np.outer(sx, sy)
+    m = (vx.T @ (x.T @ y) @ vy) / np.outer(sx, sy)
     corrs = np.clip(np.linalg.svd(m, compute_uv=False), 0.0, 1.0)
     return float(100.0 * corrs.mean()), corrs
 
@@ -185,7 +181,8 @@ def layer_stability_report(before: Checkpoint, after_params: ModelParams,
                            split: str = "test", model_tag: str = "",
                            features: dict[str, np.ndarray] | None = None) -> StabilityReport:
     """SVCCA between each layer's activations under the checkpoint weights
-    and under ``after_params``, on an identical instance sample."""
+    and under ``after_params``, on an identical instance sample, both
+    captured in one pass as a stack of two."""
     cfg = before.cfg
     for name, shape in models.param_schema(cfg):
         if name not in after_params or after_params[name].shape != shape:
@@ -193,48 +190,16 @@ def layer_stability_report(before: Checkpoint, after_params: ModelParams,
     if layer_names is None:
         layer_names = _capturable_layers(cfg)
     pairs, features = sample_instances(manifest, split, max_instances, seed, features)
-    dumps_before = capture_activations(cfg, before.params, manifest, layer_names,
-                                       features=features, pairs=pairs)
-    dumps_after = capture_activations(cfg, after_params, manifest, layer_names,
-                                      features=features, pairs=pairs)
     layers = []
-    for db, da in zip(dumps_before, dumps_after):
-        assert db.sample_ids == da.sample_ids
-        mean, comps = svcca(db.matrix, da.matrix, variance_keep)
+    # no name holds the stacked parameters, so they are freed before SVCCA runs
+    for dump in capture_activations(cfg, models.stack_params([before.params, after_params]),
+                                    manifest, layer_names, features=features, pairs=pairs):
+        mean, comps = svcca(dump.matrix[0], dump.matrix[1], variance_keep)
         layers.append({
-            "name": db.layer_name,
+            "name": dump.layer_name,
             "mean": mean,
             "std": float(100.0 * comps.std()) if comps.size else 0.0,
             "n_components": int(comps.size),
         })
     return StabilityReport(layers=layers, n_samples=len(pairs), model_tag=model_tag,
                            sample_description=f"{split} split, seed {seed}")
-
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-def attention_export(cfg: ModelConfig, params: ModelParams, manifest: DatasetManifest,
-                     split: str, path: str | Path,
-                     features: dict[str, np.ndarray] | None = None) -> None:
-    """CSV of (bag_id, instance_index, attention_weight); weights of each
-    bag sum to 1."""
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bag_id", "instance_index", "attention_weight"])
-        for e, out in models.eval_pass(params, cfg, manifest, split, features):
-            for j, a in enumerate(out.attention):
-                writer.writerow([e.bag_id, j, f"{float(a):.8g}"])
-
-
-def embedding_export(cfg: ModelConfig, params: ModelParams, manifest: DatasetManifest,
-                     split: str, path: str | Path,
-                     features: dict[str, np.ndarray] | None = None) -> None:
-    """CSV of (bag_id, label, e_0..e_{D-1}) slide embeddings."""
-    bag_ids, emb, labels = transfer.embed_bags(cfg, params, manifest, split, features)
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bag_id", "label"] + [f"e_{i}" for i in range(emb.shape[1])])
-        for bag_id, label, row in zip(bag_ids, labels, emb):
-            writer.writerow([bag_id, int(label)] + [f"{v:.8g}" for v in row])

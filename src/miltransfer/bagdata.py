@@ -347,8 +347,8 @@ class SynthTaskConfig:
             raise ConfigError("witness_rate * min bag size must be >= 1")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be >= 0")
-        if abs(sum(self.split_fractions) - 1.0) > 1e-9:
-            raise ConfigError("split_fractions must sum to 1")
+        if min(self.split_fractions) < 0 or abs(sum(self.split_fractions) - 1.0) > 1e-9:
+            raise ConfigError("split_fractions must be >= 0 and sum to 1")
 
     @property
     def n_classes(self) -> int:

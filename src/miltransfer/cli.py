@@ -2,10 +2,27 @@
 
 Every command reads one JSON experiment config (``config_version: 1``; see
 ``configs/demo.json``), writes its results under ``<output_dir>/results/``
-and appends a deterministic run log.  ``generate`` writes the synthetic
-tasks; ``pretrain`` trains one checkpoint per seed and registers it in the
-zoo.  The grid commands are job lists over targets x seeds x inits, run by
-one executor (``run_jobs``) on the zoo checkpoint of each seed:
+and appends a deterministic run log.  ``load_config`` parses the file once
+into a frozen ``ExperimentConfig`` and checks every section, whether or not
+the command reads it; an unknown key is an error.  Keys, with defaults:
+
+    output_dir, seeds   required; ``--out`` and ``--seed`` override them
+    data        root, pretrain, targets: required by the commands that read them
+    model       ``ModelConfig``'s fields but n_classes, which the task gives
+    train       ``TrainConfig``'s fields but seed, which each job sets
+    protocol    n_bootstrap 1000, knn_k 20, distance "euclidean",
+                k_shots [4, 16, 32], reset_specs ["attn", "all"],
+                max_instances 5000, variance_keep 0.99, scale_rows []
+                (objects of model fields that override the model section)
+    synthetic   feat_dim, n_concepts, witness_rate, bag_size_range [16, 32],
+                noise_sigma and seed, shared by its tasks: objects of
+                task_id, concepts_per_class, n_bags_per_class and
+                split_fractions [0.6, 0.2, 0.2]
+
+``generate`` writes the synthetic tasks; ``pretrain`` trains one checkpoint
+per seed and registers it in the zoo.  The grid commands are job lists over
+targets x seeds x inits, run by one executor (``run_jobs``) on the zoo
+checkpoint of each seed:
 
     transfer     finetune x {pretrained, random}
     knn          frozen-embedding KNN x {pretrained, random}
@@ -39,9 +56,13 @@ import argparse
 import fcntl
 import itertools
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
+from functools import cache
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -55,7 +76,7 @@ from .bagdata import (
 )
 from .errors import ConfigError, DataError, MilError, NumericError
 from .fileio import atomic_open
-from .metrics import EvalResult
+from .metrics import EvalResult, evaluate_records
 from .models import ModelConfig
 from .training import TrainConfig
 from .transfer import Checkpoint, TransferPlan, config_digest
@@ -64,107 +85,152 @@ CONFIG_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# config handling
+# the experiment config: parsed once into one frozen dataclass per section
 # ---------------------------------------------------------------------------
 
-def _is_int(value, minimum: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+@dataclass(frozen=True)
+class DataConfig:
+    root: Path | None = None
+    pretrain: str | None = None
+    targets: tuple[str, ...] = ()
 
 
-def _check_ints(value, where: str, minimum: int) -> None:
-    """``value`` must be a list of integers >= ``minimum``."""
-    if not isinstance(value, list) or not all(_is_int(v, minimum) for v in value):
-        raise ConfigError(f"config: {where} must be a list of integers >= {minimum}, "
-                          f"got {value!r}")
+@dataclass(frozen=True)
+class ProtocolConfig:
+    n_bootstrap: int = 1000
+    knn_k: int = 20
+    distance: str = "euclidean"
+    k_shots: tuple[int, ...] = (4, 16, 32)
+    reset_specs: tuple[str, ...] = ("attn", "all")
+    max_instances: int = analysis.DEFAULT_SAMPLE_BUDGET
+    variance_keep: float = 0.99
+    scale_rows: tuple[ModelConfig, ...] = ()  # the model section, each row's keys replaced
+
+    def __post_init__(self):
+        for key, minimum in (("n_bootstrap", 0), ("knn_k", 1), ("max_instances", 1)):
+            if getattr(self, key) < minimum:
+                raise ConfigError(f"{key} must be >= {minimum}, got {getattr(self, key)}")
+        if min(self.k_shots, default=1) < 1:
+            raise ConfigError(f"k_shots must be >= 1, got {list(self.k_shots)}")
+        if self.distance not in transfer.DISTANCES:
+            raise ConfigError(f"distance {self.distance!r} is not one of {transfer.DISTANCES}")
+        if not set(self.reset_specs) <= set(transfer.RESET_SPECS):
+            raise ConfigError(f"reset_specs {self.reset_specs} not in {transfer.RESET_SPECS}")
+        if not 0.0 < self.variance_keep <= 1.0:
+            raise ConfigError(f"variance_keep must be in (0, 1], got {self.variance_keep}")
 
 
-def load_config(path: str | Path) -> dict:
+@dataclass(frozen=True)
+class ExperimentConfig:
+    output_dir: Path
+    seeds: tuple[int, ...]
+    data: DataConfig = DataConfig()
+    model: ModelConfig | None = None      # 2 classes; retarget() to a task's
+    train: TrainConfig = TrainConfig()    # seed 0; each job replace()s it
+    protocol: ProtocolConfig = ProtocolConfig()
+    synthetic: tuple[SynthTaskConfig, ...] = ()
+
+    def __post_init__(self):
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be non-empty and >= 0, got {list(self.seeds)}")
+
+
+# synthetic's own keys, shared by its tasks; a task holds the other fields
+SYNTH_SHARED = ("feat_dim", "n_concepts", "witness_rate", "bag_size_range", "noise_sigma", "seed")
+# JSON type and its description per annotated field type
+_JSON = {int: (int, "an integer"), float: ((int, float), "a finite number"),
+         str: (str, "a string"), Path: (str, "a path string"), dict: (dict, "an object")}
+_hints = cache(get_type_hints)  # evaluating string annotations is most of a parse
+
+
+def _key(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _typed(value, hint, where: str):
+    """The JSON ``value`` at key path ``where`` as the annotated type ``hint``
+    (lists become tuples, path strings ``Path``s), else a ``ConfigError``."""
+    if get_origin(hint) is UnionType:  # T | None
+        return None if value is None else _typed(value, get_args(hint)[0], where)
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        many = args[-1] is Ellipsis
+        if isinstance(value, list) and (many or len(value) == len(args)):
+            return tuple(_typed(v, args[0 if many else i], f"{where}[{i}]")
+                         for i, v in enumerate(value))
+        kind = "a list" if many else f"a list of {len(args)}"
+    elif (isinstance(value, _JSON[hint][0]) and not isinstance(value, bool)
+          and (hint is not float or isinstance(value, int) or math.isfinite(value))):
+        return Path(value) if hint is Path else value
+    else:
+        kind = _JSON[hint][1]
+    raise ConfigError(f"config: {where} must be {kind}, got {value!r}")
+
+
+def _fields(cls, raw, where: str, keys) -> dict:
+    """``raw`` at ``where``, typed field by field as ``cls``; only ``keys`` may occur."""
+    unknown = sorted(set(_typed(raw, dict, where)) - set(keys))
+    if unknown:
+        raise ConfigError(f"config: unknown key {_key(where, unknown[0])}")
+    hints = _hints(cls)
+    return {key: _typed(value, hints[key], _key(where, key)) for key, value in raw.items()}
+
+
+def _section(cls, raw, where: str, keys=None, **fixed):
+    """``cls`` from the JSON object ``raw`` at ``where`` (holding ``keys``, by
+    default the fields not in the typed ``fixed``); ``cls`` checks its ranges."""
+    keys = [f.name for f in fields(cls) if f.name not in fixed] if keys is None else keys
+    kwargs = {**_fields(cls, raw, where, keys), **fixed}
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"config: {_key(where, f.name)} is required")
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"config: {where + ': ' if where else ''}{exc}") from exc
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    """The experiment config at ``path``; every section parsed and checked once."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        cfg = json.loads(path.read_bytes().decode("utf-8"))
+        raw = json.loads(path.read_bytes().decode("utf-8"))
     except ValueError as exc:  # invalid JSON or not UTF-8
         raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path}: expected a JSON object")
-    if cfg.get("config_version") != CONFIG_VERSION:
-        raise ConfigError(f"config {path}: expected config_version {CONFIG_VERSION}")
-    for key in ("output_dir", "seeds"):
-        if key not in cfg:
-            raise ConfigError(f"config {path}: missing {key!r}")
-    if not cfg["seeds"]:
-        raise ConfigError("config: seeds must be non-empty")
-    _check_ints(cfg["seeds"], "seeds", 0)
-    for key in ("data", "model", "train", "synthetic"):
-        if cfg.get(key) is not None and not isinstance(cfg[key], dict):
-            raise ConfigError(f"config: {key} must be an object")
-    if "fc_hidden_dims" in (cfg.get("model") or {}):
-        _check_ints(cfg["model"]["fc_hidden_dims"], "model.fc_hidden_dims", 1)
-    proto = cfg.setdefault("protocol", {})
-    if not isinstance(proto, dict):
-        raise ConfigError("config: protocol must be an object")
-    for key, minimum in (("n_bootstrap", 0), ("knn_k", 1), ("max_instances", 1)):
-        if key in proto and not _is_int(proto[key], minimum):
-            raise ConfigError(f"config: protocol.{key} must be an integer >= {minimum}, "
-                              f"got {proto[key]!r}")
-    if "k_shots" in proto:
-        _check_ints(proto["k_shots"], "protocol.k_shots", 1)
-    rows = proto.get("scale_rows") or []
-    if not isinstance(rows, list):
-        raise ConfigError(f"config: protocol.scale_rows must be a list, got {rows!r}")
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ConfigError(f"config: protocol.scale_rows[{i}] must be an object, got {row!r}")
-        if "fc_hidden_dims" in row:
-            _check_ints(row["fc_hidden_dims"], f"protocol.scale_rows[{i}].fc_hidden_dims", 1)
-    return cfg
+    if not isinstance(raw, dict) or raw.pop("config_version", None) != CONFIG_VERSION:
+        raise ConfigError(f"config {path}: expected an object with config_version {CONFIG_VERSION}")
+    data, model, train, protocol, synthetic = (
+        raw.pop(key, {}) for key in ("data", "model", "train", "protocol", "synthetic"))
+    protocol = dict(_typed(protocol, dict, "protocol"))
+    rows = _typed(protocol.pop("scale_rows", []), tuple[dict, ...], "protocol.scale_rows")
+    synthetic = dict(_typed(synthetic, dict, "synthetic"))
+    tasks = _typed(synthetic.pop("tasks", []), tuple[dict, ...], "synthetic.tasks")
+    shared = {"bag_size_range": (16, 32),
+              **_fields(SynthTaskConfig, synthetic, "synthetic", SYNTH_SHARED)}
+    task_keys = [f.name for f in fields(SynthTaskConfig) if f.name not in SYNTH_SHARED]
+    return _section(
+        ExperimentConfig, raw, "", keys=("output_dir", "seeds"),
+        data=_section(DataConfig, data, "data"),
+        model=None if model == {} else _section(ModelConfig, model, "model", n_classes=2),
+        train=_section(TrainConfig, train, "train", seed=0),
+        protocol=_section(ProtocolConfig, protocol, "protocol", scale_rows=tuple(
+            _section(ModelConfig, {**model, **row}, f"protocol.scale_rows[{i}]", n_classes=2)
+            for i, row in enumerate(rows))),
+        synthetic=tuple(_section(SynthTaskConfig, task, f"synthetic.tasks[{i}]", task_keys,
+                                 **shared) for i, task in enumerate(tasks)))
 
 
-def model_config(cfg: dict, n_classes: int, overrides: dict | None = None) -> ModelConfig:
-    spec = dict(cfg.get("model") or {})
-    spec.update(overrides or {})
-    spec["n_classes"] = n_classes
-    spec["fc_hidden_dims"] = tuple(spec.get("fc_hidden_dims", ()))
-    try:
-        return ModelConfig(**spec)
-    except TypeError as exc:
-        raise ConfigError(f"config: bad model section ({exc})") from exc
+def required(value, key: str):
+    """``value``, or a ``ConfigError`` naming ``key`` when it is unset."""
+    if not value:
+        raise ConfigError(f"config: {key} is required for this command")
+    return value
 
 
-def train_config(cfg: dict, seed: int) -> TrainConfig:
-    spec = dict(cfg.get("train") or {})
-    spec["seed"] = seed
-    try:
-        return TrainConfig(**spec)
-    except TypeError as exc:
-        raise ConfigError(f"config: bad train section ({exc})") from exc
-
-
-def data_root(cfg: dict) -> Path:
-    data = cfg.get("data") or {}
-    if "root" not in data:
-        raise ConfigError("config: data.root is required")
-    return Path(data["root"])
-
-
-def task_manifest(cfg: dict, task_id: str) -> DatasetManifest:
-    return load_manifest(data_root(cfg) / task_id / "manifest.csv")
-
-
-def pretrain_task_id(cfg: dict) -> str:
-    data = cfg.get("data") or {}
-    if not data.get("pretrain"):
-        raise ConfigError("config: data.pretrain is required for this command")
-    return data["pretrain"]
-
-
-def target_task_ids(cfg: dict) -> list[str]:
-    data = cfg.get("data") or {}
-    targets = data.get("targets") or []
-    if not targets:
-        raise ConfigError("config: data.targets is required for this command")
-    return list(targets)
+def task_manifest(cfg: ExperimentConfig, task_id: str) -> DatasetManifest:
+    return load_manifest(required(cfg.data.root, "data.root") / task_id / "manifest.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +255,10 @@ class Workspace:
             fh.write(result.to_json() + "\n")
         return path
 
-    def log_run(self, command: str, cfg: dict, outputs: list[str]):
+    def log_run(self, command: str, cfg: ExperimentConfig, outputs: list[str]):
         entry = {
             "command": command,
-            "seeds": cfg.get("seeds"),
+            "seeds": cfg.seeds,
             "outputs": sorted(outputs),
         }
         with open(self.logs / f"{command}.jsonl", "a", encoding="utf-8") as fh:
@@ -250,58 +316,30 @@ def zoo_lookup(path: Path, name: str) -> Checkpoint:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_generate(cfg: dict, ws: Workspace) -> list[str]:
-    synth = cfg.get("synthetic")
-    if not synth:
-        raise ConfigError("config: synthetic section is required for generate")
-    shared = {k: synth[k] for k in
-              ("feat_dim", "n_concepts", "witness_rate", "bag_size_range",
-               "noise_sigma", "seed") if k in synth}
-    shared["bag_size_range"] = tuple(shared.get("bag_size_range", (16, 32)))
+def cmd_generate(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
+    root = required(cfg.data.root, "data.root")
     outputs = []
-    root = data_root(cfg)
-    tasks = synth.get("tasks", [])
-    if not isinstance(tasks, list) or not all(isinstance(task, dict) for task in tasks):
-        raise ConfigError("config: synthetic.tasks must be a list of objects")
-    for i, task in enumerate(tasks):
-        missing = [key for key in ("task_id", "concepts_per_class", "n_bags_per_class")
-                   if key not in task]
-        if missing:
-            raise ConfigError(f"config: synthetic.tasks[{i}] lacks {missing}")
-        try:
-            task_cfg = SynthTaskConfig(
-                task_id=task["task_id"],
-                concepts_per_class=tuple(tuple(s) for s in task["concepts_per_class"]),
-                n_bags_per_class=task["n_bags_per_class"],
-                split_fractions=tuple(task.get("split_fractions", (0.6, 0.2, 0.2))),
-                **shared,
-            )
-        except TypeError as exc:
-            raise ConfigError(f"config: bad synthetic.tasks[{i}] ({exc})") from exc
+    for task_cfg in required(cfg.synthetic, "synthetic.tasks"):
         manifest = synth_generate(task_cfg, root / task_cfg.task_id)
         outputs.append(str(root / task_cfg.task_id / "manifest.csv"))
         print(f"generated {task_cfg.task_id}: {len(manifest.entries)} bags "
               f"({task_cfg.n_classes} classes)")
-    if not outputs:
-        raise ConfigError("config: synthetic.tasks is empty")
     return outputs
 
 
-def _pretrain(cfg: dict, ws: Workspace, mcfg: ModelConfig, manifest: DatasetManifest,
+def _pretrain(cfg: ExperimentConfig, ws: Workspace, mcfg: ModelConfig, manifest: DatasetManifest,
               features, tag: str = "") -> tuple[dict[int, Checkpoint], list[str]]:
     """Pretrain ``mcfg`` once per seed as ``<arch>_<task><tag>_s<seed>``."""
-    from .metrics import evaluate_records
-    n_bootstrap = cfg["protocol"].get("n_bootstrap", 1000)
     ckpts, outputs = {}, []
-    for seed in cfg["seeds"]:
-        name = f"{mcfg.arch}_{pretrain_task_id(cfg)}{tag}_s{seed}"
+    for seed in cfg.seeds:
+        name = f"{mcfg.arch}_{cfg.data.pretrain}{tag}_s{seed}"
         params = models.build_model(mcfg, seed=seed)
-        result = training.train(mcfg, params, manifest, train_config(cfg, seed), features)
+        result = training.train(mcfg, params, manifest, replace(cfg.train, seed=seed), features)
         _, bag_ids, labels, values = training.evaluate_split(
             mcfg, result.params, manifest, "test", features)
         eval_result = evaluate_records(
             manifest.task.metric, manifest.task.n_classes, bag_ids, labels, values,
-            n_bootstrap=n_bootstrap, seed=seed,
+            n_bootstrap=cfg.protocol.n_bootstrap, seed=seed,
             context={"protocol": "pretrain", "arch": mcfg.arch, "init": "scratch",
                      "source_task": manifest.task.task_id,
                      "target_task": manifest.task.task_id, "seed": seed})
@@ -329,14 +367,15 @@ def _pretrain(cfg: dict, ws: Workspace, mcfg: ModelConfig, manifest: DatasetMani
     return ckpts, outputs
 
 
-def _pretrain_data(cfg: dict) -> tuple[DatasetManifest, dict]:
-    manifest = task_manifest(cfg, pretrain_task_id(cfg))
+def _pretrain_data(cfg: ExperimentConfig) -> tuple[DatasetManifest, dict]:
+    manifest = task_manifest(cfg, required(cfg.data.pretrain, "data.pretrain"))
     return manifest, training.load_split_features(manifest)
 
 
-def cmd_pretrain(cfg: dict, ws: Workspace) -> list[str]:
+def cmd_pretrain(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
     manifest, features = _pretrain_data(cfg)
-    return _pretrain(cfg, ws, model_config(cfg, manifest.task.n_classes), manifest, features)[1]
+    mcfg = required(cfg.model, "model").retarget(manifest.task.n_classes)
+    return _pretrain(cfg, ws, mcfg, manifest, features)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +394,16 @@ class Job:
     k_shot: int | None = None
 
 
-def grid(cfg: dict, protocol: str, inits, k_shots=(None,)) -> list[Job]:
+def grid(cfg: ExperimentConfig, protocol: str, inits, k_shots=(None,)) -> list[Job]:
     return [Job(protocol, target, init, seed, k)
-            for target in target_task_ids(cfg) for k in k_shots
-            for seed in cfg["seeds"] for init in inits]
+            for target in required(cfg.data.targets, "data.targets") for k in k_shots
+            for seed in cfg.seeds for init in inits]
 
 
-def _zoo_source(cfg: dict, ws: Workspace, seed: int) -> Checkpoint:
-    arch = (cfg.get("model") or {}).get("arch")
-    if not arch:
-        raise ConfigError("config: model.arch is required")
-    return zoo_lookup(ws.zoo_path, f"{arch}_{pretrain_task_id(cfg)}_s{seed}")
+def _zoo_source(cfg: ExperimentConfig, ws: Workspace, seed: int) -> Checkpoint:
+    arch = required(cfg.model, "model").arch
+    pretrain = required(cfg.data.pretrain, "data.pretrain")
+    return zoo_lookup(ws.zoo_path, f"{arch}_{pretrain}_s{seed}")
 
 
 def _plan(job: Job, ckpt: Checkpoint, target: DatasetManifest) -> TransferPlan:
@@ -375,14 +413,14 @@ def _plan(job: Job, ckpt: Checkpoint, target: DatasetManifest) -> TransferPlan:
     return TransferPlan(target=target, source=ckpt, reset_spec=spec)
 
 
-def _run_finetune(cfg: dict, jobs: list[Job], ckpt: Checkpoint, target: DatasetManifest,
-                  features) -> list[EvalResult]:
+def _run_finetune(cfg: ExperimentConfig, jobs: list[Job], ckpt: Checkpoint,
+                  target: DatasetManifest, features) -> list[EvalResult]:
     k_shot, seed = jobs[0].k_shot, jobs[0].seed
     if k_shot is not None:
         target = fewshot_sample(target, k_shot, seed)
     fins = transfer.finetune_group([_plan(job, ckpt, target) for job in jobs],
-                                   train_config(cfg, seed), features,
-                                   n_bootstrap=cfg["protocol"].get("n_bootstrap", 1000))
+                                   replace(cfg.train, seed=seed), features,
+                                   n_bootstrap=cfg.protocol.n_bootstrap)
     results = [fin.eval_result for fin in fins]
     if k_shot is not None:
         for res in results:
@@ -390,9 +428,9 @@ def _run_finetune(cfg: dict, jobs: list[Job], ckpt: Checkpoint, target: DatasetM
     return results
 
 
-def _run_knn(cfg: dict, jobs: list[Job], ckpt: Checkpoint, target: DatasetManifest,
-             features) -> list[EvalResult]:
-    proto = cfg["protocol"]
+def _run_knn(cfg: ExperimentConfig, jobs: list[Job], ckpt: Checkpoint,
+             target: DatasetManifest, features) -> list[EvalResult]:
+    proto = cfg.protocol
     # the checkpoint's own config and head, not init_from_pretrained's fresh
     # one: under max pooling the classifier picks the embedded instance
     params = models.stack_params([ckpt.params if job.init == "pretrained"
@@ -401,9 +439,9 @@ def _run_knn(cfg: dict, jobs: list[Job], ckpt: Checkpoint, target: DatasetManife
     _, train_emb, train_y = transfer.embed_bags(ckpt.cfg, params, target, "train", features)
     test_ids, test_emb, test_y = transfer.embed_bags(ckpt.cfg, params, target, "test", features)
     return [transfer.knn_evaluate(
-        train_emb[j], train_y, test_emb[j], test_y, target.task, k=proto.get("knn_k", 20),
-        distance=proto.get("distance", "euclidean"), bag_ids=test_ids,
-        n_bootstrap=proto.get("n_bootstrap", 1000), seed=job.seed,
+        train_emb[j], train_y, test_emb[j], test_y, target.task, k=proto.knn_k,
+        distance=proto.distance, bag_ids=test_ids,
+        n_bootstrap=proto.n_bootstrap, seed=job.seed,
         context={"arch": ckpt.cfg.arch, "init": job.init, "seed": job.seed,
                  "source_task": (ckpt.pretrain_task_id if job.init == "pretrained"
                                  else "random"),
@@ -411,19 +449,19 @@ def _run_knn(cfg: dict, jobs: list[Job], ckpt: Checkpoint, target: DatasetManife
         for j, job in enumerate(jobs)]
 
 
-def _run_svcca(cfg: dict, jobs: list[Job], ckpt: Checkpoint, target: DatasetManifest,
-               features) -> list[analysis.StabilityReport]:
-    proto = cfg["protocol"]
+def _run_svcca(cfg: ExperimentConfig, jobs: list[Job], ckpt: Checkpoint,
+               target: DatasetManifest, features) -> list[analysis.StabilityReport]:
+    proto = cfg.protocol
     seed = jobs[0].seed
     starts = [transfer.plan_start(_plan(job, ckpt, target), seed)[:2] for job in jobs]
     start_cfg = starts[0][0]
     results = training.train_group(start_cfg, [params for _, params in starts], target,
-                                   train_config(cfg, seed), features,
+                                   replace(cfg.train, seed=seed), features,
                                    names=[job.init for job in jobs])
     return [analysis.layer_stability_report(
         Checkpoint(cfg=start_cfg, params=start), result.params, target,
-        max_instances=proto.get("max_instances", analysis.DEFAULT_SAMPLE_BUDGET),
-        seed=seed, variance_keep=proto.get("variance_keep", 0.99), features=features,
+        max_instances=proto.max_instances,
+        seed=seed, variance_keep=proto.variance_keep, features=features,
         model_tag=f"{ckpt.cfg.arch}_{job.init}_s{seed}")
         for job, (_, start), result in zip(jobs, starts, results)]
 
@@ -437,7 +475,7 @@ def _summary(result) -> str:
     return " ".join(f"{layer['name']}={layer['mean']:.1f}" for layer in result.layers)
 
 
-def run_jobs(cfg: dict, ws: Workspace, tag: str, jobs: list[Job],
+def run_jobs(cfg: ExperimentConfig, ws: Workspace, tag: str, jobs: list[Job],
              source: dict[int, Checkpoint] | None = None) -> list[str]:
     """Run ``jobs`` in order and write one result per job.
 
@@ -472,38 +510,35 @@ def run_jobs(cfg: dict, ws: Workspace, tag: str, jobs: list[Job],
     return outputs
 
 
-def cmd_transfer(cfg: dict, ws: Workspace) -> list[str]:
+def cmd_transfer(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
     return run_jobs(cfg, ws, "transfer", grid(cfg, "finetune", INITS))
 
 
-def cmd_knn(cfg: dict, ws: Workspace) -> list[str]:
+def cmd_knn(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
     return run_jobs(cfg, ws, "knn", grid(cfg, "knn", INITS))
 
 
-def cmd_fewshot(cfg: dict, ws: Workspace) -> list[str]:
-    shots = cfg["protocol"].get("k_shots", [4, 16, 32])
-    return run_jobs(cfg, ws, "fewshot", grid(cfg, "finetune", INITS, k_shots=shots))
+def cmd_fewshot(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
+    return run_jobs(cfg, ws, "fewshot", grid(cfg, "finetune", INITS, cfg.protocol.k_shots))
 
 
-def cmd_svcca(cfg: dict, ws: Workspace) -> list[str]:
+def cmd_svcca(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
     return run_jobs(cfg, ws, "svcca", grid(cfg, "svcca", INITS))
 
 
-def cmd_reset(cfg: dict, ws: Workspace) -> list[str]:
+def cmd_reset(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
     # the un-reset baseline is transfer's finetune/pretrained job
-    specs = cfg["protocol"].get("reset_specs", ["attn", "all"])
+    specs = cfg.protocol.reset_specs
     return run_jobs(cfg, ws, "reset", grid(cfg, "finetune", [f"reset_{s}" for s in specs]))
 
 
-def cmd_scale_sweep(cfg: dict, ws: Workspace) -> list[str]:
-    rows = cfg["protocol"].get("scale_rows")
-    if not rows:
-        raise ConfigError("config: protocol.scale_rows is required for scale-sweep")
+def cmd_scale_sweep(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
+    rows = required(cfg.protocol.scale_rows, "protocol.scale_rows")
     jobs = grid(cfg, "finetune", INITS)
     manifest, features = _pretrain_data(cfg)
     outputs = []
     for row in rows:
-        mcfg = model_config(cfg, manifest.task.n_classes, overrides=row)
+        mcfg = row.retarget(manifest.task.n_classes)
         n_params = models.param_count(mcfg)
         ckpts, paths = _pretrain(cfg, ws, mcfg, manifest, features, f"_p{n_params}")
         outputs += paths + run_jobs(cfg, ws, f"scale{n_params}", jobs, source=ckpts)
@@ -529,7 +564,7 @@ def _read_result(path: Path) -> EvalResult | None:
         raise DataError(f"result {path}: lacks {exc}") from exc
 
 
-def cmd_report(cfg: dict, ws: Workspace) -> list[str]:
+def cmd_report(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
     # one group per (protocol, k_shot, task, arch, init): no mean mixes protocols
     groups: dict[tuple, list[float]] = {}
     for path in sorted(ws.results.glob("*.json")):
@@ -614,9 +649,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg["seeds"] = [args.seed]
-        out_dir = Path(args.out) if args.out else Path(cfg["output_dir"])
-        ws = Workspace(out_dir, Path(args.zoo) if args.zoo else None)
+            cfg = replace(cfg, seeds=(args.seed,))
+        if args.out:
+            cfg = replace(cfg, output_dir=Path(args.out))
+        ws = Workspace(cfg.output_dir, Path(args.zoo) if args.zoo else None)
         ws.prepare()
         outputs = COMMANDS[args.command](cfg, ws)
         ws.log_run(args.command, cfg, outputs)

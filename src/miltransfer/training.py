@@ -37,7 +37,7 @@ import numpy as np
 
 from . import models
 from .bagdata import DatasetManifest, weighted_epoch_order
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .metrics import metric_fn
 from .models import ModelConfig, ModelParams
 
@@ -58,11 +58,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.lr <= 0:
-            raise DataError("lr must be positive")
-        if self.min_epochs > self.max_epochs:
-            raise DataError("min_epochs must be <= max_epochs")
+            raise ConfigError("lr must be positive")
+        if not 0 <= self.min_epochs <= self.max_epochs or self.max_epochs < 1:
+            raise ConfigError("need 0 <= min_epochs <= max_epochs and max_epochs >= 1")
         if self.patience < 1:
-            raise DataError("patience must be >= 1")
+            raise ConfigError("patience must be >= 1")
 
 
 @dataclass

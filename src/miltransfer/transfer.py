@@ -33,6 +33,7 @@ CHECKPOINT_VERSION = 1
 HEADER_START = 13  # magic (4) + version (1) + u64 header length (8)
 
 RESET_SPECS = ("attn", "lin3plus", "lin2plus", "all")
+DISTANCES = ("euclidean", "cosine")
 
 
 @dataclass

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,15 +6,13 @@ from hypothesis import strategies as st
 from miltransfer import (
     Checkpoint,
     ModelConfig,
-    attention_export,
     build_model,
     capture_activations,
-    embedding_export,
     layer_stability_report,
     svcca,
 )
 from miltransfer.errors import ConfigError, DataError, NumericError
-from miltransfer.models import forward, softmax
+from miltransfer.models import forward, softmax, stack_params
 from miltransfer.transfer import embed_bags, reset_layers
 
 
@@ -27,9 +23,11 @@ from miltransfer.transfer import embed_bags, reset_layers
 def test_svcca_self_similarity_is_100():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((500, 8))
+    before = x.copy()
     mean, comps = svcca(x, x)
     assert mean == pytest.approx(100.0, abs=1e-6)
     assert np.allclose(comps, 1.0, atol=1e-9)
+    assert np.array_equal(x, before)  # svcca centers copies, not its inputs
 
 
 def test_svcca_width_one_is_abs_pearson():
@@ -232,19 +230,27 @@ def test_capture_is_the_forward_activations(abmil_setup):
         assert dump_sub.matrix.tobytes() == dump_full.matrix[rows].tobytes()
 
 
-@pytest.mark.parametrize("reader", ["embed_bags", "attention_export"])
-def test_nonfinite_forward_names_the_bag(abmil_setup, tmp_path, reader):
+def test_stacked_capture_equals_solo_captures(abmil_setup):
+    cfg, params, manifest, feats = abmil_setup
+    param_sets = [params, build_model(cfg, seed=1)]
+    stacked = capture_activations(cfg, stack_params(param_sets), manifest, ["fc.0", "attn"],
+                                  max_instances=40, seed=3, features=feats)
+    for j, solo_params in enumerate(param_sets):
+        solo = capture_activations(cfg, solo_params, manifest, ["fc.0", "attn"],
+                                   max_instances=40, seed=3, features=feats)
+        for dump, want in zip(stacked, solo):
+            assert dump.sample_ids == want.sample_ids
+            assert dump.matrix[j].tobytes() == want.matrix.tobytes()
+
+
+@pytest.mark.parametrize("reader", ["embed_bags"])
+def test_nonfinite_forward_names_the_bag(abmil_setup, reader):
     cfg, params, manifest, feats = abmil_setup
     bad = {name: value.copy() for name, value in params.items()}
     bad["attn.w.bias"][:] = np.nan
     first = manifest.split("test")[0].bag_id
-    path = tmp_path / "attn.csv"
     with pytest.raises(NumericError, match=f"test bag {first!r}"):
-        if reader == "embed_bags":
-            embed_bags(cfg, bad, manifest, "test", feats)
-        else:
-            attention_export(cfg, bad, manifest, "test", path, features=feats)
-    assert not path.exists()
+        embed_bags(cfg, bad, manifest, "test", feats)
 
 
 def test_capture_unknown_layer(abmil_setup):
@@ -305,56 +311,3 @@ def test_stability_report_json(abmil_setup):
     payload = json.loads(report.to_json())
     assert payload["n_samples"] == min(100, total)
     assert all({"name", "mean", "std", "n_components"} <= set(l) for l in payload["layers"])
-
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-def test_attention_export_rows_and_sums(abmil_setup, tmp_path):
-    cfg, params, manifest, feats = abmil_setup
-    path = tmp_path / "attn.csv"
-    attention_export(cfg, params, manifest, "test", path, features=feats)
-    rows = list(csv.DictReader(open(path)))
-    by_bag: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for r in rows:
-        by_bag[r["bag_id"]] = by_bag.get(r["bag_id"], 0.0) + float(r["attention_weight"])
-        counts[r["bag_id"]] = counts.get(r["bag_id"], 0) + 1
-    for e in manifest.split("test"):
-        assert counts[e.bag_id] == feats[e.bag_id].shape[0]
-        assert abs(by_bag[e.bag_id] - 1.0) <= 1e-5
-
-
-def test_attention_export_maxmil_one_hot(tmp_path, abmil_setup):
-    _, _, manifest, feats = abmil_setup
-    cfg = ModelConfig("max", in_dim=12, embed_dim=10, n_classes=2)
-    params = build_model(cfg, seed=0)
-    path = tmp_path / "attn_max.csv"
-    attention_export(cfg, params, manifest, "test", path, features=feats)
-    rows = list(csv.DictReader(open(path)))
-    ones: dict[str, int] = {}
-    for r in rows:
-        w = float(r["attention_weight"])
-        assert w in (0.0, 1.0)
-        if w == 1.0:
-            ones[r["bag_id"]] = ones.get(r["bag_id"], 0) + 1
-    assert all(v == 1 for v in ones.values())
-    assert len(ones) == len(manifest.split("test"))
-
-
-def test_exports_deterministic(abmil_setup, tmp_path):
-    cfg, params, manifest, feats = abmil_setup
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    attention_export(cfg, params, manifest, "test", p1, features=feats)
-    attention_export(cfg, params, manifest, "test", p2, features=feats)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_embedding_export_contract(abmil_setup, tmp_path):
-    cfg, params, manifest, feats = abmil_setup
-    path = tmp_path / "emb.csv"
-    embedding_export(cfg, params, manifest, "test", path, features=feats)
-    rows = list(csv.DictReader(open(path)))
-    assert len(rows) == len(manifest.split("test"))
-    assert set(rows[0]) == {"bag_id", "label"} | {f"e_{i}" for i in range(cfg.embed_dim)}

@@ -2,16 +2,15 @@ import builtins
 import json
 import shutil
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from miltransfer import ModelConfig, build_model, fileio, transfer
-from miltransfer.analysis import attention_export, embedding_export
+from miltransfer import fileio, transfer
 from miltransfer.bagdata import load_manifest, write_feature_file, write_manifest
-from miltransfer.cli import main, zoo_update
+from miltransfer.cli import load_config, main, zoo_update
 from miltransfer.metrics import EvalResult
 from miltransfer.training import load_split_features
 
@@ -201,17 +200,40 @@ def _without_concepts(cfg):
     del cfg["synthetic"]["tasks"][0]["concepts_per_class"]
 
 
-# case -> edit of a valid config that makes it malformed
+def _negative_split_fraction(cfg):
+    cfg["synthetic"]["tasks"][1]["split_fractions"] = [1.2, -0.1, -0.1]
+
+
+# case -> (the key the error names, edit of a valid config that makes it
+# malformed); ``generate`` reads none of data.pretrain, data.targets, train or
+# protocol, but every section is checked
 CONFIG_SHAPE_ERRORS = {
-    "seeds_int": lambda cfg: cfg.update(seeds=3),
-    "model_list": lambda cfg: cfg.update(model=[]),
-    "data_list": lambda cfg: cfg.update(data=[]),
-    "train_list": lambda cfg: cfg.update(train=[]),
-    "synthetic_list": lambda cfg: cfg.update(synthetic=[]),
-    "knn_k_string": lambda cfg: cfg["protocol"].update(knn_k="5"),
-    "k_shots_string": lambda cfg: cfg["protocol"].update(k_shots="abc"),
-    "fc_hidden_dims_int": lambda cfg: cfg["model"].update(fc_hidden_dims=5),
-    "task_without_concepts": _without_concepts,
+    "seeds_int": ("seeds", lambda cfg: cfg.update(seeds=3)),
+    "model_list": ("model", lambda cfg: cfg.update(model=[])),
+    "data_list": ("data", lambda cfg: cfg.update(data=[])),
+    "train_list": ("train", lambda cfg: cfg.update(train=[])),
+    "synthetic_list": ("synthetic", lambda cfg: cfg.update(synthetic=[])),
+    "knn_k_string": ("protocol.knn_k", lambda cfg: cfg["protocol"].update(knn_k="5")),
+    "k_shots_string": ("protocol.k_shots", lambda cfg: cfg["protocol"].update(k_shots="abc")),
+    "fc_hidden_dims_int": ("model.fc_hidden_dims",
+                           lambda cfg: cfg["model"].update(fc_hidden_dims=5)),
+    "task_without_concepts": ("synthetic.tasks[0].concepts_per_class", _without_concepts),
+    "output_dir_int": ("output_dir", lambda cfg: cfg.update(output_dir=5)),
+    "data_root_int": ("data.root", lambda cfg: cfg["data"].update(root=5)),
+    "data_pretrain_int": ("data.pretrain", lambda cfg: cfg["data"].update(pretrain=5)),
+    "data_targets_string": ("data.targets", lambda cfg: cfg["data"].update(targets="tgt")),
+    "variance_keep_string": ("protocol.variance_keep",
+                             lambda cfg: cfg["protocol"].update(variance_keep="x")),
+    "bag_size_range_int": ("synthetic.bag_size_range",
+                           lambda cfg: cfg["synthetic"].update(bag_size_range=5)),
+    "lr_zero": ("lr", lambda cfg: cfg["train"].update(lr=0)),
+    "patience_zero": ("patience", lambda cfg: cfg["train"].update(patience=0)),
+    "min_epochs_above_max": ("min_epochs",
+                             lambda cfg: cfg["train"].update(min_epochs=3, max_epochs=2)),
+    "misspelt_protocol_key": ("protocol.knn_kk", lambda cfg: cfg["protocol"].update(knn_kk=3)),
+    "max_epochs_zero": ("max_epochs",
+                        lambda cfg: cfg["train"].update(max_epochs=0, min_epochs=0)),
+    "split_fraction_negative": ("split_fractions", _negative_split_fraction),
 }
 
 
@@ -219,13 +241,47 @@ CONFIG_SHAPE_ERRORS = {
 def test_config_shape_errors_are_config_errors(tmp_path, capsys, case):
     cfg = base_config(tmp_path / "data", tmp_path / "runs")
     if case == "top_level_list":
-        cfg = [cfg]
+        cfg, key = [cfg], "object"
     else:
-        CONFIG_SHAPE_ERRORS[case](cfg)
+        key, edit = CONFIG_SHAPE_ERRORS[case]
+        edit(cfg)
     capsys.readouterr()
     assert main(["--config", write_config(tmp_path, cfg), "generate"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "Traceback" not in err
+    assert err.startswith("config error:") and key in err and "Traceback" not in err
+
+
+def _as_json(value):
+    """A typed config value in its JSON form."""
+    if isinstance(value, tuple):
+        return [_as_json(v) for v in value]
+    return str(value) if isinstance(value, Path) else value
+
+
+def _assert_section(section, raw: dict, skip=()):
+    """Every field of ``section`` holds ``raw``'s value, or its default."""
+    for f in fields(section):
+        if f.name in skip:
+            continue
+        want = raw[f.name] if f.name in raw else _as_json(f.default)
+        assert _as_json(getattr(section, f.name)) == want, f.name
+
+
+def test_shipped_config_loads_with_its_values_and_defaults():
+    path = Path(__file__).parents[1] / "configs" / "demo.json"
+    raw = json.loads(path.read_text())
+    cfg = load_config(path)
+    assert _as_json(cfg.output_dir) == raw["output_dir"]
+    assert _as_json(cfg.seeds) == raw["seeds"]
+    _assert_section(cfg.data, raw["data"])
+    _assert_section(cfg.model, raw["model"], skip=("n_classes",))
+    _assert_section(cfg.train, raw["train"])
+    _assert_section(cfg.protocol, raw["protocol"])
+    shared = {k: v for k, v in raw["synthetic"].items() if k != "tasks"}
+    assert [task.task_id for task in cfg.synthetic] == [
+        task["task_id"] for task in raw["synthetic"]["tasks"]]
+    for task, raw_task in zip(cfg.synthetic, raw["synthetic"]["tasks"]):
+        _assert_section(task, {**shared, **raw_task})
 
 
 def test_scale_sweep(tmp_path):
@@ -405,7 +461,6 @@ def _atomic_writes(pipeline, tmp_path):
     tmp, cfg, _ = pipeline
     manifest = load_manifest(tmp / "data" / "tgt" / "manifest.csv")
     features = load_split_features(manifest)
-    mcfg = ModelConfig("abmil", in_dim=12, embed_dim=10, n_classes=2, attn_dim=6)
     bag, csv_dir = tmp_path / "bag.milf", tmp_path / "m"
     csv_dir.mkdir()
 
@@ -415,9 +470,6 @@ def _atomic_writes(pipeline, tmp_path):
         argv = ["--config", write_config(tmp_path, c), "--out", str(tmp_path / "runs"),
                 "--zoo", str(tmp_path / "zoo.json"), "pretrain"]
         return lambda: main(argv)
-
-    def export(fn, path, seed):
-        return lambda: fn(mcfg, build_model(mcfg, seed), manifest, "test", path, features)
 
     other_task = replace(manifest, task=replace(manifest.task, task_id="other"))
     return {
@@ -432,15 +484,10 @@ def _atomic_writes(pipeline, tmp_path):
                       lambda: write_manifest(other_task, csv_dir / "manifest.csv")),
         "history_jsonl": (tmp_path / "runs" / "checkpoints" / "abmil_pre4_s0.history.jsonl",
                           pretrain(1), pretrain(2)),
-        "attention_csv": (tmp_path / "att.csv", export(attention_export, tmp_path / "att.csv", 0),
-                          export(attention_export, tmp_path / "att.csv", 1)),
-        "embedding_csv": (tmp_path / "emb.csv", export(embedding_export, tmp_path / "emb.csv", 0),
-                          export(embedding_export, tmp_path / "emb.csv", 1)),
     }
 
 
-@pytest.mark.parametrize("case", ["feature_file", "manifest_csv", "task_json", "history_jsonl",
-                                  "attention_csv", "embedding_csv"])
+@pytest.mark.parametrize("case", ["feature_file", "manifest_csv", "task_json", "history_jsonl"])
 def test_failed_write_keeps_previous_file(pipeline, tmp_path, monkeypatch, case):
     path, write_previous, write_new = _atomic_writes(pipeline, tmp_path)[case]
     write_previous()

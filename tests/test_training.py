@@ -6,7 +6,7 @@ import pytest
 from conftest import random_bag
 from miltransfer import ModelConfig, TrainConfig, build_model, cosine_lr, forward, train
 from miltransfer.bagdata import DatasetManifest
-from miltransfer.errors import DataError, NumericError
+from miltransfer.errors import ConfigError, DataError, NumericError
 from miltransfer.models import aux_loss, cross_entropy, loss_and_grads, zeros_like_params
 from miltransfer.training import ParamStack, adamw_step, evaluate_split
 
@@ -194,9 +194,9 @@ def test_history_jsonl_shape(easy_task, easy_features, tiny_abmil, quick_train_c
 
 
 def test_train_config_validation():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         TrainConfig(lr=0.0)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         TrainConfig(min_epochs=30, max_epochs=20)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         TrainConfig(patience=0)
