@@ -27,7 +27,6 @@ from .models import (
 from .training import TrainConfig, TrainResult, adamw_step, cosine_lr, train
 from .transfer import (
     Checkpoint,
-    TransferPlan,
     embed_bags,
     finetune,
     init_from_pretrained,

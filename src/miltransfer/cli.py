@@ -32,13 +32,17 @@ checkpoint of each seed:
     scale-sweep  per protocol.scale_rows row: pretrain, then finetune x
                  {pretrained, random} from that row's checkpoints
 
-Jobs that share (target, seed, k_shot) differ only in their init.  These
-init-siblings train in lockstep as one parameter stack
-(``training.train_group``): ``transfer``, ``fewshot``, ``svcca`` and each
-``scale-sweep`` row stack two jobs, and ``reset`` stacks one job per reset
-spec.  ``knn`` trains nothing; its two siblings are embedded as one stack
-per split (``transfer.embed_bags``).  A sibling's result equals the one its
-solo run would write, byte for byte.
+A job's init is ``pretrained``, ``random`` or ``reset_<spec>``.
+``transfer.start`` is the one place an init name becomes starting weights,
+and ``transfer.source_task`` the one place it becomes the recorded source
+task; only ``knn`` bypasses ``start``, embedding the checkpoint itself,
+head included, for ``pretrained``.  Jobs that share (target, seed, k_shot)
+differ only in their init.  These init-siblings train in lockstep as one
+parameter stack (``training.train_group``): ``transfer``, ``fewshot``,
+``svcca`` and each ``scale-sweep`` row stack two jobs, and ``reset`` stacks
+one job per reset spec.  ``knn`` trains nothing; its two siblings are
+embedded as one stack per split (``transfer.embed_bags``).  A sibling's
+result equals the one its solo run would write, byte for byte.
 
 Each job writes ``<tag>_<arch>_<target>_<init>_s<seed>.json``, where the
 tag is the command name (``fewshot<K>``, ``scale<n_params>``).  ``reset``
@@ -79,7 +83,7 @@ from .fileio import atomic_open
 from .metrics import EvalResult, evaluate_records
 from .models import ModelConfig
 from .training import TrainConfig
-from .transfer import Checkpoint, TransferPlan, config_digest
+from .transfer import Checkpoint, config_digest
 
 CONFIG_VERSION = 1
 
@@ -406,22 +410,14 @@ def _zoo_source(cfg: ExperimentConfig, ws: Workspace, seed: int) -> Checkpoint:
     return zoo_lookup(ws.zoo_path, f"{arch}_{pretrain}_s{seed}")
 
 
-def _plan(job: Job, ckpt: Checkpoint, target: DatasetManifest) -> TransferPlan:
-    if job.init == "random":
-        return TransferPlan(target=target, model_cfg=ckpt.cfg)
-    spec = None if job.init == "pretrained" else job.init.removeprefix("reset_")
-    return TransferPlan(target=target, source=ckpt, reset_spec=spec)
-
-
 def _run_finetune(cfg: ExperimentConfig, jobs: list[Job], ckpt: Checkpoint,
                   target: DatasetManifest, features) -> list[EvalResult]:
     k_shot, seed = jobs[0].k_shot, jobs[0].seed
     if k_shot is not None:
         target = fewshot_sample(target, k_shot, seed)
-    fins = transfer.finetune_group([_plan(job, ckpt, target) for job in jobs],
-                                   replace(cfg.train, seed=seed), features,
-                                   n_bootstrap=cfg.protocol.n_bootstrap)
-    results = [fin.eval_result for fin in fins]
+    results = [res for _, res in transfer.finetune_group(
+        ckpt, [job.init for job in jobs], target, replace(cfg.train, seed=seed), features,
+        n_bootstrap=cfg.protocol.n_bootstrap)]
     if k_shot is not None:
         for res in results:
             res.context["k_shot"] = k_shot
@@ -433,9 +429,9 @@ def _run_knn(cfg: ExperimentConfig, jobs: list[Job], ckpt: Checkpoint,
     proto = cfg.protocol
     # the checkpoint's own config and head, not init_from_pretrained's fresh
     # one: under max pooling the classifier picks the embedded instance
-    params = models.stack_params([ckpt.params if job.init == "pretrained"
-                                  else models.build_model(ckpt.cfg, seed=job.seed)
-                                  for job in jobs])
+    params = models.stack_params([
+        ckpt.params if job.init == "pretrained"
+        else transfer.start(ckpt, job.init, ckpt.cfg.n_classes, job.seed)[1] for job in jobs])
     _, train_emb, train_y = transfer.embed_bags(ckpt.cfg, params, target, "train", features)
     test_ids, test_emb, test_y = transfer.embed_bags(ckpt.cfg, params, target, "test", features)
     return [transfer.knn_evaluate(
@@ -443,8 +439,7 @@ def _run_knn(cfg: ExperimentConfig, jobs: list[Job], ckpt: Checkpoint,
         distance=proto.distance, bag_ids=test_ids,
         n_bootstrap=proto.n_bootstrap, seed=job.seed,
         context={"arch": ckpt.cfg.arch, "init": job.init, "seed": job.seed,
-                 "source_task": (ckpt.pretrain_task_id if job.init == "pretrained"
-                                 else "random"),
+                 "source_task": transfer.source_task(ckpt, job.init),
                  "target_task": job.target})
         for j, job in enumerate(jobs)]
 
@@ -453,7 +448,7 @@ def _run_svcca(cfg: ExperimentConfig, jobs: list[Job], ckpt: Checkpoint,
                target: DatasetManifest, features) -> list[analysis.StabilityReport]:
     proto = cfg.protocol
     seed = jobs[0].seed
-    starts = [transfer.plan_start(_plan(job, ckpt, target), seed)[:2] for job in jobs]
+    starts = [transfer.start(ckpt, job.init, target.task.n_classes, seed) for job in jobs]
     start_cfg = starts[0][0]
     results = training.train_group(start_cfg, [params for _, params in starts], target,
                                    replace(cfg.train, seed=seed), features,
@@ -519,7 +514,8 @@ def cmd_knn(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
 
 
 def cmd_fewshot(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
-    return run_jobs(cfg, ws, "fewshot", grid(cfg, "finetune", INITS, cfg.protocol.k_shots))
+    k_shots = required(cfg.protocol.k_shots, "protocol.k_shots")
+    return run_jobs(cfg, ws, "fewshot", grid(cfg, "finetune", INITS, k_shots))
 
 
 def cmd_svcca(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
@@ -528,7 +524,7 @@ def cmd_svcca(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
 
 def cmd_reset(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
     # the un-reset baseline is transfer's finetune/pretrained job
-    specs = cfg.protocol.reset_specs
+    specs = required(cfg.protocol.reset_specs, "protocol.reset_specs")
     return run_jobs(cfg, ws, "reset", grid(cfg, "finetune", [f"reset_{s}" for s in specs]))
 
 

@@ -1,9 +1,10 @@
 """Supervised training loop: AdamW, per-iteration cosine decay, batch size 1
 with class-weighted sampling, early stopping on the validation metric.
 
-The recipe is fixed: lr 1e-4, weight decay 1e-5, at most 20 epochs with
-patience 5 after a minimum of 10, and exactly 10 epochs when the dataset has
-no validation split.
+``TrainConfig`` holds the recipe.  Its defaults are lr 1e-4, weight decay
+1e-5, and at most 20 epochs with patience 5 after a minimum of 10; an
+experiment config may override each (``configs/demo.json`` uses lr 5e-4).
+A dataset with no validation split trains exactly 10 epochs.
 
 Sibling lockstep.  Jobs that differ only in their initial parameters
 (init-siblings: pretrained, random and layer-reset starts on one target,
@@ -63,6 +64,9 @@ class TrainConfig:
             raise ConfigError("need 0 <= min_epochs <= max_epochs and max_epochs >= 1")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
+        for key in ("weight_decay", "aux_weight"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
 
 
 @dataclass

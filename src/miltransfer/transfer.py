@@ -1,6 +1,11 @@
 """Transfer protocols: checkpoint container, initialization from pretrained
 weights, frozen slide-embedding extraction, KNN evaluation, progressive
 layer reset, and finetuning.
+
+A target model starts from a checkpoint and an init name: ``pretrained``,
+``random`` or ``reset_<spec>`` (``RESET_SPECS``).  ``start`` is the one
+place an init name becomes starting weights, and ``source_task`` the one
+place it becomes the source task a result records.
 """
 
 from __future__ import annotations
@@ -8,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -42,8 +48,6 @@ class Checkpoint:
     params: ModelParams
     pretrain_task_id: str = ""
     train_summary: dict = field(default_factory=dict)
-    created_at: str = ""
-    format_version: int = CHECKPOINT_VERSION
 
 
 def config_to_dict(cfg: ModelConfig) -> dict:
@@ -86,12 +90,11 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         blobs.append(raw)
         offset += len(raw)
     header = {
-        "format_version": ckpt.format_version,
+        "format_version": CHECKPOINT_VERSION,
         "cfg": config_to_dict(ckpt.cfg),
         "cfg_digest": config_digest(ckpt.cfg),
         "pretrain_task_id": ckpt.pretrain_task_id,
         "train_summary": ckpt.train_summary,
-        "created_at": ckpt.created_at,
         "layers": layers,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
@@ -122,7 +125,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         cfg = config_from_dict(header["cfg"])
         layers = [(str(layer["name"]), tuple(int(d) for d in layer["shape"]),
                    int(layer["offset"]), int(layer["length"])) for layer in header["layers"]]
-        format_version = header["format_version"]
+        header["format_version"]  # required; the prefix byte is the version read
     except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise CheckpointFormatError(f"{path}: malformed header ({exc!r})") from exc
     blob = data[blob_start:]
@@ -145,9 +148,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise ShapeMismatchError(f"{path}: missing layers {missing}")
     return Checkpoint(cfg=cfg, params=params,
                       pretrain_task_id=header.get("pretrain_task_id", ""),
-                      train_summary=header.get("train_summary", {}),
-                      created_at=header.get("created_at", ""),
-                      format_version=format_version)
+                      train_summary=header.get("train_summary", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +162,12 @@ def _head_layers(cfg: ModelConfig) -> tuple[str, ...]:
     return ("classifier.weight", "classifier.bias")
 
 
-def init_from_pretrained(ckpt: Checkpoint, target: TaskSpec | int,
+def init_from_pretrained(ckpt: Checkpoint, n_classes: int,
                          seed: int) -> tuple[ModelConfig, ModelParams]:
     """Copy every backbone layer from the checkpoint; the classifier head
     (and the aux head, whose shape is class-bound) is always freshly
-    re-initialized for the target class count, even when the counts match.
+    re-initialized for ``n_classes``, even when the counts match.
     """
-    n_classes = target.n_classes if isinstance(target, TaskSpec) else int(target)
     cfg = ckpt.cfg.retarget(n_classes)
     rng = np.random.default_rng(seed)
     heads = _head_layers(cfg)
@@ -228,6 +228,31 @@ def reset_layers(ckpt: Checkpoint, reset_spec: str, seed: int) -> ModelParams:
         else:
             params[name] = ckpt.params[name].copy()
     return params
+
+
+def start(ckpt: Checkpoint, init: str, n_classes: int,
+          seed: int) -> tuple[ModelConfig, ModelParams]:
+    """Starting (config, parameters) of init ``init`` for a target with
+    ``n_classes`` classes; an unknown name is a ``ConfigError``.
+
+    ``random``        ``build_model`` of the checkpoint's architecture
+    ``pretrained``    ``init_from_pretrained``
+    ``reset_<spec>``  ``reset_layers`` with ``spec``, then as ``pretrained``
+    """
+    if init == "random":
+        cfg = ckpt.cfg.retarget(n_classes)
+        return cfg, models.build_model(cfg, seed=seed)
+    if init.startswith("reset_"):
+        spec = init.removeprefix("reset_")
+        ckpt = Checkpoint(cfg=ckpt.cfg, params=reset_layers(ckpt, spec, seed))
+    elif init != "pretrained":
+        raise ConfigError(f"unknown init {init!r}: expected pretrained, random or reset_<spec>")
+    return init_from_pretrained(ckpt, n_classes, seed)
+
+
+def source_task(ckpt: Checkpoint, init: str) -> str:
+    """The task an init's weights were pretrained on, as results record it."""
+    return "random" if init == "random" else ckpt.pretrain_task_id
 
 
 # ---------------------------------------------------------------------------
@@ -389,84 +414,33 @@ def knn_evaluate(train_embeddings, train_labels, test_embeddings, test_labels,
 # finetuning
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TransferPlan:
-    target: DatasetManifest
-    source: Checkpoint | None = None          # None = random initialization
-    model_cfg: ModelConfig | None = None      # required for random init
-    reset_spec: str | None = None             # optional layer reset before transfer
-
-    def __post_init__(self):
-        if self.source is None and self.model_cfg is None:
-            raise ConfigError("random-init plan needs a model_cfg")
-        if self.reset_spec is not None and self.source is None:
-            raise ConfigError("reset_spec requires a pretrained source")
-
-
-@dataclass
-class FinetuneResult:
-    cfg: ModelConfig
-    result: TrainResult
-    eval_result: EvalResult
-    init_kind: str
-    source_task: str
-    target_task: str
-
-
-def finetune(plan: TransferPlan, train_cfg: TrainConfig,
+def finetune(ckpt: Checkpoint, init: str, target: DatasetManifest, train_cfg: TrainConfig,
              features: dict[str, np.ndarray] | None = None,
-             n_bootstrap: int = 1000) -> FinetuneResult:
-    """Train on the plan's target task and evaluate on its test split.
-
-    Pretrained sources keep every backbone layer (optionally after a reset)
-    and re-initialize the classifier; a random source is exactly
-    ``build_model`` followed by ``train``.
-    """
-    return finetune_group([plan], train_cfg, features, n_bootstrap)[0]
+             n_bootstrap: int = 1000) -> tuple[TrainResult, EvalResult]:
+    """Train ``start(ckpt, init, ...)`` on ``target`` and evaluate it on the
+    test split; the stack of one of ``finetune_group``."""
+    return finetune_group(ckpt, (init,), target, train_cfg, features, n_bootstrap)[0]
 
 
-def plan_start(plan: TransferPlan, seed: int) -> tuple[ModelConfig, ModelParams, str, str]:
-    """(config, initial parameters, init kind, source task) of a plan."""
-    task = plan.target.task
-    if plan.source is None:
-        cfg = plan.model_cfg.retarget(task.n_classes)
-        return cfg, models.build_model(cfg, seed=seed), "random", "random"
-    src = plan.source
-    if plan.reset_spec is not None:
-        src = Checkpoint(cfg=src.cfg, params=reset_layers(src, plan.reset_spec, seed),
-                         pretrain_task_id=src.pretrain_task_id)
-    cfg, params = init_from_pretrained(src, task, seed=seed)
-    init_kind = "pretrained" if plan.reset_spec is None else f"reset_{plan.reset_spec}"
-    return cfg, params, init_kind, plan.source.pretrain_task_id
-
-
-def finetune_group(plans: list[TransferPlan], train_cfg: TrainConfig,
+def finetune_group(ckpt: Checkpoint, inits: Sequence[str], target: DatasetManifest,
+                   train_cfg: TrainConfig,
                    features: dict[str, np.ndarray] | None = None,
-                   n_bootstrap: int = 1000) -> list[FinetuneResult]:
-    """``finetune`` for init-siblings: plans on one target with one model
-    config, trained in lockstep as one stack (``training.train_group``).
-    Result j equals ``finetune(plans[j], ...)``."""
-    target = plans[0].target
+                   n_bootstrap: int = 1000) -> list[tuple[TrainResult, EvalResult]]:
+    """``finetune`` for init-siblings, trained in lockstep as one stack
+    (``training.train_group``).  Pair j equals ``finetune(ckpt, inits[j], ...)``."""
     task = target.task
-    starts = [plan_start(plan, train_cfg.seed) for plan in plans]
+    starts = [start(ckpt, init, task.n_classes, train_cfg.seed) for init in inits]
     cfg = starts[0][0]
-    if any(plan.target != target for plan in plans) or any(s[0] != cfg for s in starts):
-        raise ConfigError("finetune_group plans must share a target and a model config")
     if features is None:
         features = training.load_split_features(target)
-    results = training.train_group(cfg, [s[1] for s in starts], target, train_cfg, features,
-                                   names=[s[2] for s in starts])
+    results = training.train_group(cfg, [params for _, params in starts], target, train_cfg,
+                                   features, names=list(inits))
     _, bag_ids, labels, values = training.evaluate_split(
         cfg, models.stack_params([r.params for r in results]), target, "test", features)
-    out = []
-    for (_, _, init_kind, source_task), result, job_values in zip(starts, results, values):
-        eval_result = evaluate_records(
-            task.metric, task.n_classes, bag_ids, labels, job_values,
-            n_bootstrap=n_bootstrap, seed=train_cfg.seed,
-            context={"protocol": "finetune", "arch": cfg.arch, "init": init_kind,
-                     "source_task": source_task, "target_task": task.task_id,
-                     "seed": train_cfg.seed})
-        out.append(FinetuneResult(cfg=cfg, result=result, eval_result=eval_result,
-                                  init_kind=init_kind, source_task=source_task,
-                                  target_task=task.task_id))
-    return out
+    return [(result, evaluate_records(
+        task.metric, task.n_classes, bag_ids, labels, job_values,
+        n_bootstrap=n_bootstrap, seed=train_cfg.seed,
+        context={"protocol": "finetune", "arch": cfg.arch, "init": init,
+                 "source_task": source_task(ckpt, init), "target_task": task.task_id,
+                 "seed": train_cfg.seed}))
+        for init, result, job_values in zip(inits, results, values)]

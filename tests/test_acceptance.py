@@ -29,7 +29,7 @@ from miltransfer import (
 )
 from miltransfer import analysis, training, transfer
 from miltransfer.metrics import auroc, balanced_accuracy, bootstrap, quadratic_weighted_kappa
-from miltransfer.transfer import TransferPlan, finetune
+from miltransfer.transfer import finetune_group
 
 from test_gradients import fd_worst_error
 
@@ -108,13 +108,30 @@ def tx_ckpt(suite):
     return _pretrain(suite, TX_CFG)
 
 
+ABMIL_INITS = ("pretrained", "random", "reset_attn", "reset_all")
+
+
+@pytest.fixture(scope="module")
+def abmil_runs(suite, abmil_ckpt):
+    """(target index, seed) -> init -> (TrainResult, EvalResult) of the ABMIL
+    finetunes at ``SUITE_LR`` that criteria 5, 7 and 8 share: every init of
+    one target and seed trains once, as one sibling stack."""
+    memo = {}
+
+    def runs(t, seed):
+        if (t, seed) not in memo:
+            group = finetune_group(abmil_ckpt, ABMIL_INITS, suite["targets"][t],
+                                   TrainConfig(seed=seed, lr=SUITE_LR),
+                                   suite["target_features"][t], n_bootstrap=0)
+            memo[t, seed] = dict(zip(ABMIL_INITS, group))
+        return memo[t, seed]
+    return runs
+
+
 def _finetune_pair(ckpt, target, features, seed, lr):
-    tcfg = TrainConfig(seed=seed, lr=lr)
-    pre = finetune(TransferPlan(target=target, source=ckpt), tcfg, features,
-                   n_bootstrap=0)
-    rand = finetune(TransferPlan(target=target, model_cfg=ckpt.cfg), tcfg, features,
-                    n_bootstrap=0)
-    return pre.eval_result.value, rand.eval_result.value
+    pre, rand = finetune_group(ckpt, ("pretrained", "random"), target,
+                               TrainConfig(seed=seed, lr=lr), features, n_bootstrap=0)
+    return pre[1].value, rand[1].value
 
 
 # ---------------------------------------------------------------------------
@@ -282,26 +299,23 @@ def test_criterion_4_svcca_properties():
 # criterion 5: transfer benefit (directional, ABMIL + Transformer)
 # ---------------------------------------------------------------------------
 
-def _transfer_gaps(suite, ckpt):
-    gaps = []
-    for target, features in zip(suite["targets"], suite["target_features"]):
-        for seed in SEEDS:
-            pre, rand = _finetune_pair(ckpt, target, features, seed, SUITE_LR)
-            gaps.append(pre - rand)
-    return np.asarray(gaps)
-
-
 def _one_sided_p(gaps):
     t, p_two = stats.ttest_rel(gaps, np.zeros_like(gaps))
     return p_two / 2 if t > 0 else 1 - p_two / 2
 
 
-def test_criterion_5_transfer_benefit(suite, abmil_ckpt, tx_ckpt):
+def test_criterion_5_transfer_benefit(suite, abmil_runs, tx_ckpt):
+    gaps = {"abmil": [], "transformer": []}
+    for t, (target, features) in enumerate(zip(suite["targets"], suite["target_features"])):
+        for seed in SEEDS:
+            runs = abmil_runs(t, seed)
+            gaps["abmil"].append(runs["pretrained"][1].value - runs["random"][1].value)
+            pre, rand = _finetune_pair(tx_ckpt, target, features, seed, SUITE_LR)
+            gaps["transformer"].append(pre - rand)
     results = {}
-    for name, ckpt in (("abmil", abmil_ckpt), ("transformer", tx_ckpt)):
-        gaps = _transfer_gaps(suite, ckpt)
-        results[name] = (float(gaps.mean()), _one_sided_p(gaps),
-                         int((gaps > 0).sum()))
+    for name, g in gaps.items():
+        g = np.asarray(g)
+        results[name] = (float(g.mean()), _one_sided_p(g), int((g > 0).sum()))
     ok = all(mean > 0 and p < 0.1 for mean, p, _ in results.values())
     detail = "; ".join(
         f"{k}: mean gap {m:+.3f}, {npos}/15 positive, one-sided p={p:.4f}"
@@ -336,16 +350,14 @@ def test_criterion_6_fewshot_ordering(suite, abmil_ckpt):
 # criterion 7: reset ordering (monotone degradation)
 # ---------------------------------------------------------------------------
 
-def test_criterion_7_reset_ordering(suite, abmil_ckpt):
+def test_criterion_7_reset_ordering(suite, abmil_runs):
     values = {"full": [], "attn": [], "all": []}
-    for target, features in zip(suite["targets"], suite["target_features"]):
+    for t in range(len(suite["targets"])):
         for seed in SEEDS:
-            tcfg = TrainConfig(seed=seed, lr=SUITE_LR)
-            for cond, spec in (("full", None), ("attn", "attn"), ("all", "all")):
-                fin = finetune(TransferPlan(target=target, source=abmil_ckpt,
-                                            reset_spec=spec),
-                               tcfg, features, n_bootstrap=0)
-                values[cond].append(fin.eval_result.value)
+            runs = abmil_runs(t, seed)
+            for cond, init in (("full", "pretrained"), ("attn", "reset_attn"),
+                               ("all", "reset_all")):
+                values[cond].append(runs[init][1].value)
     mean = {c: 100.0 * float(np.mean(v)) for c, v in values.items()}
     ok = (mean["full"] >= mean["attn"] - 1.0) and (mean["attn"] >= mean["all"] - 1.0)
     _report(7, "reset ordering", ok,
@@ -357,7 +369,7 @@ def test_criterion_7_reset_ordering(suite, abmil_ckpt):
 # criterion 8: stability ordering (attention-layer SVCCA)
 # ---------------------------------------------------------------------------
 
-def test_criterion_8_stability_ordering(suite, abmil_ckpt):
+def test_criterion_8_stability_ordering(suite, abmil_ckpt, abmil_runs):
     target = suite["targets"][0]
     features = suite["target_features"][0]
     wins = 0
@@ -365,16 +377,11 @@ def test_criterion_8_stability_ordering(suite, abmil_ckpt):
     for seed in SEEDS:
         score = {}
         for init in ("pretrained", "random"):
-            tcfg = TrainConfig(seed=seed, lr=SUITE_LR)
-            if init == "pretrained":
-                start_cfg, start_params = transfer.init_from_pretrained(
-                    abmil_ckpt, target.task, seed=seed)
-            else:
-                start_cfg = abmil_ckpt.cfg.retarget(target.task.n_classes)
-                start_params = build_model(start_cfg, seed=seed)
-            result = train(start_cfg, start_params, target, tcfg, features)
+            start_cfg, start_params = transfer.start(abmil_ckpt, init, target.task.n_classes,
+                                                     seed)
+            trained, _ = abmil_runs(0, seed)[init]
             report = analysis.layer_stability_report(
-                Checkpoint(cfg=start_cfg, params=start_params), result.params,
+                Checkpoint(cfg=start_cfg, params=start_params), trained.params,
                 target, layer_names=["attn"], max_instances=2000, seed=seed,
                 features=features)
             score[init] = report.layers[0]["mean"]
@@ -411,8 +418,7 @@ def test_criterion_9_roundtrips_and_determinism(tmp_path):
     paths = []
     for run in range(2):
         result = train(model_cfg, build_model(model_cfg, seed=2), manifest, tcfg, features)
-        ckpt = Checkpoint(cfg=model_cfg, params=result.params, pretrain_task_id="det",
-                          created_at="fixed-for-comparison")
+        ckpt = Checkpoint(cfg=model_cfg, params=result.params, pretrain_task_id="det")
         path = tmp_path / f"run{run}.milc"
         save_checkpoint(ckpt, path)
         paths.append(path)

@@ -233,6 +233,9 @@ CONFIG_SHAPE_ERRORS = {
     "misspelt_protocol_key": ("protocol.knn_kk", lambda cfg: cfg["protocol"].update(knn_kk=3)),
     "max_epochs_zero": ("max_epochs",
                         lambda cfg: cfg["train"].update(max_epochs=0, min_epochs=0)),
+    "weight_decay_negative": ("weight_decay",
+                              lambda cfg: cfg["train"].update(weight_decay=-1.0)),
+    "aux_weight_negative": ("aux_weight", lambda cfg: cfg["train"].update(aux_weight=-0.5)),
     "split_fraction_negative": ("split_fractions", _negative_split_fraction),
 }
 
@@ -394,6 +397,19 @@ def test_negative_n_bootstrap_is_config_error(pipeline, tmp_path):
             "--zoo", str(tmp / "runs" / "zoo.json")]
     assert main(argv + ["knn"]) == 2
     assert not list((tmp_path / "out").glob("results/knn_*"))
+
+
+@pytest.mark.parametrize("command, key", [("fewshot", "k_shots"), ("reset", "reset_specs")])
+def test_empty_protocol_grid_is_config_error(pipeline, tmp_path, capsys, command, key):
+    tmp, cfg, _ = pipeline
+    bad = json.loads(json.dumps(cfg))
+    bad["protocol"][key] = []
+    argv = ["--config", write_config(tmp_path, bad), "--out", str(tmp_path / "out"),
+            "--zoo", str(tmp / "runs" / "zoo.json")]
+    capsys.readouterr()
+    assert main(argv + [command]) == 2
+    assert f"protocol.{key}" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("results/*"))
 
 
 def _drop_checkpoint(good: bytes) -> bytes:

@@ -17,7 +17,6 @@ from miltransfer.models import loss_and_grads, param_schema, stack_params
 from miltransfer.training import ParamStack, load_split_features, train_group
 from miltransfer.transfer import (
     Checkpoint,
-    TransferPlan,
     embed_bags,
     finetune_group,
     save_checkpoint,
@@ -114,9 +113,7 @@ def test_nonfinite_sibling_gradient_names_init_and_layer(easy_task, easy_feature
 
     monkeypatch.setattr(training.models, "loss_and_grads", poisoned)
     source = Checkpoint(cfg=tiny_abmil, params=build_model(tiny_abmil, seed=0))
-    plans = [TransferPlan(target=easy_task, source=source),
-             TransferPlan(target=easy_task, model_cfg=tiny_abmil),
-             TransferPlan(target=easy_task, source=source, reset_spec="attn")]
     tcfg = TrainConfig(lr=1e-3, max_epochs=1, min_epochs=1, patience=1, seed=0)
     with pytest.raises(NumericError, match=r"'attn\.U\.weight' of job random"):
-        finetune_group(plans, tcfg, easy_features, n_bootstrap=10)
+        finetune_group(source, ("pretrained", "random", "reset_attn"), easy_task, tcfg,
+                       easy_features, n_bootstrap=10)

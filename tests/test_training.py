@@ -200,3 +200,7 @@ def test_train_config_validation():
         TrainConfig(min_epochs=30, max_epochs=20)
     with pytest.raises(ConfigError):
         TrainConfig(patience=0)
+    with pytest.raises(ConfigError, match="weight_decay"):
+        TrainConfig(weight_decay=-1.0)
+    with pytest.raises(ConfigError, match="aux_weight"):
+        TrainConfig(aux_weight=-0.1)

@@ -31,7 +31,7 @@ from miltransfer.errors import (
     VersionMismatchError,
 )
 from miltransfer.models import param_schema
-from miltransfer.transfer import TransferPlan, config_digest, knn_predict
+from miltransfer.transfer import CHECKPOINT_VERSION, config_digest, knn_predict, start
 
 
 @pytest.fixture
@@ -108,6 +108,8 @@ MALFORMED_CHECKPOINTS = {
     "unknown_cfg_field": _edit_header(lambda h: {**h, "cfg": {**h["cfg"], "bogus": 1}}),
     "layers_not_a_list": _edit_header(lambda h: {**h, "layers": 7}),
     "header_is_a_list": _edit_header(lambda h: [h]),
+    "header_without_format_version": _edit_header(
+        lambda h: {k: v for k, v in h.items() if k != "format_version"}),
     "header_length_past_eof": lambda raw: raw[:5] + struct.pack("<Q", len(raw)) + raw[13:],
 }
 
@@ -121,6 +123,20 @@ def test_malformed_checkpoint_is_format_error(tmp_path, abmil_ckpt, case):
         load_checkpoint(path)
 
 
+def test_checkpoint_header_keys(tmp_path, abmil_ckpt):
+    path = tmp_path / "m.milc"
+    save_checkpoint(abmil_ckpt, path)
+    raw = path.read_bytes()
+    (n,) = struct.unpack_from("<Q", raw, 5)
+    header = json.loads(raw[13:13 + n])
+    assert header["format_version"] == CHECKPOINT_VERSION
+    assert "created_at" not in header
+    # headers written before the timestamp key was dropped still load
+    path.write_bytes(_edit_header(lambda h: {**h, "created_at": ""})(raw))
+    back = load_checkpoint(path)
+    assert back.cfg == abmil_ckpt.cfg and back.pretrain_task_id == "src"
+
+
 def test_mean_checkpoint_into_abmil_names_missing_layers(tmp_path):
     cfg = ModelConfig("mean", in_dim=16, embed_dim=12, n_classes=2)
     ckpt = Checkpoint(cfg=cfg, params=build_model(cfg, seed=0))
@@ -129,7 +145,7 @@ def test_mean_checkpoint_into_abmil_names_missing_layers(tmp_path):
         cfg=ModelConfig("abmil", in_dim=16, embed_dim=12, n_classes=2, attn_dim=8),
         params=ckpt.params, pretrain_task_id="mean_src")
     with pytest.raises(ShapeMismatchError, match="attn"):
-        init_from_pretrained(abmil, target, seed=0)
+        init_from_pretrained(abmil, target.n_classes, seed=0)
 
 
 def test_config_digest_stable(abmil_ckpt):
@@ -144,8 +160,7 @@ def test_config_digest_stable(abmil_ckpt):
 # ---------------------------------------------------------------------------
 
 def test_init_from_pretrained_copies_backbone(abmil_ckpt):
-    target = TaskSpec("tgt", 2, ("a", "b"), "auroc")
-    cfg, params = init_from_pretrained(abmil_ckpt, target, seed=1)
+    cfg, params = init_from_pretrained(abmil_ckpt, 2, seed=1)
     assert cfg.n_classes == 2
     assert params["classifier.weight"].shape == (2, 12)
     for name, _ in param_schema(cfg):
@@ -155,21 +170,47 @@ def test_init_from_pretrained_copies_backbone(abmil_ckpt):
 
 
 def test_classifier_reinit_even_when_classes_match(abmil_ckpt):
-    target = TaskSpec("tgt4", 4, ("a", "b", "c", "d"), "balanced_accuracy")
-    cfg, params = init_from_pretrained(abmil_ckpt, target, seed=1)
+    cfg, params = init_from_pretrained(abmil_ckpt, 4, seed=1)
     assert cfg.n_classes == 4
     assert not np.array_equal(params["classifier.weight"],
                               abmil_ckpt.params["classifier.weight"])
 
 
-def test_random_plan_equals_direct_training(easy_task, easy_features, tiny_abmil):
+def test_random_start_equals_direct_training(easy_task, easy_features, tiny_abmil):
     tcfg = TrainConfig(seed=4, lr=1e-3, max_epochs=3, min_epochs=1, patience=1)
-    plan = TransferPlan(target=easy_task, model_cfg=tiny_abmil)
-    fin = finetune(plan, tcfg, easy_features, n_bootstrap=0)
+    source = Checkpoint(cfg=tiny_abmil.retarget(3), params=build_model(tiny_abmil.retarget(3), 0))
+    result, eval_result = finetune(source, "random", easy_task, tcfg, easy_features,
+                                   n_bootstrap=0)
     direct = train(tiny_abmil, build_model(tiny_abmil, seed=4), easy_task, tcfg, easy_features)
     for k in direct.params:
-        assert np.array_equal(fin.result.params[k], direct.params[k])
-    assert fin.init_kind == "random"
+        assert np.array_equal(result.params[k], direct.params[k])
+    assert eval_result.context["init"] == eval_result.context["source_task"] == "random"
+
+
+def _bytes(params):
+    return {name: p.tobytes() for name, p in params.items()}
+
+
+@pytest.mark.parametrize("init", ["pretrained", "random", "reset_attn", "reset_all"])
+def test_start_equals_the_direct_construction(abmil_ckpt, init):
+    cfg, params = start(abmil_ckpt, init, 2, seed=6)
+    assert cfg == abmil_ckpt.cfg.retarget(2)
+    if init == "random":
+        want = build_model(cfg, seed=6)
+    else:
+        src = abmil_ckpt
+        if init != "pretrained":
+            reset = reset_layers(src, init.removeprefix("reset_"), seed=6)
+            src = Checkpoint(cfg=src.cfg, params=reset)
+        want = init_from_pretrained(src, 2, seed=6)[1]
+    assert list(params) == [name for name, _ in param_schema(cfg)]
+    assert _bytes(params) == _bytes(want)
+
+
+@pytest.mark.parametrize("init", ["bogus", "reset_bogus", "Pretrained", "reset_"])
+def test_start_rejects_unknown_init(abmil_ckpt, init):
+    with pytest.raises(ConfigError):
+        start(abmil_ckpt, init, 2, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -469,18 +510,8 @@ def test_finetune_from_pretrained_records_context(easy_task, easy_features, tiny
     src = Checkpoint(cfg=tiny_abmil.retarget(3), params=build_model(tiny_abmil.retarget(3), seed=1),
                      pretrain_task_id="pretask")
     tcfg = TrainConfig(seed=0, lr=1e-3, max_epochs=2, min_epochs=1, patience=1)
-    fin = finetune(TransferPlan(target=easy_task, source=src), tcfg, easy_features,
-                   n_bootstrap=50)
-    assert fin.init_kind == "pretrained"
-    assert fin.source_task == "pretask"
-    assert fin.eval_result.context["target_task"] == easy_task.task.task_id
-    assert 0.0 <= fin.eval_result.value <= 1.0
-
-
-def test_transfer_plan_validation(easy_task):
-    with pytest.raises(ConfigError):
-        TransferPlan(target=easy_task)  # random init needs model_cfg
-    with pytest.raises(ConfigError):
-        TransferPlan(target=easy_task,
-                     model_cfg=ModelConfig("mean", in_dim=16, embed_dim=8, n_classes=2),
-                     reset_spec="attn")  # reset needs a source
+    _, eval_result = finetune(src, "pretrained", easy_task, tcfg, easy_features, n_bootstrap=50)
+    assert eval_result.context["init"] == "pretrained"
+    assert eval_result.context["source_task"] == "pretask"
+    assert eval_result.context["target_task"] == easy_task.task.task_id
+    assert 0.0 <= eval_result.value <= 1.0
