@@ -20,37 +20,45 @@ the command reads it; an unknown key is an error.  Keys, with defaults:
                 split_fractions [0.6, 0.2, 0.2]
 
 ``generate`` writes the synthetic tasks; ``pretrain`` trains one checkpoint
-per seed and registers it in the zoo.  The grid commands are job lists over
-targets x seeds x inits, run by one executor (``run_jobs``) on the zoo
-checkpoint of each seed:
+per seed of the model ``<arch>_<pretrain task>`` and registers it in the zoo
+as ``<model>_s<seed>``.  The grid commands are job lists over targets x seeds
+x inits, run by one executor (``run_jobs``) on the zoo checkpoint of each
+job's (model, seed):
 
     transfer     finetune x {pretrained, random}
     knn          frozen-embedding KNN x {pretrained, random}
     fewshot      finetune x {pretrained, random}, per K in protocol.k_shots
     svcca        finetune, then per-layer SVCCA x {pretrained, random}
     reset        finetune x {reset_<spec>} for spec in protocol.reset_specs
-    scale-sweep  per protocol.scale_rows row: pretrain, then finetune x
-                 {pretrained, random} from that row's checkpoints
+    scale-sweep  per protocol.scale_rows row: pretrain the model
+                 ``<arch>_<pretrain task>_p<n_params>``, then finetune x
+                 {pretrained, random} from its checkpoints; two rows that
+                 name one model are a config error
 
 A job's init is ``pretrained``, ``random`` or ``reset_<spec>``.
 ``transfer.start`` is the one place an init name becomes starting weights,
 and ``transfer.source_task`` the one place it becomes the recorded source
 task; only ``knn`` bypasses ``start``, embedding the checkpoint itself,
-head included, for ``pretrained``.  Jobs that share (target, seed, k_shot)
-differ only in their init.  These init-siblings train in lockstep as one
-parameter stack (``training.train_group``): ``transfer``, ``fewshot``,
+head included, for ``pretrained``.  Jobs that share (model, target, seed,
+k_shot) differ only in their init.  These init-siblings train in lockstep as
+one parameter stack (``training.train_group``): ``transfer``, ``fewshot``,
 ``svcca`` and each ``scale-sweep`` row stack two jobs, and ``reset`` stacks
 one job per reset spec.  ``knn`` trains nothing; its two siblings are
 embedded as one stack per split (``transfer.embed_bags``).  A sibling's
 result equals the one its solo run would write, byte for byte.
 
 Each job writes ``<tag>_<arch>_<target>_<init>_s<seed>.json``, where the
-tag is the command name (``fewshot<K>``, ``scale<n_params>``).  ``reset``
-writes no un-reset run: its baseline is ``transfer``'s pretrained result.
-``report`` averages every result within one (protocol, k_shot, task, arch,
-init) into ``report.json`` and ``report.csv`` (columns protocol, k_shot,
-task, arch, init, mean, n_runs), with pretrained-minus-random deltas taken
-within one protocol and K.
+tag is the command name (``fewshot<K>``, ``scale<n_params>``); ``run_jobs``
+alone records the job in the result's context: model, arch, target_task,
+init, seed, source_task and, for few-shot, k_shot.  ``reset`` writes no
+un-reset run: its baseline is ``transfer``'s pretrained result.  ``report``
+averages every result within one (protocol, k_shot, task, arch, model, init)
+into ``report.json`` and ``report.csv`` (columns protocol, k_shot, task,
+arch, model, init, mean, n_runs), with pretrained-minus-random deltas taken
+within one (protocol, K, task, model) as ``<protocol><K>/<task>/<model>``
+and averaged over tasks as ``<protocol><K>/<model>``.  A result whose key is
+missing or mistyped, such as one written before results named their model,
+is a data error.
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
 
@@ -168,14 +176,14 @@ def _typed(value, hint, where: str):
         return Path(value) if hint is Path else value
     else:
         kind = _JSON[hint][1]
-    raise ConfigError(f"config: {where} must be {kind}, got {value!r}")
+    raise ConfigError(f"{where} must be {kind}, got {value!r}")
 
 
 def _fields(cls, raw, where: str, keys) -> dict:
     """``raw`` at ``where``, typed field by field as ``cls``; only ``keys`` may occur."""
     unknown = sorted(set(_typed(raw, dict, where)) - set(keys))
     if unknown:
-        raise ConfigError(f"config: unknown key {_key(where, unknown[0])}")
+        raise ConfigError(f"unknown key {_key(where, unknown[0])}")
     hints = _hints(cls)
     return {key: _typed(value, hints[key], _key(where, key)) for key, value in raw.items()}
 
@@ -187,11 +195,11 @@ def _section(cls, raw, where: str, keys=None, **fixed):
     kwargs = {**_fields(cls, raw, where, keys), **fixed}
     for f in fields(cls):
         if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"config: {_key(where, f.name)} is required")
+            raise ConfigError(f"{_key(where, f.name)} is required")
     try:
         return cls(**kwargs)
     except ConfigError as exc:
-        raise ConfigError(f"config: {where + ': ' if where else ''}{exc}") from exc
+        raise ConfigError(f"{where + ': ' if where else ''}{exc}") from exc
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -205,25 +213,28 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict) or raw.pop("config_version", None) != CONFIG_VERSION:
         raise ConfigError(f"config {path}: expected an object with config_version {CONFIG_VERSION}")
-    data, model, train, protocol, synthetic = (
-        raw.pop(key, {}) for key in ("data", "model", "train", "protocol", "synthetic"))
-    protocol = dict(_typed(protocol, dict, "protocol"))
-    rows = _typed(protocol.pop("scale_rows", []), tuple[dict, ...], "protocol.scale_rows")
-    synthetic = dict(_typed(synthetic, dict, "synthetic"))
-    tasks = _typed(synthetic.pop("tasks", []), tuple[dict, ...], "synthetic.tasks")
-    shared = {"bag_size_range": (16, 32),
-              **_fields(SynthTaskConfig, synthetic, "synthetic", SYNTH_SHARED)}
-    task_keys = [f.name for f in fields(SynthTaskConfig) if f.name not in SYNTH_SHARED]
-    return _section(
-        ExperimentConfig, raw, "", keys=("output_dir", "seeds"),
-        data=_section(DataConfig, data, "data"),
-        model=None if model == {} else _section(ModelConfig, model, "model", n_classes=2),
-        train=_section(TrainConfig, train, "train", seed=0),
-        protocol=_section(ProtocolConfig, protocol, "protocol", scale_rows=tuple(
-            _section(ModelConfig, {**model, **row}, f"protocol.scale_rows[{i}]", n_classes=2)
-            for i, row in enumerate(rows))),
-        synthetic=tuple(_section(SynthTaskConfig, task, f"synthetic.tasks[{i}]", task_keys,
-                                 **shared) for i, task in enumerate(tasks)))
+    try:
+        data, model, train, protocol, synthetic = (
+            raw.pop(key, {}) for key in ("data", "model", "train", "protocol", "synthetic"))
+        protocol = dict(_typed(protocol, dict, "protocol"))
+        rows = _typed(protocol.pop("scale_rows", []), tuple[dict, ...], "protocol.scale_rows")
+        synthetic = dict(_typed(synthetic, dict, "synthetic"))
+        tasks = _typed(synthetic.pop("tasks", []), tuple[dict, ...], "synthetic.tasks")
+        shared = {"bag_size_range": (16, 32),
+                  **_fields(SynthTaskConfig, synthetic, "synthetic", SYNTH_SHARED)}
+        task_keys = [f.name for f in fields(SynthTaskConfig) if f.name not in SYNTH_SHARED]
+        return _section(
+            ExperimentConfig, raw, "", keys=("output_dir", "seeds"),
+            data=_section(DataConfig, data, "data"),
+            model=None if model == {} else _section(ModelConfig, model, "model", n_classes=2),
+            train=_section(TrainConfig, train, "train", seed=0),
+            protocol=_section(ProtocolConfig, protocol, "protocol", scale_rows=tuple(
+                _section(ModelConfig, {**model, **row}, f"protocol.scale_rows[{i}]", n_classes=2)
+                for i, row in enumerate(rows))),
+            synthetic=tuple(_section(SynthTaskConfig, task, f"synthetic.tasks[{i}]", task_keys,
+                                     **shared) for i, task in enumerate(tasks)))
+    except ConfigError as exc:
+        raise ConfigError(f"config: {exc}") from exc
 
 
 def required(value, key: str):
@@ -331,12 +342,22 @@ def cmd_generate(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
     return outputs
 
 
-def _pretrain(cfg: ExperimentConfig, ws: Workspace, mcfg: ModelConfig, manifest: DatasetManifest,
-              features, tag: str = "") -> tuple[dict[int, Checkpoint], list[str]]:
-    """Pretrain ``mcfg`` once per seed as ``<arch>_<task><tag>_s<seed>``."""
-    ckpts, outputs = {}, []
+def model_name(cfg: ExperimentConfig, mcfg: ModelConfig | None) -> str:
+    """``<arch>_<pretrain task>``: the name of ``mcfg`` pretrained on ``data.pretrain``."""
+    return f"{required(mcfg, 'model').arch}_{required(cfg.data.pretrain, 'data.pretrain')}"
+
+
+def zoo_name(model: str, seed: int) -> str:
+    """The zoo entry, and checkpoint file stem, of ``model`` pretrained with ``seed``."""
+    return f"{model}_s{seed}"
+
+
+def _pretrain(cfg: ExperimentConfig, ws: Workspace, mcfg: ModelConfig, model: str,
+              manifest: DatasetManifest, features) -> list[str]:
+    """Pretrain ``mcfg`` once per seed and register each checkpoint as ``model``'s."""
+    outputs = []
     for seed in cfg.seeds:
-        name = f"{mcfg.arch}_{cfg.data.pretrain}{tag}_s{seed}"
+        name = zoo_name(model, seed)
         params = models.build_model(mcfg, seed=seed)
         result = training.train(mcfg, params, manifest, replace(cfg.train, seed=seed), features)
         _, bag_ids, labels, values = training.evaluate_split(
@@ -344,15 +365,14 @@ def _pretrain(cfg: ExperimentConfig, ws: Workspace, mcfg: ModelConfig, manifest:
         eval_result = evaluate_records(
             manifest.task.metric, manifest.task.n_classes, bag_ids, labels, values,
             n_bootstrap=cfg.protocol.n_bootstrap, seed=seed,
-            context={"protocol": "pretrain", "arch": mcfg.arch, "init": "scratch",
-                     "source_task": manifest.task.task_id,
+            context={"protocol": "pretrain", "model": model, "arch": mcfg.arch,
+                     "init": "scratch", "source_task": manifest.task.task_id,
                      "target_task": manifest.task.task_id, "seed": seed})
-        ckpts[seed] = Checkpoint(cfg=mcfg, params=result.params,
-                                 pretrain_task_id=manifest.task.task_id,
-                                 train_summary={"seed": seed, "epochs": len(result.history),
-                                                "best_val": result.best_val_metric()})
+        ckpt = Checkpoint(cfg=mcfg, params=result.params, pretrain_task_id=manifest.task.task_id,
+                          train_summary={"seed": seed, "epochs": len(result.history),
+                                         "best_val": result.best_val_metric()})
         ckpt_path = ws.checkpoints / f"{name}.milc"
-        transfer.save_checkpoint(ckpts[seed], ckpt_path)
+        transfer.save_checkpoint(ckpt, ckpt_path)
         with atomic_open(ws.checkpoints / f"{name}.history.jsonl") as fh:
             fh.write(result.history_jsonl())
         ws.write_result(f"pretrain_{name}", eval_result)
@@ -368,7 +388,7 @@ def _pretrain(cfg: ExperimentConfig, ws: Workspace, mcfg: ModelConfig, manifest:
         outputs.append(str(ckpt_path))
         print(f"pretrained {name}: test {eval_result.metric_name}="
               f"{eval_result.value:.4f} ({len(result.history)} epochs)")
-    return ckpts, outputs
+    return outputs
 
 
 def _pretrain_data(cfg: ExperimentConfig) -> tuple[DatasetManifest, dict]:
@@ -379,7 +399,7 @@ def _pretrain_data(cfg: ExperimentConfig) -> tuple[DatasetManifest, dict]:
 def cmd_pretrain(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
     manifest, features = _pretrain_data(cfg)
     mcfg = required(cfg.model, "model").retarget(manifest.task.n_classes)
-    return _pretrain(cfg, ws, mcfg, manifest, features)[1]
+    return _pretrain(cfg, ws, mcfg, model_name(cfg, mcfg), manifest, features)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +412,7 @@ INITS = ("pretrained", "random")
 @dataclass(frozen=True)
 class Job:
     protocol: str               # finetune | knn | svcca
+    model: str                  # model_name(), plus _p<n_params> for a scale row
     target: str
     init: str                   # pretrained | random | reset_<spec>
     seed: int
@@ -399,15 +420,10 @@ class Job:
 
 
 def grid(cfg: ExperimentConfig, protocol: str, inits, k_shots=(None,)) -> list[Job]:
-    return [Job(protocol, target, init, seed, k)
-            for target in required(cfg.data.targets, "data.targets") for k in k_shots
-            for seed in cfg.seeds for init in inits]
-
-
-def _zoo_source(cfg: ExperimentConfig, ws: Workspace, seed: int) -> Checkpoint:
-    arch = required(cfg.model, "model").arch
-    pretrain = required(cfg.data.pretrain, "data.pretrain")
-    return zoo_lookup(ws.zoo_path, f"{arch}_{pretrain}_s{seed}")
+    targets = required(cfg.data.targets, "data.targets")
+    model = model_name(cfg, cfg.model)
+    return [Job(protocol, model, target, init, seed, k)
+            for target in targets for k in k_shots for seed in cfg.seeds for init in inits]
 
 
 def _run_finetune(cfg: ExperimentConfig, jobs: list[Job], ckpt: Checkpoint,
@@ -415,13 +431,9 @@ def _run_finetune(cfg: ExperimentConfig, jobs: list[Job], ckpt: Checkpoint,
     k_shot, seed = jobs[0].k_shot, jobs[0].seed
     if k_shot is not None:
         target = fewshot_sample(target, k_shot, seed)
-    results = [res for _, res in transfer.finetune_group(
+    return [res for _, res in transfer.finetune_group(
         ckpt, [job.init for job in jobs], target, replace(cfg.train, seed=seed), features,
         n_bootstrap=cfg.protocol.n_bootstrap)]
-    if k_shot is not None:
-        for res in results:
-            res.context["k_shot"] = k_shot
-    return results
 
 
 def _run_knn(cfg: ExperimentConfig, jobs: list[Job], ckpt: Checkpoint,
@@ -436,11 +448,7 @@ def _run_knn(cfg: ExperimentConfig, jobs: list[Job], ckpt: Checkpoint,
     test_ids, test_emb, test_y = transfer.embed_bags(ckpt.cfg, params, target, "test", features)
     return [transfer.knn_evaluate(
         train_emb[j], train_y, test_emb[j], test_y, target.task, k=proto.knn_k,
-        distance=proto.distance, bag_ids=test_ids,
-        n_bootstrap=proto.n_bootstrap, seed=job.seed,
-        context={"arch": ckpt.cfg.arch, "init": job.init, "seed": job.seed,
-                 "source_task": transfer.source_task(ckpt, job.init),
-                 "target_task": job.target})
+        distance=proto.distance, bag_ids=test_ids, n_bootstrap=proto.n_bootstrap, seed=job.seed)
         for j, job in enumerate(jobs)]
 
 
@@ -457,7 +465,7 @@ def _run_svcca(cfg: ExperimentConfig, jobs: list[Job], ckpt: Checkpoint,
         Checkpoint(cfg=start_cfg, params=start), result.params, target,
         max_instances=proto.max_instances,
         seed=seed, variance_keep=proto.variance_keep, features=features,
-        model_tag=f"{ckpt.cfg.arch}_{job.init}_s{seed}")
+        model_tag=f"{job.model}_{job.target}_{job.init}_s{seed}")
         for job, (_, start), result in zip(jobs, starts, results)]
 
 
@@ -470,34 +478,36 @@ def _summary(result) -> str:
     return " ".join(f"{layer['name']}={layer['mean']:.1f}" for layer in result.layers)
 
 
-def run_jobs(cfg: ExperimentConfig, ws: Workspace, tag: str, jobs: list[Job],
-             source: dict[int, Checkpoint] | None = None) -> list[str]:
+def run_jobs(cfg: ExperimentConfig, ws: Workspace, tag: str, jobs: list[Job]) -> list[str]:
     """Run ``jobs`` in order and write one result per job.
 
-    Consecutive jobs that share (protocol, target, seed, k_shot) are
+    Consecutive jobs that share (protocol, model, target, seed, k_shot) are
     init-siblings and go to their runner together, which trains them as
-    one stack; the ``grid`` order puts siblings next to each other.
-    ``source`` maps seed -> checkpoint; seeds it lacks come from the zoo,
-    each loaded once.  A target's manifest and features are read once per
-    run of consecutive jobs on it, which the ``grid`` order makes once per
-    target.
+    one stack; the ``grid`` order puts siblings next to each other.  Each
+    (model, seed) checkpoint is read from the zoo once.  A target's manifest
+    and features are read once per run of consecutive jobs on it, which the
+    ``grid`` order makes once per target.  Here, and nowhere else, a result's
+    context records its job's identity.
     """
-    sources = dict(source or {})
+    checkpoint = cache(lambda model, seed: zoo_lookup(ws.zoo_path, zoo_name(model, seed)))
     loaded_target, target, features = None, None, None
     outputs = []
-    for (protocol, target_id, seed, k_shot), siblings in itertools.groupby(
-            jobs, key=lambda job: (job.protocol, job.target, job.seed, job.k_shot)):
+    for (protocol, model, target_id, seed, k_shot), siblings in itertools.groupby(
+            jobs, key=lambda job: (job.protocol, job.model, job.target, job.seed, job.k_shot)):
         siblings = list(siblings)
         if target_id != loaded_target:
             target = task_manifest(cfg, target_id)
             features = training.load_split_features(target)
             loaded_target = target_id
-        if seed not in sources:
-            sources[seed] = _zoo_source(cfg, ws, seed)
-        ckpt = sources[seed]
+        ckpt = checkpoint(model, seed)
         results = RUNNERS[protocol](cfg, siblings, ckpt, target, features)
         prefix = tag if k_shot is None else f"{tag}{k_shot}"
         for job, result in zip(siblings, results):
+            if isinstance(result, EvalResult):
+                result.context.update(
+                    model=model, arch=ckpt.cfg.arch, target_task=target_id, init=job.init,
+                    seed=seed, source_task=transfer.source_task(ckpt, job.init),
+                    **({} if k_shot is None else {"k_shot": k_shot}))
             name = f"{prefix}_{ckpt.cfg.arch}_{target_id}_{job.init}_s{seed}"
             outputs.append(str(ws.write_result(name, result)))
             print(f"{prefix} {ckpt.cfg.arch} -> {target_id} [{job.init}, seed {seed}]: "
@@ -530,22 +540,31 @@ def cmd_reset(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
 
 def cmd_scale_sweep(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
     rows = required(cfg.protocol.scale_rows, "protocol.scale_rows")
-    jobs = grid(cfg, "finetune", INITS)
     manifest, features = _pretrain_data(cfg)
+    mcfgs = [row.retarget(manifest.task.n_classes) for row in rows]
+    sizes = [models.param_count(mcfg) for mcfg in mcfgs]
+    names = [f"{model_name(cfg, mcfg)}_p{n_params}" for mcfg, n_params in zip(mcfgs, sizes)]
+    for i, model in enumerate(names):  # equal names would share checkpoints and results
+        if names.index(model) != i:
+            raise ConfigError(f"config: protocol.scale_rows[{names.index(model)}] and "
+                              f"protocol.scale_rows[{i}] both name model {model}")
     outputs = []
-    for row in rows:
-        mcfg = row.retarget(manifest.task.n_classes)
-        n_params = models.param_count(mcfg)
-        ckpts, paths = _pretrain(cfg, ws, mcfg, manifest, features, f"_p{n_params}")
-        outputs += paths + run_jobs(cfg, ws, f"scale{n_params}", jobs, source=ckpts)
+    for mcfg, n_params, model in zip(mcfgs, sizes, names):
+        # each row's jobs name the checkpoints that _pretrain registers
+        jobs = grid(replace(cfg, model=mcfg), "finetune", INITS)
+        outputs += _pretrain(cfg, ws, mcfg, model, manifest, features)
+        outputs += run_jobs(cfg, ws, f"scale{n_params}", [replace(j, model=model) for j in jobs])
     return outputs
 
 
-REPORT_KEYS = ("protocol", "k_shot", "task", "arch", "init")
+REPORT_KEYS = ("protocol", "k_shot", "task", "arch", "model", "init")
+# the result context field each report key reads, with its type
+RESULT_KEY = {"protocol": str, "k_shot": int | None, "target_task": str, "arch": str,
+              "model": str, "init": str}
 
 
-def _read_result(path: Path) -> EvalResult | None:
-    """A result file as an ``EvalResult``; None for an SVCCA report."""
+def _read_result(path: Path) -> tuple[tuple, float] | None:
+    """A result file's report key and value, typed; None for an SVCCA report."""
     try:
         d = json.loads(path.read_bytes().decode("utf-8"))
     except ValueError as exc:  # invalid JSON or not UTF-8
@@ -555,24 +574,23 @@ def _read_result(path: Path) -> EvalResult | None:
     if not isinstance(d, dict) or not isinstance(d.get("context", {}), dict):
         raise DataError(f"result {path}: expected an evaluation result object")
     try:
-        return EvalResult.from_dict(d)
+        ctx = EvalResult.from_dict(d).context
+        key = tuple(_typed(ctx.get(k) if k == "k_shot" else ctx[k], hint, f"context.{k}")
+                    for k, hint in RESULT_KEY.items())
+        return key, _typed(d["value"], float, "value")
     except KeyError as exc:
         raise DataError(f"result {path}: lacks {exc}") from exc
+    except ConfigError as exc:
+        raise DataError(f"result {path}: {exc}") from exc
 
 
 def cmd_report(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
-    # one group per (protocol, k_shot, task, arch, init): no mean mixes protocols
+    # one group per REPORT_KEYS: no mean mixes protocols, K values or models
     groups: dict[tuple, list[float]] = {}
     for path in sorted(ws.results.glob("*.json")):
-        res = _read_result(path)
-        if res is None:
-            continue
-        ctx = res.context
-        if not ctx.get("target_task") or not ctx.get("init"):
-            continue
-        key = (ctx.get("protocol", "?"), ctx.get("k_shot"), ctx["target_task"],
-               ctx.get("arch", "?"), ctx["init"])
-        groups.setdefault(key, []).append(res.value)
+        read = _read_result(path)
+        if read is not None:
+            groups.setdefault(read[0], []).append(read[1])
     if not groups:
         raise DataError(f"no evaluation results found under {ws.results}")
 
@@ -586,14 +604,14 @@ def cmd_report(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
     # deltas recomputed from the raw per-run values, never cached arithmetic
     deltas = {}
     gaps: dict[str, list[float]] = {}
-    for (protocol, k_shot, task, arch, init), values in groups.items():
-        base = groups.get((protocol, k_shot, task, arch, "random"))
+    for (protocol, k_shot, task, arch, model, init), values in groups.items():
+        base = groups.get((protocol, k_shot, task, arch, model, "random"))
         if init != "pretrained" or not base:
             continue
         label = protocol if k_shot is None else f"{protocol}{k_shot}"
         delta = float(np.mean(values) - np.mean(base))
-        deltas[f"{label}/{task}/{arch}"] = delta
-        gaps.setdefault(f"{label}/{arch}", []).append(delta)
+        deltas[f"{label}/{task}/{model}"] = delta
+        gaps.setdefault(f"{label}/{model}", []).append(delta)
     average = {key: float(np.mean(g)) for key, g in sorted(gaps.items())}
 
     report = {"rows": table, "deltas": dict(sorted(deltas.items())), "average_delta": average,
@@ -605,9 +623,8 @@ def cmd_report(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
     with atomic_open(csv_path) as fh:
         fh.write(",".join(REPORT_KEYS) + ",mean,n_runs\n")
         for row in table:
-            k_shot = "" if row["k_shot"] is None else row["k_shot"]
-            fh.write(f"{row['protocol']},{k_shot},{row['task']},{row['arch']},"
-                     f"{row['init']},{row['mean']:.6f},{row['n_runs']}\n")
+            cells = ("" if row[key] is None else row[key] for key in REPORT_KEYS)
+            fh.write(",".join(map(str, cells)) + f",{row['mean']:.6f},{row['n_runs']}\n")
     for key, delta in sorted(deltas.items()):
         print(f"delta {key}: {delta:+.4f}")
     print(f"report written to {report_path}")

@@ -138,14 +138,14 @@ def test_report_aggregates_and_computes_delta(pipeline):
         # one run per seed: knn and reset results stay out of the finetune rows
         assert pre["n_runs"] == rand["n_runs"] == len(cfg["seeds"])
         delta = pre["mean"] - rand["mean"]
-        assert report["deltas"][f"{protocol}/tgt/abmil"] == pytest.approx(delta)
-        assert report["average_delta"][f"{protocol}/abmil"] == pytest.approx(delta)
+        assert report["deltas"][f"{protocol}/tgt/abmil_pre4"] == pytest.approx(delta)
+        assert report["average_delta"][f"{protocol}/abmil_pre4"] == pytest.approx(delta)
     transfer = EvalResult.from_json(
         (tmp / "runs" / "results" / "transfer_abmil_tgt_pretrained_s0.json").read_text())
     assert rows[("finetune", None, "tgt", "pretrained")]["mean"] == transfer.value
     assert rows[("finetune", None, "tgt", "reset_attn")]["n_runs"] == len(cfg["seeds"])
     lines = (tmp / "runs" / "report.csv").read_text().splitlines()
-    assert lines[0] == "protocol,k_shot,task,arch,init,mean,n_runs"
+    assert lines[0] == "protocol,k_shot,task,arch,model,init,mean,n_runs"
     assert len(lines) == len(report["rows"]) + 1
 
 
@@ -155,29 +155,43 @@ def test_report_empty_results_is_data_error(tmp_path):
     assert main(["--config", cfg_path, "report"]) == 3
 
 
+GOOD_CONTEXT = {"protocol": "finetune", "target_task": "tgt", "arch": "abmil",
+                "model": "abmil_pre4", "init": "pretrained", "seed": 0}
+
+
 def _result_bytes(**changes) -> bytes:
-    res = EvalResult("auroc", 0.75, 0.01, 8, 0, ["b0"], [1], [0.75],
-                     {"protocol": "finetune", "target_task": "tgt", "arch": "abmil",
-                      "init": "pretrained", "seed": 0})
+    res = EvalResult("auroc", 0.75, 0.01, 8, 0, ["b0"], [1], [0.75], dict(GOOD_CONTEXT))
     d = json.loads(res.to_json())
     d.update(changes)
     return json.dumps(d).encode()
 
 
-# case -> (bytes of results/bad.json, or None for none, expected exit code)
+def _context_bytes(**changes) -> bytes:
+    """A result whose context is the good one with ``changes`` (None drops a key)."""
+    context = {**GOOD_CONTEXT, **changes}
+    return _result_bytes(context={k: v for k, v in context.items() if v is not None})
+
+
+# case -> (bytes of results/bad.json, or None for none, expected exit code,
+# the field the error names besides the file)
 REPORT_INPUTS = {
-    "list": (b"[]", 3),
-    "not_utf8": (b"\xff\xfe\x00 not json", 3),
-    "context_list": (_result_bytes(context=[]), 3),
-    "truncated": (_result_bytes()[:40], 3),
-    "no_metric": (b'{"value": 0.5}', 3),
-    "only_good_and_svcca": (None, 0),
+    "list": (b"[]", 3, ""),
+    "not_utf8": (b"\xff\xfe\x00 not json", 3, ""),
+    "context_list": (_result_bytes(context=[]), 3, ""),
+    "truncated": (_result_bytes()[:40], 3, ""),
+    "no_metric": (b'{"value": 0.5}', 3, "metric"),
+    "value_string": (_result_bytes(value="x"), 3, "value"),
+    "value_null": (_result_bytes(value=None), 3, "value"),
+    "init_list": (_context_bytes(init=["a"]), 3, "context.init"),
+    "k_shot_string": (_context_bytes(k_shot="4"), 3, "context.k_shot"),
+    "no_model": (_context_bytes(model=None), 3, "model"),
+    "only_good_and_svcca": (None, 0, ""),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REPORT_INPUTS))
 def test_report_malformed_result_is_data_error(tmp_path, capsys, case):
-    bad, want = REPORT_INPUTS[case]
+    bad, want, field = REPORT_INPUTS[case]
     cfg = base_config(tmp_path / "data", tmp_path / "runs")
     results = tmp_path / "runs" / "results"
     results.mkdir(parents=True)
@@ -191,6 +205,7 @@ def test_report_malformed_result_is_data_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     if want:
         assert err.startswith("data error: result ") and "bad.json" in err
+        assert field in err and "Traceback" not in err
     else:
         report = json.loads((tmp_path / "runs" / "report.json").read_text())
         assert report["n_results"] == 1
@@ -299,6 +314,47 @@ def test_scale_sweep(tmp_path):
     assert len(results) == 4  # 2 rows x 1 target x 2 inits x 1 seed
     pretrains = list((tmp_path / "runs" / "results").glob("pretrain_*_p*_s0.json"))
     assert len(pretrains) == 2  # one per scale row, named by param count
+
+
+def test_report_keeps_scale_rows_apart(tmp_path):
+    cfg = base_config(tmp_path / "data", tmp_path / "runs")
+    cfg["seeds"] = [0, 1]
+    cfg["protocol"]["scale_rows"] = [
+        {"embed_dim": 8, "attn_dim": 4}, {"embed_dim": 12, "attn_dim": 6}]
+    cfg["synthetic"]["tasks"][1]["n_bags_per_class"] = 12
+    cfg_path = write_config(tmp_path, cfg)
+    for command in ("generate", "pretrain", "transfer", "scale-sweep", "report"):
+        assert main(["--config", cfg_path, command]) == 0, command
+    report = json.loads((tmp_path / "runs" / "report.json").read_text())
+    keys = [(row["protocol"], row["task"], row["model"], row["init"]) for row in report["rows"]]
+    assert len(keys) == len(set(keys))
+    for row in report["rows"]:
+        # one model's runs, one per seed: no mean mixes checkpoints
+        assert row["n_runs"] == len(cfg["seeds"]), row
+    models = {}
+    for protocol, _, model, _ in keys:
+        models.setdefault(protocol, set()).add(model)
+    # the grid's model and one per scale row, each pretrained and finetuned
+    assert len(models["pretrain"]) == 3 and "abmil_pre4" in models["pretrain"]
+    assert models["finetune"] == models["pretrain"]
+    assert set(report["deltas"]) == {f"finetune/tgt/{model}" for model in models["finetune"]}
+
+
+def test_scale_rows_with_one_name_are_config_errors(pipeline, tmp_path, capsys):
+    tmp, cfg, _ = pipeline
+    cfg = json.loads(json.dumps(cfg))
+    # dropout changes no parameter count, so both rows would be abmil_pre4_p<n>
+    cfg["protocol"]["scale_rows"] = [{"dropout_ff": 0.0}, {"embed_dim": 8},
+                                     {"dropout_ff": 0.5}]
+    argv = ["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out"),
+            "--zoo", str(tmp_path / "zoo.json")]
+    capsys.readouterr()
+    assert main(argv + ["scale-sweep"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert "scale_rows[0]" in err and "scale_rows[2]" in err
+    # raised before any training: nothing pretrained, registered or evaluated
+    assert not list((tmp_path / "out").rglob("*.*")) and not (tmp_path / "zoo.json").exists()
 
 
 @pytest.mark.parametrize("rows", [[[1]], [{"fc_hidden_dims": 5}],
@@ -596,7 +652,27 @@ def test_report_keeps_fewshot_k_rows_apart(two_target_grid):
             rand = rows[("finetune", k, target, "random")]
             assert pre["n_runs"] == rand["n_runs"] == len(cfg["seeds"])
             label = "finetune" if k is None else f"finetune{k}"
-            assert report["deltas"][f"{label}/{target}/abmil"] == pytest.approx(
+            assert report["deltas"][f"{label}/{target}/abmil_pre4"] == pytest.approx(
                 pre["mean"] - rand["mean"])
     assert set(report["average_delta"]) == {
-        "finetune/abmil", "finetune4/abmil", "finetune16/abmil", "knn/abmil"}
+        "finetune/abmil_pre4", "finetune4/abmil_pre4", "finetune16/abmil_pre4",
+        "knn/abmil_pre4"}
+
+
+def test_grid_commands_are_byte_deterministic(two_target_grid, tmp_path):
+    """The ``two_target_grid`` commands, re-run on a second data root and
+    output directory, write every file byte for byte again once those two
+    paths are normalised."""
+    tmp, cfg, _ = two_target_grid
+    cfg = json.loads(json.dumps(cfg))
+    cfg["data"]["root"], cfg["output_dir"] = str(tmp_path / "data"), str(tmp_path / "runs")
+    cfg_path = write_config(tmp_path, cfg)
+    for command in ("generate", "pretrain", *GRID_COMMANDS, "report"):
+        assert main(["--config", cfg_path, command]) == 0, command
+    for root in ("data", "runs"):
+        first, second = tmp / root, tmp_path / root
+        files = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())
+        for name in files:
+            got = (second / name).read_bytes().replace(str(tmp_path).encode(), str(tmp).encode())
+            assert got == (first / name).read_bytes(), name
