@@ -1,7 +1,12 @@
 """Representation analysis: activation capture and SVCCA layer stability.
 
 Activations are the ``ForwardOutput.activations`` that ``models.eval_pass``
-already computes (``fc.{i}`` post-ReLU, ``attn`` pre-softmax score).
+already computes (``fc.{i}`` post-ReLU, ``attn`` pre-softmax score).  The
+pass yields them as views into its tile outputs, so ``capture_activations``
+copies each sampled instance's row out as its bag goes by.  Only the bags
+that hold sampled instances are packed into tiles, and a bag's rows do not
+depend on which other bags share its tile: a subsample's rows equal the
+same rows of a full capture, bit for bit.
 
 SVCCA works on Gram matrices.  It centers both activation matrices X and Y
 (n samples by width w), forms the three w x w Grams X'X, Y'Y and X'Y, and

@@ -20,9 +20,50 @@ init-siblings: give every parameter a leading job axis, shape
 while each job's outputs and gradients equal its own unstacked call bit
 for bit.
 
-``eval_pass`` is the one eval-mode loop over a split's bags: embeddings,
-test logits, attention maps and SVCCA activations are all read from the
-``ForwardOutput`` it yields.
+The forward runs in two stages:
+
+* the **instance stage** holds the row-wise layers: the FC stack, gated
+  attention's V and U projections and their product
+  ``m = tanh(.) * sigmoid(.)`` (abmil, auxmil), and max's per-instance
+  logits.  For the transformer it is the FC stack alone, since its blocks
+  mix a bag's instances;
+* the **bag stage** holds everything that mixes a bag's rows: the width-1
+  score ``m @ attn.w.T``, the softmax, pooling, the transformer blocks
+  and the classifier.
+
+Training runs both stages on one bag's rows, one bag per step.
+``eval_pass``, the one eval-mode loop over a split's bags, runs the
+instance stage over the split's concatenated instances in tiles of exactly
+``EVAL_TILE_ROWS`` rows, then the bag stage on each bag's row slice.
+Embeddings, test and validation logits, attention maps and SVCCA
+activations are all read from the ``ForwardOutput`` it yields, and
+eval-mode ``forward`` is the same pass over one bag.
+
+Why fixed tiles.  Under OpenBLAS 0.3.31 (Haswell kernels, numpy 2.4) a row
+of a float32 matmul is not always bitwise equal to the same row computed
+at another row count M.  Rows of a 512-row product against the same rows
+computed per bag, for 25 bags of 24-48 rows, with 1 or 2 BLAS threads:
+
+    layer        bags whose rows differ
+    32 -> 32     14/25
+    32 -> 16     25/25
+    64 -> 32     14/25
+    48 -> 40      7/25
+    16 -> 1       9/25
+    64 -> 64, 512 -> 384, 1024 -> 512    0/25
+
+At a fixed M, though, a row's result did not depend on its position in the
+matrix or on its neighbours, at every width tried.  So every
+instance-stage matmul is ``(k, EVAL_TILE_ROWS, d) @ W.T``, one BLAS call
+per tile, with zero rows after the last bag.  By construction a bag's eval
+outputs then depend only on the parameters and that bag: a stacked job's
+row equals its solo pass, and a pass over a subset of bags equals the same
+bags of the full pass.  Eval and the per-bag training kernel agree to
+float32 rounding, and bitwise at the widths in the last table row.  The
+score gemv stays in the bag stage: at a varying M its rows moved (the
+16 -> 1 row), while per bag it is the per-bag kernel's own call.  So at
+widths like the last row's, eval embeddings, logits and ``fc``/``attn``
+activations keep the bytes of the per-bag pass.
 """
 
 from __future__ import annotations
@@ -38,6 +79,7 @@ ARCHS = ("mean", "max", "abmil", "transformer", "auxmil")
 N_HEADS = 8
 LN_EPS = 1e-5
 AUX_TOPK = 8  # instances pseudo-labeled per side of the auxiliary loss
+EVAL_TILE_ROWS = 512  # rows per instance-stage matmul in the eval pass
 
 ModelParams = dict[str, np.ndarray]
 
@@ -94,7 +136,13 @@ class ModelConfig:
 
 @dataclass
 class ForwardOutput:
-    """One bag's outputs; a stack of J siblings adds a leading J axis."""
+    """One bag's outputs; a stack of J siblings adds a leading J axis.
+
+    The per-bag training kernel fills every field.  ``eval_pass`` fills all
+    but ``aux_logits``, which no eval reader uses, and its ``activations``
+    are views into the tile outputs of the bag's chunk: a reader that keeps
+    one keeps that chunk's tile alive.
+    """
     logits: np.ndarray      # (n_classes,)
     embedding: np.ndarray   # (embed_dim,) pooled pre-classifier representation
     attention: np.ndarray   # (n_instances,) nonnegative, sums to 1
@@ -300,15 +348,21 @@ def _fc_backward(g, fc_cache, params, grads):
             g = g @ params[f"fc.{i}.weight"]
 
 
-def _gated_attention_forward(params, h):
+def _gated_rows(params, h):
+    """Gated attention's row-wise half: m = tanh(V h) * sigmoid(U h)."""
     t = np.tanh(h @ _T(params["attn.V.weight"]) + params["attn.V.bias"][..., None, :])
     s = 1.0 / (1.0 + np.exp(-(h @ _T(params["attn.U.weight"])
                               + params["attn.U.bias"][..., None, :])))
-    m = t * s
+    return {"t": t, "s": s, "m": t * s}
+
+
+def _attention_pool(params, rows):
+    """Gated attention's bag half, on one bag's ``h``, ``t``, ``s`` and
+    ``m`` rows: the width-1 scores, their softmax and the pooled ``h``."""
+    h, m = rows["h"], rows["m"]
     scores = (m @ _T(params["attn.w.weight"]))[..., 0] + params["attn.w.bias"]
     att = softmax(scores)
-    pooled = _vecmat(att, h)
-    return {"h": h, "t": t, "s": s, "m": m, "scores": scores, "att": att, "pooled": pooled}
+    return {**rows, "scores": scores, "att": att, "pooled": _vecmat(att, h)}
 
 
 def _gated_attention_backward(g_pooled, c, params, grads):
@@ -432,27 +486,44 @@ def _tx_block_backward(g, c, params, cfg, i, grads):
     return g + g_x_ln  # residual join at x_in
 
 
-def _forward_cached(params: ModelParams, cfg: ModelConfig, features: np.ndarray,
-                    rng: np.random.Generator | None):
+def _checked_bag(features, cfg: ModelConfig, where: str = "bag") -> np.ndarray:
+    """One bag's (instances, in_dim) features; ``where`` names it in errors."""
     x = np.asarray(features)
     if x.ndim != 2:
-        raise DataError(f"bag features must be 2-d, got shape {x.shape}")
+        raise DataError(f"{where} features must be 2-d, got shape {x.shape}")
     if x.shape[1] != cfg.in_dim:
-        raise DataError(f"feature dim {x.shape[1]} does not match model in_dim {cfg.in_dim}")
+        raise DataError(f"{where} feature dim {x.shape[1]} does not match model "
+                        f"in_dim {cfg.in_dim}")
     if x.shape[0] < 1:
-        raise DataError("bag must hold at least one instance")
+        raise DataError(f"{where} must hold at least one instance")
     if not np.isfinite(x).all():
-        raise DataError("bag features contain non-finite values")
+        raise DataError(f"{where} features contain non-finite values")
+    return x
 
-    n = x.shape[0]
-    cache: dict = {}
-    if rng is not None and cfg.dropout_input > 0:
-        x, cache["input_drop"] = _dropout(rng, x, cfg.dropout_input)
-    h, cache["fc"] = _fc_forward(params, cfg, x, rng)
-    cache["h"] = h
-    activations = {f"fc.{i}": c["relu"] for i, c in enumerate(cache["fc"])}
+
+def _instance_stage(params, cfg, x, rng):
+    """The row-wise layers: the FC stack, then max's per-instance logits or
+    gated attention's ``t``, ``s`` and ``m``.  Output row i depends on input
+    row i alone.  Returns (rows by name, FC cache)."""
+    h, fc_cache = _fc_forward(params, cfg, x, rng)
+    rows = {"h": h}
+    if cfg.arch == "max":
+        rows["inst_logits"] = (h @ _T(params["classifier.weight"])
+                               + params["classifier.bias"][..., None, :])
+    elif cfg.arch in ("abmil", "auxmil"):
+        rows.update(_gated_rows(params, h))
+    return rows, fc_cache
+
+
+def _bag_stage(params, cfg, rows, rng):
+    """Everything that mixes one bag's rows: the attention score, softmax,
+    pooling, the transformer blocks and the classifier.  Returns the output,
+    whose ``activations`` hold ``attn`` only, and the backward's cache."""
+    h = rows["h"]
+    n = h.shape[-2]
     lead = h.shape[:-2]  # () for one model, (J,) for a stack of siblings
     wc, bc = params["classifier.weight"], params["classifier.bias"]
+    cache: dict = {"h": h}
 
     if cfg.arch == "mean":
         pooled = h.mean(axis=-2)
@@ -460,7 +531,7 @@ def _forward_cached(params: ModelParams, cfg: ModelConfig, features: np.ndarray,
         attention = np.full((*lead, n), 1.0 / n, dtype=h.dtype)
         out = ForwardOutput(logits, pooled, attention)
     elif cfg.arch == "max":
-        inst_logits = h @ _T(wc) + bc[..., None, :]
+        inst_logits = rows["inst_logits"]
         # binary: rank instances by the positive-class logit; otherwise by
         # their best logit over classes
         sel = inst_logits[..., 1] if cfg.n_classes == 2 else inst_logits.max(axis=-1)
@@ -471,14 +542,11 @@ def _forward_cached(params: ModelParams, cfg: ModelConfig, features: np.ndarray,
         out = ForwardOutput(np.take_along_axis(inst_logits, best, axis=-2)[..., 0, :],
                             np.take_along_axis(h, best, axis=-2)[..., 0, :], attention[..., 0])
     elif cfg.arch in ("abmil", "auxmil"):
-        att_c = _gated_attention_forward(params, h)
+        att_c = _attention_pool(params, rows)
         cache["attn"] = att_c
-        activations["attn"] = att_c["scores"][..., None]
         logits = _vecmat(att_c["pooled"], _T(wc)) + bc
-        aux_logits = None
-        if cfg.arch == "auxmil":
-            aux_logits = h @ _T(params["aux.head.weight"]) + params["aux.head.bias"][..., None, :]
-        out = ForwardOutput(logits, att_c["pooled"], att_c["att"], aux_logits)
+        out = ForwardOutput(logits, att_c["pooled"], att_c["att"])
+        out.activations["attn"] = att_c["scores"][..., None]
     else:  # transformer
         cls = np.broadcast_to(params["cls_token"][..., None, :], (*lead, 1, cfg.embed_dim))
         tokens = np.concatenate([cls, h], axis=-2)
@@ -494,8 +562,76 @@ def _forward_cached(params: ModelParams, cfg: ModelConfig, features: np.ndarray,
         raw = blocks[-1]["p"][..., 0, 1:].mean(axis=-2)
         attention = raw / raw.sum(axis=-1, keepdims=True)
         out = ForwardOutput(logits, pooled, attention)
-    out.activations = activations
     return out, cache
+
+
+def _aux_head(params, h):
+    return h @ _T(params["aux.head.weight"]) + params["aux.head.bias"][..., None, :]
+
+
+def _forward_cached(params: ModelParams, cfg: ModelConfig, features: np.ndarray,
+                    rng: np.random.Generator | None):
+    """The per-bag kernel that training runs: both stages on one bag's rows."""
+    x = _checked_bag(features, cfg)
+    cache: dict = {}
+    if rng is not None and cfg.dropout_input > 0:
+        x, cache["input_drop"] = _dropout(rng, x, cfg.dropout_input)
+    rows, cache["fc"] = _instance_stage(params, cfg, x, rng)
+    out, bag_cache = _bag_stage(params, cfg, rows, rng)
+    cache.update(bag_cache)
+    out.activations = {**{f"fc.{i}": c["relu"] for i, c in enumerate(cache["fc"])},
+                       **out.activations}
+    if cfg.arch == "auxmil":
+        out.aux_logits = _aux_head(params, rows["h"])
+    return out, cache
+
+
+def _eval_tiles(params: ModelParams, cfg: ModelConfig, bags):
+    """Eval outputs for ``(key, checked features)`` pairs, in order.
+
+    Bags are packed into one reused input buffer, a chunk at a time: the
+    whole bags that fit in one tile, or a single bag longer than a tile.
+    The instance stage runs on the chunk as (k, EVAL_TILE_ROWS, in_dim)
+    with zero rows after the last bag, the bag stage on each bag's slice.
+    """
+    tile = EVAL_TILE_ROWS
+    # a stack's parameters take an axis for the chunk's k tiles
+    tile_params = (params if params["classifier.bias"].ndim == 1
+                   else {name: value[:, None] for name, value in params.items()})
+    buf, chunk, fill = None, [], 0
+
+    def run_chunk():
+        n_rows = -(-fill // tile) * tile
+        buf[fill:n_rows] = 0
+        rows, fc_cache = _instance_stage(tile_params, cfg,
+                                         buf[:n_rows].reshape(-1, tile, cfg.in_dim), None)
+
+        def flat(a):  # (..., k, tile, width) -> (..., k * tile, width), a view
+            return a.reshape(*a.shape[:-3], n_rows, a.shape[-1])
+
+        rows = {name: flat(a) for name, a in rows.items()}
+        fc_acts = {f"fc.{i}": flat(c["relu"]) for i, c in enumerate(fc_cache)}
+        for key, start, n in chunk:
+            bag = slice(start, start + n)
+            out, _ = _bag_stage(params, cfg, {name: a[..., bag, :] for name, a in rows.items()},
+                                None)
+            out.activations = {**{name: a[..., bag, :] for name, a in fc_acts.items()},
+                               **out.activations}
+            yield key, out
+
+    for key, x in bags:
+        n = x.shape[0]
+        if chunk and fill + n > tile:
+            yield from run_chunk()
+            chunk, fill = [], 0
+        if buf is None or fill + n > buf.shape[0]:
+            buf = np.empty((-(-(fill + n) // tile) * tile, cfg.in_dim),
+                           dtype=np.result_type(params["fc.0.weight"], x))
+        buf[fill:fill + n] = x
+        chunk.append((key, fill, n))
+        fill += n
+    if chunk:
+        yield from run_chunk()
 
 
 def _dropout_rng(train_mode: bool, dropout_seed) -> np.random.Generator | None:
@@ -508,33 +644,60 @@ def _dropout_rng(train_mode: bool, dropout_seed) -> np.random.Generator | None:
 
 def forward(params: ModelParams, cfg: ModelConfig, features: np.ndarray,
             train_mode: bool = False, dropout_seed: int | None = None) -> ForwardOutput:
-    """Evaluate one bag.  Deterministic in eval mode; in train mode the
-    dropout pattern is a pure function of ``dropout_seed``.  Parameters
-    with a leading job axis give outputs with that axis."""
-    out, _ = _forward_cached(params, cfg, features, _dropout_rng(train_mode, dropout_seed))
+    """Evaluate one bag.  Parameters with a leading job axis give outputs
+    with that axis.
+
+    Eval mode is ``eval_pass`` on this one bag, plus auxmil's ``aux_logits``;
+    it is deterministic.  Train mode runs the per-bag training kernel, and
+    its dropout pattern is a pure function of ``dropout_seed``.
+    """
+    if train_mode:
+        return _forward_cached(params, cfg, features, _dropout_rng(True, dropout_seed))[0]
+    _, out = next(_eval_tiles(params, cfg, [(None, _checked_bag(features, cfg))]))
+    if cfg.arch == "auxmil":  # on h, the last FC layer's output
+        out.aux_logits = _aux_head(params, out.activations[f"fc.{len(cfg.fc_dims()) - 2}"])
     return out
 
 
 def eval_pass(params: ModelParams, cfg: ModelConfig, manifest, split: str,
               features: dict[str, np.ndarray] | None = None, bag_ids=None):
-    """Eval-mode ``forward`` over one split of a ``DatasetManifest``, in
+    """The eval-mode pass over one split of a ``DatasetManifest``, in
     manifest order.
 
-    Yields ``(entry, ForwardOutput)`` per bag and keeps none of them.  A
-    bag's features come from ``features`` (keyed by bag id) when given,
+    Yields ``(entry, ForwardOutput)`` per bag and keeps none of them.  Each
+    output holds ``logits``, ``embedding``, ``attention`` and
+    ``activations``; ``aux_logits`` is None, since no eval reader uses it.
+    The activations are views into the tile outputs of the bag's chunk.
+
+    A bag's features come from ``features`` (keyed by bag id) when given,
     else from its feature file.  ``bag_ids``, when given, restricts the
     pass to those bags.  Parameters with a leading job axis evaluate every
-    sibling on each bag.  Raises ``DataError`` for an empty split and
-    ``NumericError`` naming the first bag whose logits are not finite.
+    sibling on each bag.
+
+    The instance stage runs on tiles of exactly ``EVAL_TILE_ROWS`` rows and
+    the bag stage on each bag's rows (see the module docstring).  So a
+    bag's outputs depend only on the parameters and that bag: a stack's row
+    j equals job j's solo pass, and a ``bag_ids`` subset equals the same
+    bags of the full pass, bit for bit.  A chunk holds the whole bags that
+    fit in one tile, or one longer bag, and one input buffer serves the
+    pass, so memory follows the tile height and not the split.
+
+    Raises ``DataError`` for an empty split.  A malformed bag raises
+    ``DataError`` and the first bag whose logits are not finite raises
+    ``NumericError``; both name the split and the bag.
     """
     entries = manifest.split(split)
     if not entries:
         raise DataError(f"split {split!r} is empty")
-    for e in entries:
-        if bag_ids is not None and e.bag_id not in bag_ids:
-            continue
-        x = features[e.bag_id] if features is not None else manifest.load_features(e)
-        out = forward(params, cfg, x)
+    if bag_ids is not None:
+        entries = [e for e in entries if e.bag_id in bag_ids]
+
+    def bags():
+        for e in entries:
+            x = features[e.bag_id] if features is not None else manifest.load_features(e)
+            yield e, _checked_bag(x, cfg, f"{split} bag {e.bag_id!r}")
+
+    for e, out in _eval_tiles(params, cfg, bags()):
         if not np.isfinite(out.logits).all():
             raise NumericError(f"non-finite logits on {split} bag {e.bag_id!r}")
         yield e, out

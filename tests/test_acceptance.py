@@ -304,6 +304,7 @@ def _one_sided_p(gaps):
     return p_two / 2 if t > 0 else 1 - p_two / 2
 
 
+@pytest.mark.slow
 def test_criterion_5_transfer_benefit(suite, abmil_runs, tx_ckpt):
     gaps = {"abmil": [], "transformer": []}
     for t, (target, features) in enumerate(zip(suite["targets"], suite["target_features"])):
@@ -327,6 +328,7 @@ def test_criterion_5_transfer_benefit(suite, abmil_runs, tx_ckpt):
 # criterion 6: few-shot gap ordering (ABMIL)
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_6_fewshot_ordering(suite, abmil_ckpt):
     wins = 0
     per_seed = []
@@ -350,6 +352,7 @@ def test_criterion_6_fewshot_ordering(suite, abmil_ckpt):
 # criterion 7: reset ordering (monotone degradation)
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_reset_ordering(suite, abmil_runs):
     values = {"full": [], "attn": [], "all": []}
     for t in range(len(suite["targets"])):
@@ -369,6 +372,7 @@ def test_criterion_7_reset_ordering(suite, abmil_runs):
 # criterion 8: stability ordering (attention-layer SVCCA)
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_8_stability_ordering(suite, abmil_ckpt, abmil_runs):
     target = suite["targets"][0]
     features = suite["target_features"][0]
