@@ -1,5 +1,7 @@
 """Representation analysis: activation capture and SVCCA layer stability.
 
+Bag features come only from the caller's cache, keyed by bag id
+(``training.load_split_features``); nothing here reads a feature file.
 Activations are the ``ForwardOutput.activations`` that ``models.eval_pass``
 already computes (``fc.{i}`` post-ReLU, ``attn`` pre-softmax score).  The
 pass yields them as views into its tile outputs, so ``capture_activations``
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import models, training
+from . import models
 from .bagdata import DatasetManifest
 from .errors import ConfigError, DataError, NumericError
 from .models import ModelConfig, ModelParams
@@ -65,11 +67,9 @@ def _capturable_layers(cfg: ModelConfig) -> list[str]:
 
 
 def sample_instances(manifest: DatasetManifest, split: str, max_instances: int,
-                     seed: int, features: dict[str, np.ndarray] | None = None):
+                     seed: int, features: dict[str, np.ndarray]) -> list[tuple[str, int]]:
     """Deterministic subsample of up to max_instances (bag, instance) pairs
     across a split, in manifest order.  An empty split gives no pairs."""
-    if features is None:
-        features = training.load_split_features(manifest, (split,))
     pairs = []
     for e in manifest.split(split):
         for j in range(features[e.bag_id].shape[0]):
@@ -78,14 +78,13 @@ def sample_instances(manifest: DatasetManifest, split: str, max_instances: int,
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(len(pairs), size=max_instances, replace=False))
         pairs = [pairs[i] for i in idx]
-    return pairs, features
+    return pairs
 
 
 def capture_activations(cfg: ModelConfig, params: ModelParams,
                         manifest: DatasetManifest, layer_names: list[str],
                         max_instances: int = DEFAULT_SAMPLE_BUDGET, seed: int = 0,
-                        split: str = "test",
-                        features: dict[str, np.ndarray] | None = None,
+                        split: str = "test", *, features: dict[str, np.ndarray],
                         pairs=None) -> list[ActivationDump]:
     """Per-instance activations for the named layers on a seeded instance
     subsample.
@@ -101,7 +100,7 @@ def capture_activations(cfg: ModelConfig, params: ModelParams,
         if name not in known:
             raise ConfigError(f"unknown activation layer {name!r}; available: {known}")
     if pairs is None:
-        pairs, features = sample_instances(manifest, split, max_instances, seed, features)
+        pairs = sample_instances(manifest, split, max_instances, seed, features)
 
     by_bag: dict[str, list[int]] = {}
     for bag_id, j in pairs:
@@ -183,8 +182,8 @@ def layer_stability_report(before: Checkpoint, after_params: ModelParams,
                            layer_names: list[str] | None = None,
                            max_instances: int = DEFAULT_SAMPLE_BUDGET,
                            seed: int = 0, variance_keep: float = 0.99,
-                           split: str = "test", model_tag: str = "",
-                           features: dict[str, np.ndarray] | None = None) -> StabilityReport:
+                           split: str = "test", model_tag: str = "", *,
+                           features: dict[str, np.ndarray]) -> StabilityReport:
     """SVCCA between each layer's activations under the checkpoint weights
     and under ``after_params``, on an identical instance sample, both
     captured in one pass as a stack of two."""
@@ -194,7 +193,7 @@ def layer_stability_report(before: Checkpoint, after_params: ModelParams,
             raise DataError(f"after-params do not match the checkpoint architecture ({name})")
     if layer_names is None:
         layer_names = _capturable_layers(cfg)
-    pairs, features = sample_instances(manifest, split, max_instances, seed, features)
+    pairs = sample_instances(manifest, split, max_instances, seed, features)
     layers = []
     # no name holds the stacked parameters, so they are freed before SVCCA runs
     for dump in capture_activations(cfg, models.stack_params([before.params, after_params]),

@@ -171,15 +171,7 @@ class DatasetManifest:
     def has_val(self) -> bool:
         return any(e.split == "val" for e in self.entries)
 
-    def entry(self, bag_id: str) -> ManifestEntry:
-        for e in self.entries:
-            if e.bag_id == bag_id:
-                return e
-        raise DataError(f"unknown bag_id {bag_id!r}")
-
-    def load_features(self, entry: ManifestEntry | str) -> np.ndarray:
-        if isinstance(entry, str):
-            entry = self.entry(entry)
+    def load_features(self, entry: ManifestEntry) -> np.ndarray:
         path = Path(entry.path)
         if not path.is_absolute():
             path = self.root / path

@@ -31,13 +31,14 @@ The forward runs in two stages:
   score ``m @ attn.w.T``, the softmax, pooling, the transformer blocks
   and the classifier.
 
-Training runs both stages on one bag's rows, one bag per step.
-``eval_pass``, the one eval-mode loop over a split's bags, runs the
-instance stage over the split's concatenated instances in tiles of exactly
-``EVAL_TILE_ROWS`` rows, then the bag stage on each bag's row slice.
-Embeddings, test and validation logits, attention maps and SVCCA
-activations are all read from the ``ForwardOutput`` it yields, and
-eval-mode ``forward`` is the same pass over one bag.
+``forward`` and ``loss_and_grads`` run the per-bag kernel: both stages on
+one bag's rows, with dropout exactly when a ``dropout_seed`` is given.
+Training takes one bag per step.  ``eval_pass``, the one eval-mode loop
+over a split's bags and the one tiled reader, runs the instance stage over
+the split's concatenated instances in tiles of exactly ``EVAL_TILE_ROWS``
+rows, then the bag stage on each bag's row slice.  Embeddings, test and
+validation logits, attention maps and SVCCA activations are all read from
+the ``ForwardOutput`` it yields.
 
 Why fixed tiles.  Under OpenBLAS 0.3.31 (Haswell kernels, numpy 2.4) a row
 of a float32 matmul is not always bitwise equal to the same row computed
@@ -58,7 +59,7 @@ instance-stage matmul is ``(k, EVAL_TILE_ROWS, d) @ W.T``, one BLAS call
 per tile, with zero rows after the last bag.  By construction a bag's eval
 outputs then depend only on the parameters and that bag: a stacked job's
 row equals its solo pass, and a pass over a subset of bags equals the same
-bags of the full pass.  Eval and the per-bag training kernel agree to
+bags of the full pass.  ``eval_pass`` and the per-bag kernel agree to
 float32 rounding, and bitwise at the widths in the last table row.  The
 score gemv stays in the bag stage: at a varying M its rows moved (the
 16 -> 1 row), while per bag it is the per-bag kernel's own call.  So at
@@ -565,13 +566,10 @@ def _bag_stage(params, cfg, rows, rng):
     return out, cache
 
 
-def _aux_head(params, h):
-    return h @ _T(params["aux.head.weight"]) + params["aux.head.bias"][..., None, :]
-
-
 def _forward_cached(params: ModelParams, cfg: ModelConfig, features: np.ndarray,
                     rng: np.random.Generator | None):
-    """The per-bag kernel that training runs: both stages on one bag's rows."""
+    """The per-bag kernel that ``forward`` and training run: both stages on
+    one bag's rows."""
     x = _checked_bag(features, cfg)
     cache: dict = {}
     if rng is not None and cfg.dropout_input > 0:
@@ -582,7 +580,8 @@ def _forward_cached(params: ModelParams, cfg: ModelConfig, features: np.ndarray,
     out.activations = {**{f"fc.{i}": c["relu"] for i, c in enumerate(cache["fc"])},
                        **out.activations}
     if cfg.arch == "auxmil":
-        out.aux_logits = _aux_head(params, rows["h"])
+        out.aux_logits = (rows["h"] @ _T(params["aux.head.weight"])
+                          + params["aux.head.bias"][..., None, :])
     return out, cache
 
 
@@ -634,33 +633,25 @@ def _eval_tiles(params: ModelParams, cfg: ModelConfig, bags):
         yield from run_chunk()
 
 
-def _dropout_rng(train_mode: bool, dropout_seed) -> np.random.Generator | None:
-    if not train_mode:
-        return None
-    if dropout_seed is None:
-        raise ConfigError("train_mode requires a dropout_seed")
-    return np.random.default_rng(dropout_seed)
+def _dropout_rng(dropout_seed) -> np.random.Generator | None:
+    return None if dropout_seed is None else np.random.default_rng(dropout_seed)
 
 
 def forward(params: ModelParams, cfg: ModelConfig, features: np.ndarray,
-            train_mode: bool = False, dropout_seed: int | None = None) -> ForwardOutput:
-    """Evaluate one bag.  Parameters with a leading job axis give outputs
-    with that axis.
+            dropout_seed: int | None = None) -> ForwardOutput:
+    """Evaluate one bag with the per-bag kernel.  Parameters with a leading
+    job axis give outputs with that axis.
 
-    Eval mode is ``eval_pass`` on this one bag, plus auxmil's ``aux_logits``;
-    it is deterministic.  Train mode runs the per-bag training kernel, and
-    its dropout pattern is a pure function of ``dropout_seed``.
+    Without a ``dropout_seed`` it is deterministic and runs no dropout; with
+    one, the dropout pattern is a pure function of the seed.  Either way the
+    output equals ``loss_and_grads(..., dropout_seed=dropout_seed)[2]`` bit
+    for bit.  ``eval_pass`` is the split-wide reader.
     """
-    if train_mode:
-        return _forward_cached(params, cfg, features, _dropout_rng(True, dropout_seed))[0]
-    _, out = next(_eval_tiles(params, cfg, [(None, _checked_bag(features, cfg))]))
-    if cfg.arch == "auxmil":  # on h, the last FC layer's output
-        out.aux_logits = _aux_head(params, out.activations[f"fc.{len(cfg.fc_dims()) - 2}"])
-    return out
+    return _forward_cached(params, cfg, features, _dropout_rng(dropout_seed))[0]
 
 
 def eval_pass(params: ModelParams, cfg: ModelConfig, manifest, split: str,
-              features: dict[str, np.ndarray] | None = None, bag_ids=None):
+              features: dict[str, np.ndarray], bag_ids=None):
     """The eval-mode pass over one split of a ``DatasetManifest``, in
     manifest order.
 
@@ -669,10 +660,10 @@ def eval_pass(params: ModelParams, cfg: ModelConfig, manifest, split: str,
     ``activations``; ``aux_logits`` is None, since no eval reader uses it.
     The activations are views into the tile outputs of the bag's chunk.
 
-    A bag's features come from ``features`` (keyed by bag id) when given,
-    else from its feature file.  ``bag_ids``, when given, restricts the
-    pass to those bags.  Parameters with a leading job axis evaluate every
-    sibling on each bag.
+    A bag's features come only from the caller's cache ``features``, keyed
+    by bag id (``training.load_split_features``); the pass reads no file.
+    ``bag_ids``, when given, restricts the pass to those bags.  Parameters
+    with a leading job axis evaluate every sibling on each bag.
 
     The instance stage runs on tiles of exactly ``EVAL_TILE_ROWS`` rows and
     the bag stage on each bag's rows (see the module docstring).  So a
@@ -694,8 +685,7 @@ def eval_pass(params: ModelParams, cfg: ModelConfig, manifest, split: str,
 
     def bags():
         for e in entries:
-            x = features[e.bag_id] if features is not None else manifest.load_features(e)
-            yield e, _checked_bag(x, cfg, f"{split} bag {e.bag_id!r}")
+            yield e, _checked_bag(features[e.bag_id], cfg, f"{split} bag {e.bag_id!r}")
 
     for e, out in _eval_tiles(params, cfg, bags()):
         if not np.isfinite(out.logits).all():
@@ -704,20 +694,21 @@ def eval_pass(params: ModelParams, cfg: ModelConfig, manifest, split: str,
 
 
 def loss_and_grads(params: ModelParams, cfg: ModelConfig, features: np.ndarray,
-                   label: int, aux_weight: float = 0.0, train_mode: bool = False,
-                   dropout_seed: int | None = None, grads: ModelParams | None = None):
+                   label: int, aux_weight: float = 0.0, dropout_seed: int | None = None,
+                   grads: ModelParams | None = None):
     """Cross-entropy loss (plus the weighted auxiliary term for auxmil) and
     its gradient w.r.t. every parameter.
 
-    Returns ``(loss, grads, output)``.  With a leading job axis J on every
-    parameter, J siblings train on the same bag, label and dropout masks:
-    ``loss`` is then a float64 array of shape (J,) and each gradient has
-    the parameter's shape.  ``grads``, when given, is a zeroed dict of that
-    shape that the gradients are accumulated into.
+    Returns ``(loss, grads, output)``; ``output`` is ``forward``'s, and
+    dropout runs exactly when a ``dropout_seed`` is given.  With a leading
+    job axis J on every parameter, J siblings train on the same bag, label
+    and dropout masks: ``loss`` is then a float64 array of shape (J,) and
+    each gradient has the parameter's shape.  ``grads``, when given, is a
+    zeroed dict of that shape that the gradients are accumulated into.
     """
     if not 0 <= label < cfg.n_classes:
         raise DataError(f"label {label} out of range for {cfg.n_classes} classes")
-    out, cache = _forward_cached(params, cfg, features, _dropout_rng(train_mode, dropout_seed))
+    out, cache = _forward_cached(params, cfg, features, _dropout_rng(dropout_seed))
     if grads is None:
         grads = zeros_like_params(params)
     h = cache["h"]

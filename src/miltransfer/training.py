@@ -20,6 +20,9 @@ layer after layer in ``param_schema`` order, which is the order of a MILC
 checkpoint blob.  Per-layer (J, *shape) views feed the model kernel, and
 the same views of one row are that job's dict of arrays.
 
+Bag features come only from the caller's cache, keyed by bag id
+(``load_split_features``): the trainer and ``evaluate_split`` read no file.
+
 Early stopping stays per job.  A job that stops leaves the stack at its
 epoch boundary with its best-validation snapshot; the others train on.
 
@@ -181,8 +184,8 @@ def adamw_step(stack: ParamStack, lr: float, weight_decay: float) -> None:
 
 
 def evaluate_split(cfg: ModelConfig, params: ModelParams, manifest: DatasetManifest,
-                   split: str, features: dict[str, np.ndarray] | None = None):
-    """Eval-mode metric over one split.
+                   split: str, features: dict[str, np.ndarray]):
+    """Eval-mode metric over one split, on the cached ``features``.
 
     Returns (metric_value, bag_ids, labels, values) where values are
     positive-class probabilities for auroc tasks and argmax predictions
@@ -216,8 +219,9 @@ def load_split_features(manifest: DatasetManifest, splits=("train", "val", "test
 
 
 def train(cfg: ModelConfig, params: ModelParams, manifest: DatasetManifest,
-          train_cfg: TrainConfig, features: dict[str, np.ndarray] | None = None) -> TrainResult:
-    """Train on the manifest's train split, one optimizer step per bag.
+          train_cfg: TrainConfig, features: dict[str, np.ndarray]) -> TrainResult:
+    """Train on the manifest's train split, one optimizer step per bag, on
+    the cached ``features``.
 
     With a validation split: early stopping on the task metric (patience
     after min_epochs) and the best-validation parameters are returned.
@@ -227,7 +231,7 @@ def train(cfg: ModelConfig, params: ModelParams, manifest: DatasetManifest,
 
 
 def train_group(cfg: ModelConfig, starts: list[ModelParams], manifest: DatasetManifest,
-                train_cfg: TrainConfig, features: dict[str, np.ndarray] | None = None,
+                train_cfg: TrainConfig, features: dict[str, np.ndarray],
                 names=None) -> list[TrainResult]:
     """``train`` for each of ``starts``, run as one stack in lockstep.
 
@@ -237,8 +241,6 @@ def train_group(cfg: ModelConfig, starts: list[ModelParams], manifest: DatasetMa
     train_entries = manifest.split("train")
     if not train_entries:
         raise DataError("train split is empty")
-    if features is None:
-        features = load_split_features(manifest)
     labels = {e.bag_id: e.label for e in manifest.entries}
 
     has_val = manifest.has_val()
@@ -272,8 +274,8 @@ def train_group(cfg: ModelConfig, starts: list[ModelParams], manifest: DatasetMa
             stack.grads.fill(0.0)
             loss, _, _ = models.loss_and_grads(
                 stack.layers, cfg, features[bag_id], labels[bag_id],
-                aux_weight=aux_weight, train_mode=True,
-                dropout_seed=_step_seed(train_cfg.seed, global_step), grads=stack.grad_layers)
+                aux_weight=aux_weight, dropout_seed=_step_seed(train_cfg.seed, global_step),
+                grads=stack.grad_layers)
             if not np.isfinite(loss).all():
                 job = stack.names[int(np.argmin(np.isfinite(loss)))]
                 raise NumericError(f"non-finite loss at step {global_step} on bag {bag_id!r} "

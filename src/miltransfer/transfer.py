@@ -126,8 +126,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         layers = [(str(layer["name"]), tuple(int(d) for d in layer["shape"]),
                    int(layer["offset"]), int(layer["length"])) for layer in header["layers"]]
         header["format_version"]  # required; the prefix byte is the version read
+        digest = header["cfg_digest"]
     except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise CheckpointFormatError(f"{path}: malformed header ({exc!r})") from exc
+    if digest != config_digest(cfg):  # an edited cfg would load as another model
+        raise CheckpointFormatError(f"{path}: cfg_digest {digest!r} does not match "
+                                    f"the header's cfg")
     blob = data[blob_start:]
 
     schema = dict(models.param_schema(cfg))
@@ -260,7 +264,7 @@ def source_task(ckpt: Checkpoint, init: str) -> str:
 # ---------------------------------------------------------------------------
 
 def embed_bags(cfg: ModelConfig, params: ModelParams, manifest: DatasetManifest,
-               split: str, features: dict[str, np.ndarray] | None = None):
+               split: str, features: dict[str, np.ndarray]):
     """Eval-mode slide embedding per bag, in manifest order.
 
     Returns (bag_ids, embeddings, labels).  Embeddings are float32 of shape
@@ -415,7 +419,7 @@ def knn_evaluate(train_embeddings, train_labels, test_embeddings, test_labels,
 # ---------------------------------------------------------------------------
 
 def finetune(ckpt: Checkpoint, init: str, target: DatasetManifest, train_cfg: TrainConfig,
-             features: dict[str, np.ndarray] | None = None,
+             features: dict[str, np.ndarray],
              n_bootstrap: int = 1000) -> tuple[TrainResult, EvalResult]:
     """Train ``start(ckpt, init, ...)`` on ``target`` and evaluate it on the
     test split; the stack of one of ``finetune_group``."""
@@ -423,16 +427,13 @@ def finetune(ckpt: Checkpoint, init: str, target: DatasetManifest, train_cfg: Tr
 
 
 def finetune_group(ckpt: Checkpoint, inits: Sequence[str], target: DatasetManifest,
-                   train_cfg: TrainConfig,
-                   features: dict[str, np.ndarray] | None = None,
+                   train_cfg: TrainConfig, features: dict[str, np.ndarray],
                    n_bootstrap: int = 1000) -> list[tuple[TrainResult, EvalResult]]:
     """``finetune`` for init-siblings, trained in lockstep as one stack
     (``training.train_group``).  Pair j equals ``finetune(ckpt, inits[j], ...)``."""
     task = target.task
     starts = [start(ckpt, init, task.n_classes, train_cfg.seed) for init in inits]
     cfg = starts[0][0]
-    if features is None:
-        features = training.load_split_features(target)
     results = training.train_group(cfg, [params for _, params in starts], target, train_cfg,
                                    features, names=list(inits))
     _, bag_ids, labels, values = training.evaluate_split(

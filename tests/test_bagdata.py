@@ -142,7 +142,7 @@ def test_missing_feature_file_reported_lazily(tmp_path):
     write_csv(csv, [("a", "missing.milf", 0, "train"), ("b", "b.milf", 1, "train")])
     m = load_manifest(csv)  # no error at load time
     with pytest.raises(DataError, match="missing"):
-        m.load_features("a")
+        m.load_features(m.entries[0])
 
 
 def test_taskspec_validation():
@@ -158,8 +158,7 @@ def test_bag_type_and_load(tmp_path):
     write_feature_file(x, tmp_path / "b0.milf")
     write_csv(csv, [("b0", "b0.milf", 1, "train"), ("b1", "b0.milf", 0, "train")])
     m = load_manifest(csv)
-    assert m.entry("b0").label == 1
-    loaded = m.load_features("b0")
+    loaded = m.load_features(m.entries[0])
     assert loaded.dtype == np.float32 and loaded.tobytes() == x.tobytes()
     assert loaded.shape == (3, 4)
 
@@ -278,6 +277,12 @@ def test_shared_family_prototypes():
     assert np.array_equal(a, b)
     # orthonormal when feat_dim >= n_concepts
     assert np.allclose(a @ a.T, np.eye(6), atol=1e-10)
+    # more concepts than dimensions: unit-norm rows, the same for the same seed
+    c = concept_prototypes(4, 9, seed=3)
+    assert c.shape == (9, 4)
+    assert np.allclose(np.linalg.norm(c, axis=1), 1.0, atol=1e-12)
+    assert np.array_equal(c, concept_prototypes(4, 9, seed=3))
+    assert not np.array_equal(c, concept_prototypes(4, 9, seed=4))
 
 
 def test_config_validation():

@@ -396,6 +396,33 @@ def test_zoo_digest_mismatch_is_data_error(pipeline, tmp_path):
     assert main(["--config", cfg_path, "--zoo", str(tampered), "transfer"]) == 3
 
 
+def test_zoo_without_the_entry_names_it(pipeline, tmp_path, capsys):
+    tmp, cfg, cfg_path = pipeline
+    zoo = json.loads((tmp / "runs" / "zoo.json").read_text())
+    zoo["entries"] = [e for e in zoo["entries"] if e["name"] != "abmil_pre4_s0"]
+    other = tmp_path / "zoo_other.json"
+    other.write_text(json.dumps(zoo))
+    argv = ["--config", cfg_path, "--out", str(tmp_path / "out"), "--zoo", str(other)]
+    capsys.readouterr()
+    assert main(argv + ["knn"]) == 3
+    assert "zoo entry 'abmil_pre4_s0' not found" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_non_finite_loss_exits_4(pipeline, tmp_path, capsys):
+    tmp, cfg, _ = pipeline
+    bad = json.loads(json.dumps(cfg))
+    bad["train"]["lr"] = 1e30
+    argv = ["--config", write_config(tmp_path, bad), "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv + ["pretrain"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: non-finite loss at step 1 on bag ")
+    assert err.rstrip().endswith("in job 0") and "Traceback" not in err
+    assert not list((tmp_path / "out").glob("checkpoints/*.milc"))
+
+
 def test_seed_override(pipeline, tmp_path):
     tmp, cfg, _ = pipeline
     cfg2 = json.loads(json.dumps(cfg))

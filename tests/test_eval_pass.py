@@ -17,7 +17,7 @@ import pytest
 from conftest import tiny_configs
 from miltransfer import build_model, loss_and_grads, models
 from miltransfer.errors import DataError
-from miltransfer.models import eval_pass, forward, stack_params
+from miltransfer.models import eval_pass, stack_params
 
 # 8: every bag of 9-16 rows spans two tiles; 20: one or two whole bags per
 # chunk; 512: the whole split in one chunk
@@ -67,15 +67,16 @@ def test_tiled_pass_invariants(name, n_jobs, tile, easy_task, easy_features, mon
                 assert_bitwise({k: v[j] for k, v in full[bag_id].items()}, want,
                                f"job {j} bag {bag_id}")
 
-    # (b) a subset pass, and the one-bag forward, equal the full pass
+    # (b) a subset pass, and a one-bag pass, equal the full pass
     subset = {e.bag_id for e in entries[1::3]}
     part = outputs(params, cfg, easy_task, easy_features, bag_ids=subset)
     assert list(part) == [e.bag_id for e in entries if e.bag_id in subset]
     for bag_id, got in part.items():
         assert_bitwise(got, full[bag_id], f"subset bag {bag_id}")
-    e = entries[-1]
-    assert_bitwise(fields(forward(params, cfg, easy_features[e.bag_id])), full[e.bag_id],
-                   f"forward bag {e.bag_id}")
+    last = entries[-1].bag_id
+    one = outputs(params, cfg, easy_task, easy_features, bag_ids={last})
+    assert list(one) == [last]
+    assert_bitwise(one[last], full[last], f"one-bag pass {last}")
 
     # (c) the per-bag training kernel agrees to float32 rounding, and
     # (d) attention stays on the simplex

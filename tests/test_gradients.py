@@ -15,13 +15,12 @@ H = 1e-4
 TOL = 1e-4
 
 
-def fd_worst_error(cfg, n_instances=3, aux_weight=0.0, train_mode=False, seed=0):
+def fd_worst_error(cfg, n_instances=3, aux_weight=0.0, dropout_seed=None, seed=0):
     rng = np.random.default_rng(seed)
     params = {k: v.astype(np.float64) for k, v in build_model(cfg, seed=seed).items()}
     x = rng.standard_normal((n_instances, cfg.in_dim))
     label = cfg.n_classes - 1
-    kwargs = dict(aux_weight=aux_weight, train_mode=train_mode,
-                  dropout_seed=123 if train_mode else None)
+    kwargs = dict(aux_weight=aux_weight, dropout_seed=dropout_seed)
     _, grads, _ = loss_and_grads(params, cfg, x, label, **kwargs)
     worst = 0.0
     for name, p in params.items():
@@ -51,7 +50,7 @@ def test_gradients_eval_mode(name):
 def test_gradients_with_dropout(name):
     cfg = tiny_configs()[name]
     aux = 0.3 if cfg.arch == "auxmil" else 0.0
-    assert fd_worst_error(cfg, aux_weight=aux, train_mode=True) < TOL
+    assert fd_worst_error(cfg, aux_weight=aux, dropout_seed=123) < TOL
 
 
 def test_gradients_deep_fc_stack():

@@ -13,7 +13,7 @@ import pytest
 from conftest import random_bag, tiny_configs
 from miltransfer import SynthTaskConfig, TrainConfig, build_model, synth_generate, train
 from miltransfer.errors import NumericError
-from miltransfer.models import loss_and_grads, param_schema, stack_params
+from miltransfer.models import forward, loss_and_grads, param_schema, stack_params
 from miltransfer.training import ParamStack, load_split_features, train_group
 from miltransfer.transfer import (
     Checkpoint,
@@ -21,6 +21,14 @@ from miltransfer.transfer import (
     finetune_group,
     save_checkpoint,
 )
+
+
+def output_bytes(out):
+    """Every field of a ForwardOutput, as bytes."""
+    fields = {"logits": out.logits, "embedding": out.embedding, "attention": out.attention,
+              "aux_logits": out.aux_logits,
+              **{f"act:{name}": a for name, a in out.activations.items()}}
+    return {name: None if a is None else (a.dtype, a.tobytes()) for name, a in fields.items()}
 
 
 def stacked(cfg, params_list):
@@ -42,19 +50,23 @@ def test_arena_row_is_the_checkpoint_blob(name, tmp_path):
 # width (1, 2, 3, 4, 6, 8, 12, 24); at 10 and 14 the auxmil top-8 and
 # bottom-8 sets overlap, at 17 they do not
 @pytest.mark.parametrize("n", [10, 14, 17])
-@pytest.mark.parametrize("train_mode", [False, True], ids=["eval", "dropout"])
+@pytest.mark.parametrize("dropout_seed", [None, 17], ids=["eval", "dropout"])
 @pytest.mark.parametrize("name", sorted(tiny_configs()))
-def test_stacked_loss_and_grads_equal_solo_bitwise(name, train_mode, n):
+def test_stacked_loss_and_grads_equal_solo_bitwise(name, dropout_seed, n):
+    """Also: ``forward`` is the kernel's output, bit for bit, solo and stacked."""
     cfg = tiny_configs()[name]
     starts = [build_model(cfg, seed=s) for s in (3, 4, 5)]
     x = random_bag(cfg, n=n, seed=n)
-    kwargs = dict(aux_weight=0.3 if cfg.arch == "auxmil" else 0.0, train_mode=train_mode,
-                  dropout_seed=17 if train_mode else None)
+    kwargs = dict(aux_weight=0.3 if cfg.arch == "auxmil" else 0.0, dropout_seed=dropout_seed)
     stack = stacked(cfg, starts)
     losses, grads, out = loss_and_grads(stack.layers, cfg, x, 1, grads=stack.grad_layers, **kwargs)
     assert losses.shape == (3,)
+    assert (output_bytes(forward(stack.layers, cfg, x, dropout_seed=dropout_seed))
+            == output_bytes(out))
     for j, params in enumerate(starts):
         loss, solo, solo_out = loss_and_grads(params, cfg, x, 1, **kwargs)
+        assert (output_bytes(forward(params, cfg, x, dropout_seed=dropout_seed))
+                == output_bytes(solo_out))
         assert losses[j] == loss
         for layer in solo:
             assert grads[layer][j].tobytes() == solo[layer].tobytes(), layer

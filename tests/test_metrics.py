@@ -160,6 +160,17 @@ def test_evaluate_records_json_round_trip():
     assert back.context["arch"] == "abmil"
 
 
+def test_evaluate_records_kappa():
+    labels, preds = [0, 1, 2, 2, 1, 0], [0, 2, 2, 1, 1, 0]
+    res = evaluate_records("quadratic_weighted_kappa", 3, list("abcdef"), labels, preds,
+                           n_bootstrap=50, seed=1)
+    assert res.metric_name == "quadratic_weighted_kappa"
+    assert res.value == quadratic_weighted_kappa(preds, labels, 3)
+    qwk = lambda y, v: quadratic_weighted_kappa(v, y, 3)
+    std = bootstrap(np.array(labels), np.array(preds), qwk, 50, 1)[1]
+    assert std > 0 and res.bootstrap_std == std
+
+
 # ---------------------------------------------------------------------------
 # batched bootstrap against the per-resample reference
 # ---------------------------------------------------------------------------
@@ -264,7 +275,7 @@ def test_bootstrap_kappa_matches_reference(seed, n, n_classes, n_boot, constant)
     if constant:  # zero expected disagreement in every resample
         labels[:] = labels[0]
         preds[:] = preds[0]
-    qwk = lambda y, v: quadratic_weighted_kappa(v, y, n_classes)
+    qwk = metrics.metric_fn("quadratic_weighted_kappa", n_classes)
     ref = lambda y, v: _ref_kappa(v, y, n_classes)
     assert qwk(labels, preds) == ref(labels, preds)
     assert bootstrap(labels, preds, qwk, n_boot, seed) == _ref_bootstrap(

@@ -177,16 +177,14 @@ def test_eval_mode_deterministic(tiny_cfg):
     assert np.array_equal(out1.logits, out2.logits)
 
 
-def test_train_mode_dropout_seeded(tiny_cfg):
+def test_dropout_seeded(tiny_cfg):
     params = build_model(tiny_cfg, seed=0)
     x = random_bag(tiny_cfg, n=6)
-    a = forward(params, tiny_cfg, x, train_mode=True, dropout_seed=11)
-    b = forward(params, tiny_cfg, x, train_mode=True, dropout_seed=11)
-    c = forward(params, tiny_cfg, x, train_mode=True, dropout_seed=12)
+    a = forward(params, tiny_cfg, x, dropout_seed=11)
+    b = forward(params, tiny_cfg, x, dropout_seed=11)
+    c = forward(params, tiny_cfg, x, dropout_seed=12)
     assert np.array_equal(a.logits, b.logits)
     assert not np.array_equal(a.logits, c.logits)
-    with pytest.raises(ConfigError):
-        forward(params, tiny_cfg, x, train_mode=True)
 
 
 def test_forward_input_errors(tiny_cfg):

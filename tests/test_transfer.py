@@ -111,6 +111,10 @@ MALFORMED_CHECKPOINTS = {
     "header_without_format_version": _edit_header(
         lambda h: {k: v for k, v in h.items() if k != "format_version"}),
     "header_length_past_eof": lambda raw: raw[:5] + struct.pack("<Q", len(raw)) + raw[13:],
+    "header_without_cfg_digest": _edit_header(
+        lambda h: {k: v for k, v in h.items() if k != "cfg_digest"}),
+    # an edited cfg would otherwise load as a different model
+    "stale_cfg_digest": _edit_header(lambda h: {**h, "cfg": {**h["cfg"], "dropout_ff": 0.2}}),
 }
 
 
@@ -211,6 +215,37 @@ def test_start_equals_the_direct_construction(abmil_ckpt, init):
 def test_start_rejects_unknown_init(abmil_ckpt, init):
     with pytest.raises(ConfigError):
         start(abmil_ckpt, init, 2, seed=0)
+
+
+@pytest.mark.parametrize("init", ["pretrained", "reset_attn", "reset_all", "random"])
+def test_start_from_auxmil_redraws_both_heads(init):
+    """A 5-class auxmil source into a 2-class target: the classifier and the
+    aux head (one row per class plus "other") are drawn fresh at the
+    target's shapes, and the backbone is copied or reset as the init says."""
+    src_cfg = ModelConfig("auxmil", in_dim=16, embed_dim=12, n_classes=5, attn_dim=8,
+                          fc_hidden_dims=(14,))
+    rng = np.random.default_rng(99)
+    src = Checkpoint(cfg=src_cfg, pretrain_task_id="src", params={
+        name: v + rng.standard_normal(v.shape).astype(np.float32) * 0.1
+        for name, v in build_model(src_cfg, seed=9).items()})
+    cfg, params = start(src, init, 2, seed=6)
+    assert cfg == src_cfg.retarget(2)
+    heads = {"classifier.weight": (2, 12), "classifier.bias": (2,),
+             "aux.head.weight": (3, 12), "aux.head.bias": (3,)}
+    assert list(params) == [name for name, _ in param_schema(cfg)]
+    for name, shape in heads.items():
+        assert params[name].shape == shape, name
+        if name.endswith(".bias"):
+            assert not params[name].any(), name
+        else:  # the truncated-normal draw, not a slice of the source head
+            assert 0 < np.abs(params[name]).max() <= 2 * np.sqrt(2.0 / 12), name
+            assert not np.isin(params[name], src.params[name]).any(), name
+    reset = {"pretrained": (), "reset_attn": ("attn.",), "reset_all": ("fc.", "attn."),
+             "random": ("fc.", "attn.")}[init]
+    for name, _ in param_schema(cfg):
+        if name not in heads:
+            copied = np.array_equal(params[name], src.params[name])
+            assert copied != name.startswith(reset), name
 
 
 # ---------------------------------------------------------------------------
