@@ -23,7 +23,7 @@ correlation is reported on a 0-100 scale.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .models import ModelConfig, ModelParams
 from .transfer import Checkpoint
 
 DEFAULT_SAMPLE_BUDGET = 5000
+SAMPLE_SPLIT = "test"  # the split whose instances are captured and compared
 
 
 @dataclass
@@ -51,12 +52,7 @@ class StabilityReport:
     sample_description: str = ""
 
     def to_json(self) -> str:
-        return json.dumps({
-            "layers": self.layers,
-            "n_samples": self.n_samples,
-            "model_tag": self.model_tag,
-            "sample_description": self.sample_description,
-        }, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _capturable_layers(cfg: ModelConfig) -> list[str]:
@@ -83,11 +79,10 @@ def sample_instances(manifest: DatasetManifest, split: str, max_instances: int,
 
 def capture_activations(cfg: ModelConfig, params: ModelParams,
                         manifest: DatasetManifest, layer_names: list[str],
-                        max_instances: int = DEFAULT_SAMPLE_BUDGET, seed: int = 0,
-                        split: str = "test", *, features: dict[str, np.ndarray],
-                        pairs=None) -> list[ActivationDump]:
+                        max_instances: int = DEFAULT_SAMPLE_BUDGET, seed: int = 0, *,
+                        features: dict[str, np.ndarray], pairs=None) -> list[ActivationDump]:
     """Per-instance activations for the named layers on a seeded instance
-    subsample.
+    subsample of the test split.
 
     ``fc.{i}`` captures the post-ReLU layer output; ``attn`` captures the
     pre-softmax attention score (width 1), which stays comparable across
@@ -100,7 +95,7 @@ def capture_activations(cfg: ModelConfig, params: ModelParams,
         if name not in known:
             raise ConfigError(f"unknown activation layer {name!r}; available: {known}")
     if pairs is None:
-        pairs = sample_instances(manifest, split, max_instances, seed, features)
+        pairs = sample_instances(manifest, SAMPLE_SPLIT, max_instances, seed, features)
 
     by_bag: dict[str, list[int]] = {}
     for bag_id, j in pairs:
@@ -108,7 +103,8 @@ def capture_activations(cfg: ModelConfig, params: ModelParams,
     ends = dict(zip(by_bag, np.cumsum([len(inst_idx) for inst_idx in by_bag.values()])))
     # each bag's rows are written in place, at its ``by_bag`` position
     mats: list[np.ndarray] = []
-    for e, out in models.eval_pass(params, cfg, manifest, split, features, bag_ids=by_bag):
+    for e, out in models.eval_pass(params, cfg, manifest, SAMPLE_SPLIT, features,
+                                   bag_ids=by_bag):
         idx, end = by_bag[e.bag_id], ends.pop(e.bag_id)
         for k, name in enumerate(layer_names):
             act = out.activations[name]
@@ -116,7 +112,7 @@ def capture_activations(cfg: ModelConfig, params: ModelParams,
                 mats.append(np.empty((*act.shape[:-2], len(pairs), act.shape[-1]), np.float32))
             mats[k][..., end - len(idx):end, :] = act[..., idx, :]
     if ends:
-        raise DataError(f"sampled bags {list(ends)} are not in the {split!r} split")
+        raise DataError(f"sampled bags {list(ends)} are not in the {SAMPLE_SPLIT!r} split")
     order = [f"{bag_id}:{j}" for bag_id, inst_idx in by_bag.items() for j in inst_idx]
     return [ActivationDump(name, mat, order) for name, mat in zip(layer_names, mats)]
 
@@ -181,8 +177,7 @@ def layer_stability_report(before: Checkpoint, after_params: ModelParams,
                            manifest: DatasetManifest,
                            layer_names: list[str] | None = None,
                            max_instances: int = DEFAULT_SAMPLE_BUDGET,
-                           seed: int = 0, variance_keep: float = 0.99,
-                           split: str = "test", model_tag: str = "", *,
+                           seed: int = 0, variance_keep: float = 0.99, model_tag: str = "", *,
                            features: dict[str, np.ndarray]) -> StabilityReport:
     """SVCCA between each layer's activations under the checkpoint weights
     and under ``after_params``, on an identical instance sample, both
@@ -193,7 +188,7 @@ def layer_stability_report(before: Checkpoint, after_params: ModelParams,
             raise DataError(f"after-params do not match the checkpoint architecture ({name})")
     if layer_names is None:
         layer_names = _capturable_layers(cfg)
-    pairs = sample_instances(manifest, split, max_instances, seed, features)
+    pairs = sample_instances(manifest, SAMPLE_SPLIT, max_instances, seed, features)
     layers = []
     # no name holds the stacked parameters, so they are freed before SVCCA runs
     for dump in capture_activations(cfg, models.stack_params([before.params, after_params]),
@@ -206,4 +201,4 @@ def layer_stability_report(before: Checkpoint, after_params: ModelParams,
             "n_components": int(comps.size),
         })
     return StabilityReport(layers=layers, n_samples=len(pairs), model_tag=model_tag,
-                           sample_description=f"{split} split, seed {seed}")
+                           sample_description=f"{SAMPLE_SPLIT} split, seed {seed}")

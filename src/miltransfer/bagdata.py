@@ -11,10 +11,11 @@ format (magic ``MILF``) holding one float32 matrix of shape
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from .fileio import atomic_open
+from .fileio import atomic_open, read_input, read_json, reraise_as, section
 
 FEATURE_MAGIC = b"MILF"
 FEATURE_VERSION = 1
@@ -68,7 +69,7 @@ def write_feature_file(features: np.ndarray, path: str | Path) -> None:
 
 def read_feature_file(path: str | Path) -> np.ndarray:
     """Read a feature matrix written by :func:`write_feature_file`."""
-    data = Path(path).read_bytes()
+    data = read_input(path, "feature file", DataError)
     if len(data) < len(FEATURE_MAGIC) or data[: len(FEATURE_MAGIC)] != FEATURE_MAGIC:
         raise BadMagicError(f"{path}: not a feature file (bad magic)")
     if len(data) < _HEADER_LEN + _DIMS_LEN:
@@ -115,18 +116,6 @@ class TaskSpec:
             raise ConfigError(f"task {self.task_id}: unknown metric {self.metric!r}")
         if self.metric == "auroc" and self.n_classes != 2:
             raise ConfigError(f"task {self.task_id}: auroc requires exactly 2 classes")
-
-    def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "n_classes": self.n_classes,
-            "class_names": list(self.class_names),
-            "metric": self.metric,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TaskSpec":
-        return cls(d["task_id"], int(d["n_classes"]), tuple(d["class_names"]), d["metric"])
 
 
 def default_metric(n_classes: int) -> str:
@@ -175,8 +164,6 @@ class DatasetManifest:
         path = Path(entry.path)
         if not path.is_absolute():
             path = self.root / path
-        if not path.exists():
-            raise DataError(f"bag {entry.bag_id!r}: feature file {path} missing")
         return read_feature_file(path)
 
     def class_counts(self, split_tag: str = "train") -> np.ndarray:
@@ -197,14 +184,12 @@ def load_manifest(path: str | Path, task: TaskSpec | None = None) -> DatasetMani
     then be contiguous from 0).
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"manifest {path} does not exist")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"manifest {path} is empty") from None
+    reader = csv.reader(io.StringIO(read_input(path, "manifest", DataError, "utf-8"),
+                                    newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"manifest {path} is empty")
         if [h.strip() for h in header] != ["bag_id", "path", "label", "split"]:
             raise DataError(f"manifest {path}: expected header bag_id,path,label,split")
         rows = []
@@ -219,14 +204,14 @@ def load_manifest(path: str | Path, task: TaskSpec | None = None) -> DatasetMani
             except ValueError:
                 raise DataError(f"manifest {path}:{lineno}: non-integer label {label_s!r}") from None
             rows.append(ManifestEntry(bag_id, fpath, label, split_tag))
+    except csv.Error as exc:  # e.g. a field past the csv module's size limit
+        raise DataError(f"manifest {path}: {exc}") from exc
 
     if task is None:
         sidecar = path.parent / "task.json"
         if sidecar.exists():
-            try:
-                task = TaskSpec.from_dict(json.loads(sidecar.read_text()))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise DataError(f"{sidecar}: malformed task spec ({exc!r})") from exc
+            with reraise_as(DataError, f"task spec {sidecar}"):
+                task = section(TaskSpec, read_json(sidecar, "task spec", DataError), "task")
         else:
             labels = sorted({r.label for r in rows})
             if not rows:
@@ -250,7 +235,7 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
         for e in manifest.entries:
             writer.writerow([e.bag_id, e.path, e.label, e.split])
     with atomic_open(path.parent / "task.json") as fh:
-        fh.write(json.dumps(manifest.task.to_dict(), indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(asdict(manifest.task), indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

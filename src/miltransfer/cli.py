@@ -59,7 +59,9 @@ within one (protocol, K, task, model) as ``<protocol><K>/<task>/<model>``
 and averaged over tasks as ``<protocol><K>/<model>``.  A result whose key is
 missing or mistyped, such as one written before results named their model,
 is a data error.
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.  An
+input file that cannot be read or decoded is a data error, or a config
+error when it is the config itself.
 """
 
 from __future__ import annotations
@@ -68,13 +70,10 @@ import argparse
 import fcntl
 import itertools
 import json
-import math
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -87,7 +86,7 @@ from .bagdata import (
     synth_generate,
 )
 from .errors import ConfigError, DataError, MilError, NumericError
-from .fileio import atomic_open
+from .fileio import atomic_open, read_json, reraise_as, section, typed, typed_fields
 from .metrics import EvalResult, evaluate_records
 from .models import ModelConfig
 from .training import TrainConfig
@@ -149,92 +148,33 @@ class ExperimentConfig:
 
 # synthetic's own keys, shared by its tasks; a task holds the other fields
 SYNTH_SHARED = ("feat_dim", "n_concepts", "witness_rate", "bag_size_range", "noise_sigma", "seed")
-# JSON type and its description per annotated field type
-_JSON = {int: (int, "an integer"), float: ((int, float), "a finite number"),
-         str: (str, "a string"), Path: (str, "a path string"), dict: (dict, "an object")}
-_hints = cache(get_type_hints)  # evaluating string annotations is most of a parse
-
-
-def _key(where: str, key: str) -> str:
-    return f"{where}.{key}" if where else key
-
-
-def _typed(value, hint, where: str):
-    """The JSON ``value`` at key path ``where`` as the annotated type ``hint``
-    (lists become tuples, path strings ``Path``s), else a ``ConfigError``."""
-    if get_origin(hint) is UnionType:  # T | None
-        return None if value is None else _typed(value, get_args(hint)[0], where)
-    if get_origin(hint) is tuple:
-        args = get_args(hint)
-        many = args[-1] is Ellipsis
-        if isinstance(value, list) and (many or len(value) == len(args)):
-            return tuple(_typed(v, args[0 if many else i], f"{where}[{i}]")
-                         for i, v in enumerate(value))
-        kind = "a list" if many else f"a list of {len(args)}"
-    elif (isinstance(value, _JSON[hint][0]) and not isinstance(value, bool)
-          and (hint is not float or isinstance(value, int) or math.isfinite(value))):
-        return Path(value) if hint is Path else value
-    else:
-        kind = _JSON[hint][1]
-    raise ConfigError(f"{where} must be {kind}, got {value!r}")
-
-
-def _fields(cls, raw, where: str, keys) -> dict:
-    """``raw`` at ``where``, typed field by field as ``cls``; only ``keys`` may occur."""
-    unknown = sorted(set(_typed(raw, dict, where)) - set(keys))
-    if unknown:
-        raise ConfigError(f"unknown key {_key(where, unknown[0])}")
-    hints = _hints(cls)
-    return {key: _typed(value, hints[key], _key(where, key)) for key, value in raw.items()}
-
-
-def _section(cls, raw, where: str, keys=None, **fixed):
-    """``cls`` from the JSON object ``raw`` at ``where`` (holding ``keys``, by
-    default the fields not in the typed ``fixed``); ``cls`` checks its ranges."""
-    keys = [f.name for f in fields(cls) if f.name not in fixed] if keys is None else keys
-    kwargs = {**_fields(cls, raw, where, keys), **fixed}
-    for f in fields(cls):
-        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{_key(where, f.name)} is required")
-    try:
-        return cls(**kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"{where + ': ' if where else ''}{exc}") from exc
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """The experiment config at ``path``; every section parsed and checked once."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
-    try:
-        raw = json.loads(path.read_bytes().decode("utf-8"))
-    except ValueError as exc:  # invalid JSON or not UTF-8
-        raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
+    raw = read_json(path, "config", ConfigError)
     if not isinstance(raw, dict) or raw.pop("config_version", None) != CONFIG_VERSION:
         raise ConfigError(f"config {path}: expected an object with config_version {CONFIG_VERSION}")
-    try:
+    with reraise_as(ConfigError, "config"):
         data, model, train, protocol, synthetic = (
             raw.pop(key, {}) for key in ("data", "model", "train", "protocol", "synthetic"))
-        protocol = dict(_typed(protocol, dict, "protocol"))
-        rows = _typed(protocol.pop("scale_rows", []), tuple[dict, ...], "protocol.scale_rows")
-        synthetic = dict(_typed(synthetic, dict, "synthetic"))
-        tasks = _typed(synthetic.pop("tasks", []), tuple[dict, ...], "synthetic.tasks")
+        protocol = dict(typed(protocol, dict, "protocol"))
+        rows = typed(protocol.pop("scale_rows", []), tuple[dict, ...], "protocol.scale_rows")
+        synthetic = dict(typed(synthetic, dict, "synthetic"))
+        tasks = typed(synthetic.pop("tasks", []), tuple[dict, ...], "synthetic.tasks")
         shared = {"bag_size_range": (16, 32),
-                  **_fields(SynthTaskConfig, synthetic, "synthetic", SYNTH_SHARED)}
+                  **typed_fields(SynthTaskConfig, synthetic, "synthetic", SYNTH_SHARED)}
         task_keys = [f.name for f in fields(SynthTaskConfig) if f.name not in SYNTH_SHARED]
-        return _section(
+        return section(
             ExperimentConfig, raw, "", keys=("output_dir", "seeds"),
-            data=_section(DataConfig, data, "data"),
-            model=None if model == {} else _section(ModelConfig, model, "model", n_classes=2),
-            train=_section(TrainConfig, train, "train", seed=0),
-            protocol=_section(ProtocolConfig, protocol, "protocol", scale_rows=tuple(
-                _section(ModelConfig, {**model, **row}, f"protocol.scale_rows[{i}]", n_classes=2)
+            data=section(DataConfig, data, "data"),
+            model=None if model == {} else section(ModelConfig, model, "model", n_classes=2),
+            train=section(TrainConfig, train, "train", seed=0),
+            protocol=section(ProtocolConfig, protocol, "protocol", scale_rows=tuple(
+                section(ModelConfig, {**model, **row}, f"protocol.scale_rows[{i}]", n_classes=2)
                 for i, row in enumerate(rows))),
-            synthetic=tuple(_section(SynthTaskConfig, task, f"synthetic.tasks[{i}]", task_keys,
-                                     **shared) for i, task in enumerate(tasks)))
-    except ConfigError as exc:
-        raise ConfigError(f"config: {exc}") from exc
+            synthetic=tuple(section(SynthTaskConfig, task, f"synthetic.tasks[{i}]", task_keys,
+                                    **shared) for i, task in enumerate(tasks)))
 
 
 def required(value, key: str):
@@ -283,15 +223,11 @@ class Workspace:
 def _zoo_read(path: Path) -> dict:
     if not path.exists():
         return {"entries": []}
-    try:
-        zoo = json.loads(path.read_text())
-    except ValueError as exc:  # invalid JSON or not UTF-8
-        raise DataError(f"zoo {path}: not valid JSON ({exc})") from exc
-    entries = zoo.get("entries") if isinstance(zoo, dict) else None
-    if not isinstance(entries, list) or not all(
-            isinstance(e, dict) and "name" in e for e in entries):
-        raise DataError(f"zoo {path}: expected an object whose 'entries' list holds "
-                        "named entries")
+    zoo = read_json(path, "zoo", DataError)
+    with reraise_as(DataError, f"zoo {path}"):
+        entries = typed(typed(zoo, dict, "zoo").get("entries"), tuple[dict, ...], "entries")
+        for i, entry in enumerate(entries):
+            typed(entry.get("name"), str, f"entries[{i}].name")
     return zoo
 
 
@@ -314,14 +250,13 @@ def zoo_update(path: Path, entry: dict):
 
 
 def zoo_lookup(path: Path, name: str) -> Checkpoint:
-    zoo = _zoo_read(path)
-    for e in zoo["entries"]:
-        if e["name"] == name:
-            missing = [key for key in ("checkpoint", "cfg_digest") if key not in e]
-            if missing:
-                raise DataError(f"zoo entry {name!r} in {path} lacks {missing}")
-            ckpt = transfer.load_checkpoint(e["checkpoint"])
-            if config_digest(ckpt.cfg) != e["cfg_digest"]:
+    for entry in _zoo_read(path)["entries"]:
+        if entry["name"] == name:
+            with reraise_as(DataError, f"zoo {path}: entry {name!r}"):
+                ckpt_path, digest = (typed(entry.get(key), str, key)
+                                     for key in ("checkpoint", "cfg_digest"))
+            ckpt = transfer.load_checkpoint(ckpt_path)
+            if config_digest(ckpt.cfg) != digest:
                 raise DataError(f"zoo entry {name!r}: digest does not match checkpoint header")
             return ckpt
     raise DataError(f"zoo entry {name!r} not found in {path}")
@@ -558,6 +493,9 @@ def cmd_scale_sweep(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
 
 
 REPORT_KEYS = ("protocol", "k_shot", "task", "arch", "model", "init")
+# an evaluation result's fields (EvalResult.to_json), with their types
+RESULT_FIELDS = {"metric": str, "value": float, "std": float, "n_bootstrap": int,
+                 "skipped": int, "context": dict}
 # the result context field each report key reads, with its type
 RESULT_KEY = {"protocol": str, "k_shot": int | None, "target_task": str, "arch": str,
               "model": str, "init": str}
@@ -565,23 +503,14 @@ RESULT_KEY = {"protocol": str, "k_shot": int | None, "target_task": str, "arch":
 
 def _read_result(path: Path) -> tuple[tuple, float] | None:
     """A result file's report key and value, typed; None for an SVCCA report."""
-    try:
-        d = json.loads(path.read_bytes().decode("utf-8"))
-    except ValueError as exc:  # invalid JSON or not UTF-8
-        raise DataError(f"result {path}: not valid JSON ({exc})") from exc
-    if isinstance(d, dict) and "layers" in d:
-        return None
-    if not isinstance(d, dict) or not isinstance(d.get("context", {}), dict):
-        raise DataError(f"result {path}: expected an evaluation result object")
-    try:
-        ctx = EvalResult.from_dict(d).context
-        key = tuple(_typed(ctx.get(k) if k == "k_shot" else ctx[k], hint, f"context.{k}")
+    with reraise_as(DataError, f"result {path}"):
+        d = typed(read_json(path, "result", DataError), dict, "the file")
+        if "layers" in d:
+            return None
+        result = {key: typed(d.get(key), hint, key) for key, hint in RESULT_FIELDS.items()}
+        key = tuple(typed(result["context"].get(k), hint, f"context.{k}")
                     for k, hint in RESULT_KEY.items())
-        return key, _typed(d["value"], float, "value")
-    except KeyError as exc:
-        raise DataError(f"result {path}: lacks {exc}") from exc
-    except ConfigError as exc:
-        raise DataError(f"result {path}: {exc}") from exc
+        return key, result["value"]
 
 
 def cmd_report(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
@@ -667,7 +596,9 @@ def main(argv=None) -> int:
             cfg = replace(cfg, output_dir=Path(args.out))
         ws = Workspace(cfg.output_dir, Path(args.zoo) if args.zoo else None)
         ws.prepare()
-        outputs = COMMANDS[args.command](cfg, ws)
+        # each non-finite value raises a NumericError; numpy's warnings only echo it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            outputs = COMMANDS[args.command](cfg, ws)
         ws.log_run(args.command, cfg, outputs)
         return 0
     except ConfigError as exc:

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError (and its
-format subclasses) -> 3, NumericError -> 4.
+format subclasses) -> 3, NumericError -> 4.  An input file that cannot be
+read or decoded (missing, a directory, not UTF-8, not JSON) is a DataError,
+or a ConfigError when it is the experiment config itself.
 """
 
 

@@ -1,10 +1,25 @@
-"""Atomic file replacement for every file the package writes."""
+"""Every input file is read here; ``atomic_open`` replaces an output file whole.
+
+The readers turn any ``OSError`` or decode error into the caller's
+``MilError`` class, naming the file: ``ConfigError`` for the config, a
+``DataError`` class for data.  One typed parser (``typed``, ``section``)
+checks every JSON object read; a data reader re-raises its ``ConfigError``
+as its own class through ``reraise_as``.
+"""
 
 from __future__ import annotations
 
+import json
+import math
 import os
 from contextlib import contextmanager
+from dataclasses import MISSING, fields
+from functools import cache
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
+
+from .errors import ConfigError, MilError
 
 
 @contextmanager
@@ -27,3 +42,93 @@ def atomic_open(path: str | Path, mode: str = "w", newline: str | None = None):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_input(path: str | Path, what: str, error: type[MilError],
+               encoding: str | None = None) -> bytes | str:
+    """The bytes of the ``what`` file at ``path``, decoded if an ``encoding``
+    is given, else an ``error``."""
+    try:
+        data = Path(path).read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise error(f"{what} {path}: cannot read ({reason})") from exc
+    try:
+        return data if encoding is None else data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path}: not {encoding} ({exc})") from exc
+
+
+def parse_json(data: bytes, where: str, error: type[MilError]):
+    """The JSON value in the UTF-8 ``data`` from ``where``, else an ``error``."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise error(f"{where}: not valid JSON ({exc})") from exc
+
+
+def read_json(path: str | Path, what: str, error: type[MilError]):
+    """The JSON value in the ``what`` file at ``path``, else an ``error``."""
+    return parse_json(read_input(path, what, error), f"{what} {path}", error)
+
+
+# JSON type and its description per annotated field type
+_JSON = {int: (int, "an integer"), float: ((int, float), "a finite number"),
+         str: (str, "a string"), Path: (str, "a path string"), dict: (dict, "an object")}
+_hints = cache(get_type_hints)  # evaluating string annotations is most of a parse
+
+
+def _key(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def typed(value, hint, where: str):
+    """The JSON ``value`` at key path ``where`` as the annotated type ``hint``
+    (lists become tuples, path strings ``Path``s), else a ``ConfigError``."""
+    if get_origin(hint) is UnionType:  # T | None
+        return None if value is None else typed(value, get_args(hint)[0], where)
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        many = args[-1] is Ellipsis
+        if isinstance(value, list) and (many or len(value) == len(args)):
+            return tuple(typed(v, args[0 if many else i], f"{where}[{i}]")
+                         for i, v in enumerate(value))
+        kind = "a list" if many else f"a list of {len(args)}"
+    elif (isinstance(value, _JSON[hint][0]) and not isinstance(value, bool)
+          and (hint is not float or isinstance(value, int) or math.isfinite(value))):
+        return Path(value) if hint is Path else value
+    else:
+        kind = _JSON[hint][1]
+    raise ConfigError(f"{where} must be {kind}, got {value!r}")
+
+
+def typed_fields(cls, raw, where: str, keys) -> dict:
+    """``raw`` at ``where``, typed field by field as ``cls``; only ``keys`` may occur."""
+    unknown = sorted(set(typed(raw, dict, where)) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key {_key(where, unknown[0])}")
+    hints = _hints(cls)
+    return {key: typed(value, hints[key], _key(where, key)) for key, value in raw.items()}
+
+
+def section(cls, raw, where: str, keys=None, **fixed):
+    """``cls`` from the JSON object ``raw`` at ``where`` (holding ``keys``, by
+    default the fields not in the typed ``fixed``); ``cls`` checks its ranges."""
+    keys = [f.name for f in fields(cls) if f.name not in fixed] if keys is None else keys
+    kwargs = {**typed_fields(cls, raw, where, keys), **fixed}
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{_key(where, f.name)} is required")
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{where + ': ' if where else ''}{exc}") from exc
+
+
+@contextmanager
+def reraise_as(error: type[MilError], where: str):
+    """A ``ConfigError`` raised in the block becomes an ``error`` at ``where``."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise error(f"{where}: {exc}") from exc

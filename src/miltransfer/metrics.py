@@ -18,7 +18,7 @@ resample therefore share one kernel and the same arithmetic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -195,25 +195,13 @@ class EvalResult:
     context: dict = field(default_factory=dict)        # arch, task, init, seed...
 
     def to_json(self) -> str:
-        payload = {
-            "metric": self.metric_name,
-            "value": self.value,
-            "std": self.bootstrap_std,
-            "n_bootstrap": self.n_bootstrap,
-            "skipped": self.skipped,
-            "bag_ids": self.bag_ids,
-            "labels": self.labels,
-            "scores": self.scores,
-            "context": self.context,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        d = asdict(self)  # two fields keep shorter names in the file
+        d["metric"], d["std"] = d.pop("metric_name"), d.pop("bootstrap_std")
+        return json.dumps(d, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "EvalResult":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalResult":
+        d = json.loads(text)
         return cls(d["metric"], d["value"], d["std"], d["n_bootstrap"], d["skipped"],
                    d.get("bag_ids", []), d.get("labels", []), d.get("scores", []),
                    d.get("context", {}))

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .bagdata import DatasetManifest, weighted_epoch_order
+from .bagdata import SPLITS, DatasetManifest, weighted_epoch_order
 from .errors import ConfigError, DataError, NumericError
 from .metrics import metric_fn
 from .models import ModelConfig, ModelParams
@@ -209,13 +209,9 @@ def evaluate_split(cfg: ModelConfig, params: ModelParams, manifest: DatasetManif
     return metric, [e.bag_id for e in entries], labels, values
 
 
-def load_split_features(manifest: DatasetManifest, splits=("train", "val", "test")):
+def load_split_features(manifest: DatasetManifest):
     """Feature cache keyed by bag_id; desk-scale datasets fit in memory."""
-    cache = {}
-    for tag in splits:
-        for e in manifest.split(tag):
-            cache[e.bag_id] = manifest.load_features(e)
-    return cache
+    return {e.bag_id: manifest.load_features(e) for tag in SPLITS for e in manifest.split(tag)}
 
 
 def train(cfg: ModelConfig, params: ModelParams, manifest: DatasetManifest,

@@ -14,7 +14,7 @@ import hashlib
 import json
 import struct
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .errors import (
     ShapeMismatchError,
     VersionMismatchError,
 )
-from .fileio import atomic_open
+from .fileio import atomic_open, parse_json, read_input, reraise_as, section, typed
 from .metrics import EvalResult, evaluate_records
 from .models import ModelConfig, ModelParams
 from .training import TrainConfig, TrainResult
@@ -50,20 +50,8 @@ class Checkpoint:
     train_summary: dict = field(default_factory=dict)
 
 
-def config_to_dict(cfg: ModelConfig) -> dict:
-    d = asdict(cfg)
-    d["fc_hidden_dims"] = list(d["fc_hidden_dims"])
-    return d
-
-
-def config_from_dict(d: dict) -> ModelConfig:
-    d = dict(d)
-    d["fc_hidden_dims"] = tuple(d.get("fc_hidden_dims", ()))
-    return ModelConfig(**d)
-
-
 def config_digest(cfg: ModelConfig) -> str:
-    blob = json.dumps(config_to_dict(cfg), sort_keys=True).encode()
+    blob = json.dumps(asdict(cfg), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -71,6 +59,15 @@ def config_digest(cfg: ModelConfig) -> str:
 # checkpoint container: magic, version byte, u64 header length, JSON header,
 # then one concatenated float32-LE blob
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _LayerExtent:
+    """One row of a checkpoint header's layer table: where a layer's bytes lie."""
+    name: str
+    shape: tuple[int, ...]
+    offset: int  # into the blob
+    length: int  # in bytes
+
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     schema = models.param_schema(ckpt.cfg)
@@ -85,13 +82,12 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         if arr.shape != shape:
             raise ShapeMismatchError(f"layer {name!r}: shape {arr.shape} != schema {shape}")
         raw = arr.tobytes()
-        layers.append({"name": name, "shape": list(shape),
-                       "offset": offset, "length": len(raw)})
+        layers.append(asdict(_LayerExtent(name, shape, offset, len(raw))))
         blobs.append(raw)
         offset += len(raw)
     header = {
         "format_version": CHECKPOINT_VERSION,
-        "cfg": config_to_dict(ckpt.cfg),
+        "cfg": asdict(ckpt.cfg),
         "cfg_digest": config_digest(ckpt.cfg),
         "pretrain_task_id": ckpt.pretrain_task_id,
         "train_summary": ckpt.train_summary,
@@ -107,7 +103,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    data = Path(path).read_bytes()
+    data = read_input(path, "checkpoint", DataError)
     if data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"{path}: not a checkpoint (bad magic)")
     if len(data) < HEADER_START:
@@ -120,15 +116,17 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if blob_start > len(data):
         raise CheckpointFormatError(
             f"{path}: header of {header_len} bytes overruns the {len(data)}-byte file")
-    try:
-        header = json.loads(data[HEADER_START:blob_start])
-        cfg = config_from_dict(header["cfg"])
-        layers = [(str(layer["name"]), tuple(int(d) for d in layer["shape"]),
-                   int(layer["offset"]), int(layer["length"])) for layer in header["layers"]]
-        header["format_version"]  # required; the prefix byte is the version read
-        digest = header["cfg_digest"]
-    except (ValueError, KeyError, TypeError, ConfigError) as exc:
-        raise CheckpointFormatError(f"{path}: malformed header ({exc!r})") from exc
+    header = parse_json(data[HEADER_START:blob_start], f"{path}: header", CheckpointFormatError)
+    with reraise_as(CheckpointFormatError, f"{path}: malformed header"):
+        header = typed(header, dict, "header")
+        # required; the prefix byte is the version read
+        typed(header.get("format_version"), int, "format_version")
+        digest = typed(header.get("cfg_digest"), str, "cfg_digest")
+        cfg = section(ModelConfig, header.get("cfg"), "cfg")
+        layers = [astuple(section(_LayerExtent, layer, f"layers[{i}]")) for i, layer
+                  in enumerate(typed(header.get("layers"), tuple[dict, ...], "layers"))]
+        pretrain_task_id = typed(header.get("pretrain_task_id", ""), str, "pretrain_task_id")
+        train_summary = typed(header.get("train_summary", {}), dict, "train_summary")
     if digest != config_digest(cfg):  # an edited cfg would load as another model
         raise CheckpointFormatError(f"{path}: cfg_digest {digest!r} does not match "
                                     f"the header's cfg")
@@ -136,7 +134,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
     schema = dict(models.param_schema(cfg))
     params: ModelParams = {}
-    seen = set()
     for name, shape, start, length in layers:
         if name not in schema:
             raise ShapeMismatchError(f"{path}: layer {name!r} not in {cfg.arch} schema")
@@ -146,13 +143,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if length != int(np.prod(shape)) * 4 or not 0 <= start <= len(blob) - length:
             raise CheckpointFormatError(f"{path}: layer {name!r} has inconsistent extent")
         params[name] = np.frombuffer(blob[start:start + length], dtype="<f4").reshape(shape).copy()
-        seen.add(name)
-    missing = [name for name in schema if name not in seen]
+    missing = [name for name in schema if name not in params]
     if missing:
         raise ShapeMismatchError(f"{path}: missing layers {missing}")
-    return Checkpoint(cfg=cfg, params=params,
-                      pretrain_task_id=header.get("pretrain_task_id", ""),
-                      train_summary=header.get("train_summary", {}))
+    return Checkpoint(cfg=cfg, params=params, pretrain_task_id=pretrain_task_id,
+                      train_summary=train_summary)
 
 
 # ---------------------------------------------------------------------------

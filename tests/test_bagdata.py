@@ -145,6 +145,47 @@ def test_missing_feature_file_reported_lazily(tmp_path):
         m.load_features(m.entries[0])
 
 
+def _non_utf8_manifest(tmp_path):
+    (tmp_path / "manifest.csv").write_bytes(b"bag_id,path,label,split\n\xff,a.milf,0,train\n")
+    return lambda: load_manifest(tmp_path / "manifest.csv")
+
+
+def _oversized_manifest_field(tmp_path):
+    write_csv(tmp_path / "manifest.csv", [('"' + "x" * 200_000 + '"', "a.milf", 0, "train")])
+    return lambda: load_manifest(tmp_path / "manifest.csv")
+
+
+def _feature_path_with_nul(tmp_path):
+    write_csv(tmp_path / "manifest.csv",
+              [("a", "a\0b.milf", 0, "train"), ("b", "b.milf", 1, "train")])
+    m = load_manifest(tmp_path / "manifest.csv")
+    return lambda: m.load_features(m.entries[0])
+
+
+def _feature_path_is_a_directory(tmp_path):
+    write_csv(tmp_path / "manifest.csv",
+              [("a", "bags", 0, "train"), ("b", "b.milf", 1, "train")])
+    (tmp_path / "bags").mkdir()
+    m = load_manifest(tmp_path / "manifest.csv")
+    return lambda: m.load_features(m.entries[0])
+
+
+# case -> a reader of an input that cannot be read or decoded, given tmp_path
+UNREADABLE_INPUTS = {
+    "manifest_not_utf8": _non_utf8_manifest,
+    "manifest_field_over_csv_limit": _oversized_manifest_field,
+    "feature_path_is_a_directory": _feature_path_is_a_directory,
+    "feature_path_with_nul": _feature_path_with_nul,
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+def test_unreadable_inputs_are_data_errors(tmp_path, case):
+    read = UNREADABLE_INPUTS[case](tmp_path)
+    with pytest.raises(DataError):
+        read()
+
+
 def test_taskspec_validation():
     with pytest.raises(ConfigError):
         TaskSpec("t", 3, ("a", "b", "c"), "auroc")  # auroc needs 2 classes

@@ -1,6 +1,7 @@
 import builtins
 import json
 import shutil
+import warnings
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -172,9 +173,13 @@ def _context_bytes(**changes) -> bytes:
     return _result_bytes(context={k: v for k, v in context.items() if v is not None})
 
 
-# case -> (bytes of results/bad.json, or None for none, expected exit code,
-# the field the error names besides the file)
+# case -> (bytes of results/bad.json, None for none or DIRECTORY for a
+# directory of that name, expected exit code, the field the error names
+# besides the file)
+DIRECTORY = "directory"
 REPORT_INPUTS = {
+    "directory": (DIRECTORY, 3, ""),
+    "nested_too_deep": (b"[" * 100_000, 3, ""),
     "list": (b"[]", 3, ""),
     "not_utf8": (b"\xff\xfe\x00 not json", 3, ""),
     "context_list": (_result_bytes(context=[]), 3, ""),
@@ -198,7 +203,9 @@ def test_report_malformed_result_is_data_error(tmp_path, capsys, case):
     (results / "good.json").write_bytes(_result_bytes())
     # an SVCCA report is not an evaluation result; report skips it
     (results / "svcca.json").write_text(json.dumps({"layers": [], "n_samples": 0}))
-    if bad is not None:
+    if bad == DIRECTORY:
+        (results / "bad.json").mkdir()
+    elif bad is not None:
         (results / "bad.json").write_bytes(bad)
     capsys.readouterr()
     assert main(["--config", write_config(tmp_path, cfg), "report"]) == want
@@ -372,6 +379,13 @@ def test_missing_config_is_config_error(tmp_path):
     assert main(["--config", str(tmp_path / "nope.json"), "report"]) == 2
 
 
+def test_config_directory_is_config_error(tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["--config", str(tmp_path), "report"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config ") and "Traceback" not in err
+
+
 def test_bad_json_is_config_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -408,16 +422,19 @@ def test_zoo_without_the_entry_names_it(pipeline, tmp_path, capsys):
     assert "zoo entry 'abmil_pre4_s0' not found" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_non_finite_loss_exits_4(pipeline, tmp_path, capsys):
     tmp, cfg, _ = pipeline
     bad = json.loads(json.dumps(cfg))
     bad["train"]["lr"] = 1e30
     argv = ["--config", write_config(tmp_path, bad), "--out", str(tmp_path / "out")]
     capsys.readouterr()
-    assert main(argv + ["pretrain"]) == 4
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["pretrain"]) == 4
+    # the NumericError line is the whole report: numpy adds no RuntimeWarning
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
     assert err.startswith("numeric failure: non-finite loss at step 1 on bag ")
     assert err.rstrip().endswith("in job 0") and "Traceback" not in err
     assert not list((tmp_path / "out").glob("checkpoints/*.milc"))
@@ -501,6 +518,20 @@ def _drop_checkpoint(good: bytes) -> bytes:
     return json.dumps(zoo).encode()
 
 
+def _zoo_checkpoint(edit):
+    """A corruption that sets the first zoo entry's checkpoint to ``edit(checkpoint)``."""
+    def corrupt(good: bytes) -> bytes:
+        zoo = json.loads(good)
+        zoo["entries"][0]["checkpoint"] = edit(zoo["entries"][0]["checkpoint"])
+        return json.dumps(zoo).encode()
+    return corrupt
+
+
+def _task_json(**changes):
+    """A corruption that sets ``changes`` in task.json."""
+    return lambda good: json.dumps({**json.loads(good), **changes}).encode()
+
+
 # case -> (the file it corrupts, its corrupted bytes from the good ones)
 PARSE_FAILURES = {
     "zoo_truncated": ("zoo", lambda good: good[: len(good) // 2]),
@@ -508,8 +539,16 @@ PARSE_FAILURES = {
     "zoo_empty_object": ("zoo", lambda good: b"{}"),
     "zoo_list": ("zoo", lambda good: b"[]"),
     "zoo_entry_without_checkpoint": ("zoo", _drop_checkpoint),
+    "zoo_checkpoint_missing": ("zoo", _zoo_checkpoint(lambda path: path + ".missing")),
+    "zoo_checkpoint_int": ("zoo", _zoo_checkpoint(lambda path: 7)),
+    "zoo_checkpoint_directory": ("zoo", _zoo_checkpoint(lambda path: str(Path(path).parent))),
     "task_json_truncated": ("task", lambda good: good[: len(good) // 2]),
     "task_json_list": ("task", lambda good: b"[]"),
+    "task_json_n_classes_float": ("task", _task_json(n_classes=2.9)),
+    "task_json_n_classes_string": ("task", _task_json(n_classes="2")),
+    "task_json_class_names_string": ("task", _task_json(class_names="ab")),
+    "task_json_task_id_int": ("task", _task_json(task_id=7)),
+    "task_json_unknown_metric": ("task", _task_json(metric="accuracy")),
 }
 
 

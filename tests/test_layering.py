@@ -1,6 +1,6 @@
 """Package layering: a module reads another package module only through
-its public names, and the package imports nothing beyond numpy and the
-standard library."""
+its public names, only ``fileio`` reads files, and the package imports
+nothing beyond numpy and the standard library."""
 
 import ast
 import sys
@@ -41,6 +41,47 @@ def test_guard_sees_private_reads():
 def test_no_module_reads_another_modules_private_names():
     hits = {path.name: private_reads(path.read_text())
             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: h for name, h in hits.items() if h} == {}
+
+
+def file_reads(source: str) -> list[str]:
+    """Calls in ``source`` that read a file: ``.read_bytes()``, ``.read_text()``,
+    and ``open(...)`` or ``.open(...)`` in a read mode: the default mode, a
+    literal mode holding ``r`` or ``+``, or a mode that is not a literal."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("read_bytes", "read_text"):
+            hits.append(f"{node.lineno}: .{func.attr}()")
+            continue
+        if isinstance(func, ast.Name) and func.id == "open":
+            args = node.args[1:2]  # open(file, mode)
+        elif isinstance(func, ast.Attribute) and func.attr == "open":
+            args = node.args[:1]   # path.open(mode)
+        else:
+            continue
+        mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                    args[0] if args else ast.Constant("r"))
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("r+")):
+            hits.append(f"{node.lineno}: open")
+    return hits
+
+
+def test_guard_sees_file_reads():
+    source = ("data = path.read_bytes()\ntext = Path(p).read_text()\nopen(p)\n"
+              "open(p, 'rb')\nopen(p, mode='r+')\npath.open()\nopen(p, mode)\n"
+              "open(p, 'w')\nopen(p, 'a', encoding='utf-8')\npath.open('wb')\n"
+              "fh.read()\njson.loads(text)\n")
+    assert file_reads(source) == ["1: .read_bytes()", "2: .read_text()", "3: open",
+                                  "4: open", "5: open", "6: open", "7: open"]
+
+
+def test_only_fileio_reads_files():
+    hits = {path.name: file_reads(path.read_text())
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "fileio.py"}
     assert {name: h for name, h in hits.items() if h} == {}
 
 

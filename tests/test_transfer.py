@@ -99,12 +99,22 @@ def _drop_offset(header):
     return header
 
 
+def _set_offset(value):
+    def edit(header):
+        header["layers"][0]["offset"] = value
+        return header
+    return edit
+
+
 MALFORMED_CHECKPOINTS = {
     **{f"cut_at_{n}": (lambda raw, n=n: raw[:n]) for n in range(4, 13)},
     "header_without_cfg": _edit_header(lambda h: {k: v for k, v in h.items() if k != "cfg"}),
     "header_without_layers": _edit_header(
         lambda h: {k: v for k, v in h.items() if k != "layers"}),
     "layer_without_offset": _edit_header(_drop_offset),
+    # the first layer starts at 0: neither may be read as an integer offset
+    "layer_offset_string": _edit_header(_set_offset("0")),
+    "layer_offset_float": _edit_header(_set_offset(1.5)),
     "unknown_cfg_field": _edit_header(lambda h: {**h, "cfg": {**h["cfg"], "bogus": 1}}),
     "layers_not_a_list": _edit_header(lambda h: {**h, "layers": 7}),
     "header_is_a_list": _edit_header(lambda h: [h]),
