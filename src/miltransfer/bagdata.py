@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import re
 import struct
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -199,11 +200,9 @@ def load_manifest(path: str | Path, task: TaskSpec | None = None) -> DatasetMani
             if len(row) != 4:
                 raise DataError(f"manifest {path}:{lineno}: expected 4 fields")
             bag_id, fpath, label_s, split_tag = (c.strip() for c in row)
-            try:
-                label = int(label_s)
-            except ValueError:
-                raise DataError(f"manifest {path}:{lineno}: non-integer label {label_s!r}") from None
-            rows.append(ManifestEntry(bag_id, fpath, label, split_tag))
+            if not re.fullmatch(r"-?[0-9]+", label_s):  # int() also takes "+1", "0_0", "١"
+                raise DataError(f"manifest {path}:{lineno}: non-integer label {label_s!r}")
+            rows.append(ManifestEntry(bag_id, fpath, int(label_s), split_tag))
     except csv.Error as exc:  # e.g. a field past the csv module's size limit
         raise DataError(f"manifest {path}: {exc}") from exc
 

@@ -493,9 +493,6 @@ def cmd_scale_sweep(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
 
 
 REPORT_KEYS = ("protocol", "k_shot", "task", "arch", "model", "init")
-# an evaluation result's fields (EvalResult.to_json), with their types
-RESULT_FIELDS = {"metric": str, "value": float, "std": float, "n_bootstrap": int,
-                 "skipped": int, "context": dict}
 # the result context field each report key reads, with its type
 RESULT_KEY = {"protocol": str, "k_shot": int | None, "target_task": str, "arch": str,
               "model": str, "init": str}
@@ -507,10 +504,10 @@ def _read_result(path: Path) -> tuple[tuple, float] | None:
         d = typed(read_json(path, "result", DataError), dict, "the file")
         if "layers" in d:
             return None
-        result = {key: typed(d.get(key), hint, key) for key, hint in RESULT_FIELDS.items()}
-        key = tuple(typed(result["context"].get(k), hint, f"context.{k}")
+        result = EvalResult.from_json(d)
+        key = tuple(typed(result.context.get(k), hint, f"context.{k}")
                     for k, hint in RESULT_KEY.items())
-        return key, result["value"]
+        return key, result.value
 
 
 def cmd_report(cfg: ExperimentConfig, ws: Workspace) -> list[str]:

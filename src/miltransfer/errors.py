@@ -44,7 +44,7 @@ class VersionMismatchError(CheckpointFormatError):
 
 
 class ShapeMismatchError(CheckpointFormatError):
-    """Stored parameter shapes disagree with the embedded model config."""
+    """Parameter layers missing from, or shaped unlike, a model config's schema."""
 
 
 class NumericError(MilError):

@@ -74,7 +74,8 @@ def read_json(path: str | Path, what: str, error: type[MilError]):
 
 # JSON type and its description per annotated field type
 _JSON = {int: (int, "an integer"), float: ((int, float), "a finite number"),
-         str: (str, "a string"), Path: (str, "a path string"), dict: (dict, "an object")}
+         str: (str, "a string"), Path: (str, "a path string with no NUL byte"),
+         dict: (dict, "an object")}
 _hints = cache(get_type_hints)  # evaluating string annotations is most of a parse
 
 
@@ -95,7 +96,8 @@ def typed(value, hint, where: str):
                          for i, v in enumerate(value))
         kind = "a list" if many else f"a list of {len(args)}"
     elif (isinstance(value, _JSON[hint][0]) and not isinstance(value, bool)
-          and (hint is not float or isinstance(value, int) or math.isfinite(value))):
+          and (hint is not float or isinstance(value, int) or math.isfinite(value))
+          and (hint is not Path or "\0" not in value)):
         return Path(value) if hint is Path else value
     else:
         kind = _JSON[hint][1]

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericError, UndefinedMetricError
+from .fileio import typed
 
 # Index entries drawn per bootstrap block: 1 MB of int64 indices, so each
 # per-block temporary stays near 1 MB whatever the record count.
@@ -182,6 +183,12 @@ def bootstrap(labels, values, fn, n_bootstrap: int = 1000, seed: int = 0):
     return float(arr.mean()), float(arr.std()), skipped
 
 
+# the fields of a result file (``EvalResult.to_json``), with their types
+RESULT_FIELDS = {"metric": str, "value": float, "std": float, "n_bootstrap": int,
+                 "skipped": int, "bag_ids": tuple[str, ...], "labels": tuple[int, ...],
+                 "scores": tuple[float, ...], "context": dict}
+
+
 @dataclass
 class EvalResult:
     metric_name: str
@@ -200,11 +207,14 @@ class EvalResult:
         return json.dumps(d, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "EvalResult":
-        d = json.loads(text)
-        return cls(d["metric"], d["value"], d["std"], d["n_bootstrap"], d["skipped"],
-                   d.get("bag_ids", []), d.get("labels", []), d.get("scores", []),
-                   d.get("context", {}))
+    def from_json(cls, raw: str | dict) -> "EvalResult":
+        """The result in ``to_json``'s text, or in that text parsed, typed
+        field by field (``RESULT_FIELDS``); else a ``ConfigError`` naming
+        the field."""
+        d = typed(json.loads(raw) if isinstance(raw, str) else raw, dict, "the file")
+        f = {key: typed(d.get(key), hint, key) for key, hint in RESULT_FIELDS.items()}
+        return cls(f["metric"], f["value"], f["std"], f["n_bootstrap"], f["skipped"],
+                   list(f["bag_ids"]), list(f["labels"]), list(f["scores"]), f["context"])
 
 
 def evaluate_records(metric: str, n_classes: int, bag_ids, labels, values,

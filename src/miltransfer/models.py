@@ -70,6 +70,7 @@ activations keep the bytes of the per-bag pass.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -101,6 +102,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.arch not in ARCHS:
             raise ConfigError(f"unknown arch {self.arch!r}")
+        if any(isinstance(h, bool) or not isinstance(h, numbers.Integral)
+               for h in self.fc_hidden_dims):
+            raise ConfigError(f"fc_hidden_dims must hold integers, got {self.fc_hidden_dims!r}")
         object.__setattr__(self, "fc_hidden_dims", tuple(int(h) for h in self.fc_hidden_dims))
         for name in ("in_dim", "embed_dim", "n_classes"):
             if getattr(self, name) < 1:
@@ -197,7 +201,19 @@ def param_schema(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def param_count(cfg: ModelConfig) -> int:
-    return sum(int(np.prod(shape)) for _, shape in param_schema(cfg))
+    return sum(math.prod(shape) for _, shape in param_schema(cfg))
+
+
+def layer_views(layout, buf: np.ndarray) -> ModelParams:
+    """Per-layer views of a flat (P,) row or a (..., P) buffer that holds
+    the ``layout`` (name, shape) layers one after another.  This is the
+    one parameter layout: a ``ParamStack`` row and a checkpoint blob."""
+    lead, views, lo = buf.shape[:-1], {}, 0
+    for name, shape in layout:
+        hi = lo + math.prod(shape)
+        views[name] = buf[..., lo:hi].reshape(*lead, *shape)
+        lo = hi
+    return views
 
 
 def _truncated_normal(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:

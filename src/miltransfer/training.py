@@ -16,9 +16,10 @@ per step, each over all jobs.  ``train`` is the stack of one job.
 
 Arena layout.  A ``ParamStack`` keeps parameters, gradients and both Adam
 moments in one (J, P) buffer each.  Row j holds job j's P parameters,
-layer after layer in ``param_schema`` order, which is the order of a MILC
-checkpoint blob.  Per-layer (J, *shape) views feed the model kernel, and
-the same views of one row are that job's dict of arrays.
+layer after layer in ``param_schema`` order, and is byte for byte the
+float32 blob of job j's MILC checkpoint.  ``models.layer_views`` cuts both
+into layers: per-layer (J, *shape) views feed the model kernel, and the
+same views of one row are that job's dict of arrays.
 
 Bag features come only from the caller's cache, keyed by bag id
 (``load_split_features``): the trainer and ``evaluate_split`` read no file.
@@ -134,9 +135,7 @@ class ParamStack:
 
     def views(self, buf: np.ndarray) -> ModelParams:
         """Per-layer views of a (P,) row or a (J, P) buffer in this layout."""
-        lead = buf.shape[:-1]
-        return {name: buf[..., lo:hi].reshape(*lead, *shape)
-                for (name, shape), lo, hi in zip(self.layout, self.starts, self.starts[1:])}
+        return models.layer_views(self.layout, buf)
 
     def layer_at(self, column: int) -> str:
         return self.layout[bisect.bisect_right(self.starts, column) - 1][0]

@@ -170,8 +170,20 @@ def _feature_path_is_a_directory(tmp_path):
     return lambda: m.load_features(m.entries[0])
 
 
+def _manifest_labelled(label):
+    """A manifest whose second label is ``label``, which ``int()`` would take."""
+    def make(tmp_path):
+        (tmp_path / "manifest.csv").write_bytes(
+            f"bag_id,path,label,split\na,a.milf,0,train\nb,b.milf,{label},train\n".encode())
+        return lambda: load_manifest(tmp_path / "manifest.csv")
+    return make
+
+
 # case -> a reader of an input that cannot be read or decoded, given tmp_path
 UNREADABLE_INPUTS = {
+    "manifest_label_plus_sign": _manifest_labelled("+1"),
+    "manifest_label_underscore": _manifest_labelled("0_1"),
+    "manifest_label_arabic_indic_digit": _manifest_labelled("\u0661"),
     "manifest_not_utf8": _non_utf8_manifest,
     "manifest_field_over_csv_limit": _oversized_manifest_field,
     "feature_path_is_a_directory": _feature_path_is_a_directory,

@@ -242,6 +242,8 @@ CONFIG_SHAPE_ERRORS = {
     "task_without_concepts": ("synthetic.tasks[0].concepts_per_class", _without_concepts),
     "output_dir_int": ("output_dir", lambda cfg: cfg.update(output_dir=5)),
     "data_root_int": ("data.root", lambda cfg: cfg["data"].update(root=5)),
+    "output_dir_nul": ("output_dir", lambda cfg: cfg.update(output_dir="runs\0x")),
+    "data_root_nul": ("data.root", lambda cfg: cfg["data"].update(root="data\0x")),
     "data_pretrain_int": ("data.pretrain", lambda cfg: cfg["data"].update(pretrain=5)),
     "data_targets_string": ("data.targets", lambda cfg: cfg["data"].update(targets="tgt")),
     "variance_keep_string": ("protocol.variance_keep",

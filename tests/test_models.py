@@ -24,6 +24,13 @@ def test_arch_field_validation():
         ModelConfig("mean", in_dim=8, embed_dim=8, n_classes=2, n_layers=2)
     with pytest.raises(ConfigError):
         ModelConfig("nope", in_dim=8, embed_dim=8, n_classes=2)
+    # hidden widths are integers, never truncated or parsed into one
+    for hidden in ((2.9,), ("4",), (True,), (4, 2.0)):
+        with pytest.raises(ConfigError, match="fc_hidden_dims"):
+            ModelConfig("mean", in_dim=8, embed_dim=8, n_classes=2, fc_hidden_dims=hidden)
+    cfg = ModelConfig("mean", in_dim=8, embed_dim=8, n_classes=2,
+                      fc_hidden_dims=[np.int64(4), 3])
+    assert cfg.fc_hidden_dims == (4, 3) and type(cfg.fc_hidden_dims[0]) is int
 
 
 # ---------------------------------------------------------------------------

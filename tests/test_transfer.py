@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_bag
+from conftest import random_bag, tiny_configs
 from miltransfer import (
     Checkpoint,
     ModelConfig,
@@ -31,6 +31,7 @@ from miltransfer.errors import (
     VersionMismatchError,
 )
 from miltransfer.models import param_schema
+from miltransfer.training import ParamStack
 from miltransfer.transfer import CHECKPOINT_VERSION, config_digest, knn_predict, start
 
 
@@ -61,18 +62,16 @@ def test_checkpoint_round_trip_bitwise(tmp_path, abmil_ckpt):
         assert np.array_equal(back.params[k].view(np.uint32), v.view(np.uint32))
 
 
-def test_checkpoint_tampered_shape(tmp_path, abmil_ckpt):
+def test_save_checkpoint_refuses_params_unlike_the_schema(tmp_path, abmil_ckpt):
     path = tmp_path / "m.milc"
-    save_checkpoint(abmil_ckpt, path)
-    raw = path.read_bytes()
-    (header_len,) = struct.unpack_from("<Q", raw, 5)
-    header = json.loads(raw[13:13 + header_len])
-    header["layers"][0]["shape"] = [1, 1]
-    new_header = json.dumps(header, sort_keys=True).encode()
-    path.write_bytes(raw[:5] + struct.pack("<Q", len(new_header)) + new_header
-                     + raw[13 + header_len:])
-    with pytest.raises(ShapeMismatchError):
-        load_checkpoint(path)
+    params = dict(abmil_ckpt.params)
+    del params["attn.w.bias"]
+    with pytest.raises(ShapeMismatchError, match="attn.w.bias"):
+        save_checkpoint(Checkpoint(cfg=abmil_ckpt.cfg, params=params), path)
+    params["attn.w.bias"] = np.zeros(2, dtype=np.float32)
+    with pytest.raises(ShapeMismatchError, match="attn.w.bias"):
+        save_checkpoint(Checkpoint(cfg=abmil_ckpt.cfg, params=params), path)
+    assert not path.exists()
 
 
 def test_checkpoint_version_mismatch(tmp_path, abmil_ckpt):
@@ -94,32 +93,15 @@ def _edit_header(edit):
     return corrupt
 
 
-def _drop_offset(header):
-    del header["layers"][0]["offset"]
-    return header
-
-
-def _set_offset(value):
-    def edit(header):
-        header["layers"][0]["offset"] = value
-        return header
-    return edit
-
-
 MALFORMED_CHECKPOINTS = {
     **{f"cut_at_{n}": (lambda raw, n=n: raw[:n]) for n in range(4, 13)},
     "header_without_cfg": _edit_header(lambda h: {k: v for k, v in h.items() if k != "cfg"}),
-    "header_without_layers": _edit_header(
-        lambda h: {k: v for k, v in h.items() if k != "layers"}),
-    "layer_without_offset": _edit_header(_drop_offset),
-    # the first layer starts at 0: neither may be read as an integer offset
-    "layer_offset_string": _edit_header(_set_offset("0")),
-    "layer_offset_float": _edit_header(_set_offset(1.5)),
     "unknown_cfg_field": _edit_header(lambda h: {**h, "cfg": {**h["cfg"], "bogus": 1}}),
-    "layers_not_a_list": _edit_header(lambda h: {**h, "layers": 7}),
     "header_is_a_list": _edit_header(lambda h: [h]),
-    "header_without_format_version": _edit_header(
-        lambda h: {k: v for k, v in h.items() if k != "format_version"}),
+    # the blob is exactly the header cfg's parameters, nothing after them
+    "blob_trailing_byte": lambda raw: raw + b"\0",
+    "blob_trailing_float": lambda raw: raw + np.float32(1).tobytes(),
+    "blob_short_float": lambda raw: raw[:-4],
     "header_length_past_eof": lambda raw: raw[:5] + struct.pack("<Q", len(raw)) + raw[13:],
     "header_without_cfg_digest": _edit_header(
         lambda h: {k: v for k, v in h.items() if k != "cfg_digest"}),
@@ -137,18 +119,60 @@ def test_malformed_checkpoint_is_format_error(tmp_path, abmil_ckpt, case):
         load_checkpoint(path)
 
 
+def _with_layer_table(header):
+    """``header`` as written before the blob layout lived in ``param_schema``
+    alone: with a format version and a table of each layer's extent."""
+    layers, offset = [], 0
+    for name, shape in param_schema(ModelConfig(**header["cfg"])):
+        length = 4 * int(np.prod(shape))
+        layers.append({"name": name, "shape": list(shape), "offset": offset,
+                       "length": length})
+        offset += length
+    return {**header, "format_version": CHECKPOINT_VERSION, "layers": layers,
+            "created_at": ""}
+
+
 def test_checkpoint_header_keys(tmp_path, abmil_ckpt):
     path = tmp_path / "m.milc"
     save_checkpoint(abmil_ckpt, path)
     raw = path.read_bytes()
     (n,) = struct.unpack_from("<Q", raw, 5)
     header = json.loads(raw[13:13 + n])
-    assert header["format_version"] == CHECKPOINT_VERSION
-    assert "created_at" not in header
-    # headers written before the timestamp key was dropped still load
-    path.write_bytes(_edit_header(lambda h: {**h, "created_at": ""})(raw))
+    assert sorted(header) == ["cfg", "cfg_digest", "pretrain_task_id", "train_summary"]
+    # headers written with the dropped timestamp, version and layer-table
+    # keys still load, bit for bit
+    path.write_bytes(_edit_header(_with_layer_table)(raw))
     back = load_checkpoint(path)
     assert back.cfg == abmil_ckpt.cfg and back.pretrain_task_id == "src"
+    for k, v in abmil_ckpt.params.items():
+        assert np.array_equal(back.params[k].view(np.uint32), v.view(np.uint32))
+
+
+@settings(max_examples=10, deadline=None)
+@given(arch=st.sampled_from(sorted(tiny_configs())), seed=st.integers(0, 2**32 - 1),
+       byte=st.binary(min_size=1, max_size=1), word=st.binary(min_size=4, max_size=4))
+def test_checkpoint_blob_is_one_param_stack_row(tmp_path_factory, arch, seed, byte, word):
+    cfg = tiny_configs()[arch]
+    params = build_model(cfg, seed=seed)
+    path = tmp_path_factory.mktemp("milc") / "m.milc"
+    save_checkpoint(Checkpoint(cfg=cfg, params=params), path)
+    back = load_checkpoint(path)
+    assert list(back.params) == list(params)
+    for k, v in params.items():
+        assert np.array_equal(back.params[k].view(np.uint32), v.view(np.uint32))
+    raw = path.read_bytes()
+    (n,) = struct.unpack_from("<Q", raw, 5)
+    row = ParamStack.from_params([params], param_schema(cfg)).params[0]
+    assert raw[13 + n:] == row.astype("<f4").tobytes()
+    for tail in (byte, word):
+        path.write_bytes(raw + tail)
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(path)
+    with open(path, "r+b") as fh:
+        for cut in reversed(range(len(raw))):
+            fh.truncate(cut)
+            with pytest.raises(CheckpointFormatError):
+                load_checkpoint(path)
 
 
 def test_mean_checkpoint_into_abmil_names_missing_layers(tmp_path):
