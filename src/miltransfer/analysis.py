@@ -3,7 +3,8 @@
 Bag features come only from the caller's cache, keyed by bag id
 (``training.load_split_features``); nothing here reads a feature file.
 Activations are the ``ForwardOutput.activations`` that ``models.eval_pass``
-already computes (``fc.{i}`` post-ReLU, ``attn`` pre-softmax score).  The
+already computes (``fc.{i}`` post-ReLU, ``attn`` pre-softmax score), the
+layers that ``models.activation_layers`` names.  The
 pass yields them as views into its tile outputs, so ``capture_activations``
 copies each sampled instance's row out as its bag goes by.  Only the bags
 that hold sampled instances are packed into tiles, and a bag's rows do not
@@ -55,13 +56,6 @@ class StabilityReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _capturable_layers(cfg: ModelConfig) -> list[str]:
-    names = [f"fc.{i}" for i in range(len(cfg.fc_dims()) - 1)]
-    if cfg.arch in ("abmil", "auxmil"):
-        names.append("attn")
-    return names
-
-
 def sample_instances(manifest: DatasetManifest, split: str, max_instances: int,
                      seed: int, features: dict[str, np.ndarray]) -> list[tuple[str, int]]:
     """Deterministic subsample of up to max_instances (bag, instance) pairs
@@ -90,7 +84,7 @@ def capture_activations(cfg: ModelConfig, params: ModelParams,
     are forwarded.  Parameters with a leading job axis J give each dump a
     leading J axis.
     """
-    known = _capturable_layers(cfg)
+    known = models.activation_layers(cfg)
     for name in layer_names:
         if name not in known:
             raise ConfigError(f"unknown activation layer {name!r}; available: {known}")
@@ -183,11 +177,9 @@ def layer_stability_report(before: Checkpoint, after_params: ModelParams,
     and under ``after_params``, on an identical instance sample, both
     captured in one pass as a stack of two."""
     cfg = before.cfg
-    for name, shape in models.param_schema(cfg):
-        if name not in after_params or after_params[name].shape != shape:
-            raise DataError(f"after-params do not match the checkpoint architecture ({name})")
+    models.check_params(models.param_schema(cfg), after_params, "after-params")
     if layer_names is None:
-        layer_names = _capturable_layers(cfg)
+        layer_names = models.activation_layers(cfg)
     pairs = sample_instances(manifest, SAMPLE_SPLIT, max_instances, seed, features)
     layers = []
     # no name holds the stacked parameters, so they are freed before SVCCA runs

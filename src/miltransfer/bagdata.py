@@ -270,9 +270,7 @@ def weighted_epoch_order(manifest: DatasetManifest, epoch_len: int,
     """Class-weighted bag order: draw with replacement, p(bag) proportional
     to the inverse size of its class, so the expected class distribution
     is uniform."""
-    train = manifest.split("train")
-    if not train:
-        raise DataError("train split is empty")
+    train = manifest.split("train")  # never empty: a manifest needs a train bag
     counts = manifest.class_counts("train")
     weights = np.array([1.0 / counts[e.label] for e in train])
     probs = weights / weights.sum()
@@ -323,6 +321,8 @@ class SynthTaskConfig:
             raise ConfigError("witness_rate * min bag size must be >= 1")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be >= 0")
+        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if min(self.split_fractions) < 0 or abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ConfigError("split_fractions must be >= 0 and sum to 1")
 

@@ -41,7 +41,7 @@ and ``transfer.source_task`` the one place it becomes the recorded source
 task; only ``knn`` bypasses ``start``, embedding the checkpoint itself,
 head included, for ``pretrained``.  Jobs that share (model, target, seed,
 k_shot) differ only in their init.  These init-siblings train in lockstep as
-one parameter stack (``training.train_group``): ``transfer``, ``fewshot``,
+one parameter stack (``transfer.train_siblings``): ``transfer``, ``fewshot``,
 ``svcca`` and each ``scale-sweep`` row stack two jobs, and ``reset`` stacks
 one job per reset spec.  ``knn`` trains nothing; its two siblings are
 embedded as one stack per split (``transfer.embed_bags``).  A sibling's
@@ -126,7 +126,8 @@ class ProtocolConfig:
         if self.distance not in transfer.DISTANCES:
             raise ConfigError(f"distance {self.distance!r} is not one of {transfer.DISTANCES}")
         if not set(self.reset_specs) <= set(transfer.RESET_SPECS):
-            raise ConfigError(f"reset_specs {self.reset_specs} not in {transfer.RESET_SPECS}")
+            raise ConfigError(f"reset_specs {self.reset_specs} not in "
+                              f"{tuple(transfer.RESET_SPECS)}")
         if not 0.0 < self.variance_keep <= 1.0:
             raise ConfigError(f"variance_keep must be in (0, 1], got {self.variance_keep}")
 
@@ -391,17 +392,14 @@ def _run_svcca(cfg: ExperimentConfig, jobs: list[Job], ckpt: Checkpoint,
                target: DatasetManifest, features) -> list[analysis.StabilityReport]:
     proto = cfg.protocol
     seed = jobs[0].seed
-    starts = [transfer.start(ckpt, job.init, target.task.n_classes, seed) for job in jobs]
-    start_cfg = starts[0][0]
-    results = training.train_group(start_cfg, [params for _, params in starts], target,
-                                   replace(cfg.train, seed=seed), features,
-                                   names=[job.init for job in jobs])
+    start_cfg, starts, results = transfer.train_siblings(
+        ckpt, [job.init for job in jobs], target, replace(cfg.train, seed=seed), features)
     return [analysis.layer_stability_report(
         Checkpoint(cfg=start_cfg, params=start), result.params, target,
         max_instances=proto.max_instances,
         seed=seed, variance_keep=proto.variance_keep, features=features,
         model_tag=f"{job.model}_{job.target}_{job.init}_s{seed}")
-        for job, (_, start), result in zip(jobs, starts, results)]
+        for job, start, result in zip(jobs, starts, results)]
 
 
 RUNNERS = {"finetune": _run_finetune, "knn": _run_knn, "svcca": _run_svcca}
@@ -421,8 +419,9 @@ def run_jobs(cfg: ExperimentConfig, ws: Workspace, tag: str, jobs: list[Job]) ->
     one stack; the ``grid`` order puts siblings next to each other.  Each
     (model, seed) checkpoint is read from the zoo once.  A target's manifest
     and features are read once per run of consecutive jobs on it, which the
-    ``grid`` order makes once per target.  Here, and nowhere else, a result's
-    context records its job's identity.
+    ``grid`` order makes once per target.  Every result's context is then
+    given its whole job identity here (model, arch, target_task, init, seed,
+    source_task and k_shot), over whatever keys its runner wrote.
     """
     checkpoint = cache(lambda model, seed: zoo_lookup(ws.zoo_path, zoo_name(model, seed)))
     loaded_target, target, features = None, None, None

@@ -43,8 +43,10 @@ class VersionMismatchError(CheckpointFormatError):
     """Checkpoint or feature file written with an unsupported format version."""
 
 
-class ShapeMismatchError(CheckpointFormatError):
-    """Parameter layers missing from, or shaped unlike, a model config's schema."""
+class ShapeMismatchError(DataError):
+    """In-memory parameters that lack a layer of a model config's schema or
+    hold one in another shape (``models.check_params``).  A checkpoint file
+    that does not fit its own header is a ``CheckpointFormatError``."""
 
 
 class NumericError(MilError):

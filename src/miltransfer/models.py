@@ -11,7 +11,10 @@ Five architectures over a shared pre-attention FC stack:
 
 Parameters are plain dicts of numpy arrays keyed by a canonical layer-name
 schema (``fc.{i}.weight`` ...), which checkpointing, layer reset and the
-activation tooling all rely on.  Gradients are hand-derived; the
+activation tooling all rely on.  This module is the one owner of that
+schema: ``param_schema`` lists the layers, ``check_params`` holds params to
+them, ``head_layers`` names the class-bound heads and ``activation_layers``
+the layers whose outputs a forward yields.  Gradients are hand-derived; the
 finite-difference suite in the tests is the correctness oracle.
 
 One forward/backward kernel serves one model and a stack of J
@@ -75,7 +78,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, ShapeMismatchError
 
 ARCHS = ("mean", "max", "abmil", "transformer", "auxmil")
 N_HEADS = 8
@@ -202,6 +205,34 @@ def param_schema(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 def param_count(cfg: ModelConfig) -> int:
     return sum(math.prod(shape) for _, shape in param_schema(cfg))
+
+
+def check_params(layout, params, where: str) -> None:
+    """Raise ``ShapeMismatchError`` naming the first ``layout`` (name, shape)
+    layer that ``params`` lacks or holds in another shape; ``where`` names
+    the params in the message.  Layers beyond the layout are not looked at."""
+    for name, shape in layout:
+        if name not in params:
+            raise ShapeMismatchError(f"{where}: missing layer {name!r}")
+        if np.shape(params[name]) != tuple(shape):
+            raise ShapeMismatchError(f"{where}: layer {name!r} has shape "
+                                     f"{np.shape(params[name])}, the schema needs {tuple(shape)}")
+
+
+def head_layers(cfg: ModelConfig) -> tuple[str, ...]:
+    """The schema's class-bound heads, in schema order: the classifier and,
+    for auxmil, the aux head.  A transfer draws them fresh for its target."""
+    return tuple(name for name, _ in param_schema(cfg)
+                 if name.startswith(("classifier.", "aux.head.")))
+
+
+def activation_layers(cfg: ModelConfig) -> list[str]:
+    """The keys of ``ForwardOutput.activations``, in order: ``fc.{i}`` per
+    FC layer and, for gated attention, ``attn``."""
+    names = [f"fc.{i}" for i in range(len(cfg.fc_dims()) - 1)]
+    if cfg.arch in ("abmil", "auxmil"):
+        names.append("attn")
+    return names
 
 
 def layer_views(layout, buf: np.ndarray) -> ModelParams:
@@ -437,7 +468,7 @@ def _merge_heads(x):
 
 def _tx_block_forward(params, cfg, x, i, rng):
     e = cfg.embed_dim
-    c: dict = {"x_in": x}
+    c: dict = {}
     y1, c["ln1"] = _layernorm_forward(x, params[f"tx.{i}.norm1.weight"], params[f"tx.{i}.norm1.bias"])
     c["y1"] = y1
     qkv = y1 @ _T(params[f"tx.{i}.qkv.weight"]) + params[f"tx.{i}.qkv.bias"][..., None, :]
@@ -452,7 +483,6 @@ def _tx_block_forward(params, cfg, x, i, rng):
     attn_out = ctx @ _T(params[f"tx.{i}.proj.weight"]) + params[f"tx.{i}.proj.bias"][..., None, :]
     x = x + attn_out
     if cfg.encoder_hidden_dim is not None:
-        c["x_mid"] = x
         y2, c["ln2"] = _layernorm_forward(x, params[f"tx.{i}.norm2.weight"], params[f"tx.{i}.norm2.bias"])
         c["y2"] = y2
         f1_pre = y2 @ _T(params[f"tx.{i}.ff1.weight"]) + params[f"tx.{i}.ff1.bias"][..., None, :]
@@ -481,7 +511,7 @@ def _tx_block_backward(g, c, params, cfg, i, grads):
         g_mid_ln, g_gamma2, g_beta2 = _layernorm_backward(g_y2, c["ln2"], params[f"tx.{i}.norm2.weight"])
         grads[f"tx.{i}.norm2.weight"] += g_gamma2
         grads[f"tx.{i}.norm2.bias"] += g_beta2
-        g = g + g_mid_ln  # residual join at x_mid
+        g = g + g_mid_ln  # residual join after the attention half
 
     g_attn_out = g
     grads[f"tx.{i}.proj.weight"] += _T(g_attn_out) @ c["ctx"]
@@ -500,7 +530,7 @@ def _tx_block_backward(g, c, params, cfg, i, grads):
     g_x_ln, g_gamma1, g_beta1 = _layernorm_backward(g_y1, c["ln1"], params[f"tx.{i}.norm1.weight"])
     grads[f"tx.{i}.norm1.weight"] += g_gamma1
     grads[f"tx.{i}.norm1.bias"] += g_beta1
-    return g + g_x_ln  # residual join at x_in
+    return g + g_x_ln  # residual join at the block input
 
 
 def _checked_bag(features, cfg: ModelConfig, where: str = "bag") -> np.ndarray:
@@ -589,7 +619,7 @@ def _forward_cached(params: ModelParams, cfg: ModelConfig, features: np.ndarray,
     x = _checked_bag(features, cfg)
     cache: dict = {}
     if rng is not None and cfg.dropout_input > 0:
-        x, cache["input_drop"] = _dropout(rng, x, cfg.dropout_input)
+        x, _ = _dropout(rng, x, cfg.dropout_input)  # no gradient reaches the features
     rows, cache["fc"] = _instance_stage(params, cfg, x, rng)
     out, bag_cache = _bag_stage(params, cfg, rows, rng)
     cache.update(bag_cache)

@@ -117,10 +117,8 @@ class ParamStack:
         dict's (name, shape) order."""
         if layout is None:
             layout = [(name, p.shape) for name, p in params_list[0].items()]
-        for params in params_list:
-            for name, shape in layout:
-                if params[name].shape != tuple(shape):
-                    raise DataError(f"layer {name!r}: shape {params[name].shape} != {shape}")
+        for j, params in enumerate(params_list):
+            models.check_params(layout, params, f"job {j if names is None else names[j]}")
         flat = np.stack([np.concatenate([params[name].ravel() for name, _ in layout])
                          for params in params_list])
         return cls(layout, flat, names)
@@ -233,31 +231,23 @@ def train_group(cfg: ModelConfig, starts: list[ModelParams], manifest: DatasetMa
     Result j equals ``train(cfg, starts[j], manifest, train_cfg, features)``
     bit for bit.  ``names`` label the jobs in ``NumericError`` messages.
     """
-    train_entries = manifest.split("train")
-    if not train_entries:
-        raise DataError("train split is empty")
     labels = {e.bag_id: e.label for e in manifest.entries}
 
     has_val = manifest.has_val()
     planned_epochs = train_cfg.max_epochs if has_val else 10
-    steps_per_epoch = len(train_entries)
+    steps_per_epoch = len(manifest.split("train"))  # a manifest always has train bags
     total_steps = planned_epochs * steps_per_epoch
 
     stack = ParamStack.from_params(starts, models.param_schema(cfg), names)
-    aux_weight = train_cfg.aux_weight if cfg.arch == "auxmil" else 0.0
 
     jobs = list(range(len(starts)))  # the job in each stack row
+    # best[j] is job j's result: its best-validation snapshot, or without a
+    # val split its last epoch's parameters
     best = np.empty_like(stack.params)
-    best_metric = [-math.inf] * len(jobs)  # -inf: no snapshot in best[j] yet
+    best_metric = [-math.inf] * len(jobs)
     epochs_since_best = [0] * len(jobs)
     histories: list[list[dict]] = [[] for _ in jobs]
-    finals: list[np.ndarray | None] = [None] * len(jobs)
     global_step = 0
-
-    def finish(rows: list[int]) -> None:
-        for r in rows:
-            j = jobs[r]
-            finals[j] = best[j] if best_metric[j] > -math.inf else stack.params[r].copy()
 
     for epoch in range(planned_epochs):
         order = weighted_epoch_order(manifest, steps_per_epoch,
@@ -269,8 +259,8 @@ def train_group(cfg: ModelConfig, starts: list[ModelParams], manifest: DatasetMa
             stack.grads.fill(0.0)
             loss, _, _ = models.loss_and_grads(
                 stack.layers, cfg, features[bag_id], labels[bag_id],
-                aux_weight=aux_weight, dropout_seed=_step_seed(train_cfg.seed, global_step),
-                grads=stack.grad_layers)
+                aux_weight=train_cfg.aux_weight,
+                dropout_seed=_step_seed(train_cfg.seed, global_step), grads=stack.grad_layers)
             if not np.isfinite(loss).all():
                 job = stack.names[int(np.argmin(np.isfinite(loss)))]
                 raise NumericError(f"non-finite loss at step {global_step} on bag {bag_id!r} "
@@ -282,33 +272,29 @@ def train_group(cfg: ModelConfig, starts: list[ModelParams], manifest: DatasetMa
         val = evaluate_split(cfg, stack.layers, manifest, "val", features)[0] if has_val else None
         stopped = []
         for r, j in enumerate(jobs):
-            record = {
+            histories[j].append({
                 "epoch": epoch,
                 "train_loss": float(epoch_loss[r] / steps_per_epoch),
-                "val_metric": None,
+                "val_metric": None if val is None else float(val[r]),
                 "lr": lr,
-            }
-            if has_val:
-                record["val_metric"] = float(val[r])
-                if val[r] > best_metric[j]:
+            })
+            if val is None or val[r] > best_metric[j]:
+                best[j] = stack.params[r]
+                if val is not None:
                     best_metric[j] = val[r]
-                    best[j] = stack.params[r]
                     epochs_since_best[j] = 0
-                else:
-                    epochs_since_best[j] += 1
+            else:
+                epochs_since_best[j] += 1
                 if epochs_since_best[j] >= train_cfg.patience and epoch + 1 >= train_cfg.min_epochs:
                     stopped.append(r)
-            histories[j].append(record)
         if stopped:
-            finish(stopped)
             kept = [r for r in range(len(jobs)) if r not in stopped]
             jobs = [jobs[r] for r in kept]
             stack.keep(kept)
         if not jobs:
             break
-    finish(range(len(jobs)))
-    return [TrainResult(params=stack.views(final), history=history)
-            for final, history in zip(finals, histories)]
+    return [TrainResult(params=stack.views(params), history=history)
+            for params, history in zip(best, histories)]
 
 
 def _epoch_seed(seed: int, epoch: int) -> np.random.SeedSequence:

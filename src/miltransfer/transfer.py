@@ -5,7 +5,10 @@ layer reset, and finetuning.
 A target model starts from a checkpoint and an init name: ``pretrained``,
 ``random`` or ``reset_<spec>`` (``RESET_SPECS``).  ``start`` is the one
 place an init name becomes starting weights, and ``source_task`` the one
-place it becomes the source task a result records.
+place it becomes the source task a result records.  ``train_siblings``
+starts and trains a group of init-siblings as one stack.  Which layers are
+class-bound heads, and whether params fit the schema, ``models`` decides
+(``head_layers``, ``check_params``).
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .errors import (
     ConfigError,
     DataError,
     NumericError,
-    ShapeMismatchError,
     VersionMismatchError,
 )
 from .fileio import atomic_open, parse_json, read_input, reraise_as, section, typed
@@ -38,7 +40,9 @@ CHECKPOINT_MAGIC = b"MILC"
 CHECKPOINT_VERSION = 1
 HEADER_START = 13  # magic (4) + version (1) + u64 header length (8)
 
-RESET_SPECS = ("attn", "lin3plus", "lin2plus", "all")
+# reset spec -> the first FC layer it redraws (None: no FC layer); every
+# spec also redraws the attention layers ``attn.*``
+RESET_SPECS = {"attn": None, "lin3plus": 2, "lin2plus": 1, "all": 0}
 DISTANCES = ("euclidean", "cosine")
 
 
@@ -63,13 +67,7 @@ def config_digest(cfg: ModelConfig) -> str:
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     schema = models.param_schema(ckpt.cfg)
-    missing = [name for name, _ in schema if name not in ckpt.params]
-    if missing:
-        raise ShapeMismatchError(f"checkpoint params missing layers: {missing}")
-    for name, shape in schema:
-        if np.shape(ckpt.params[name]) != shape:
-            raise ShapeMismatchError(
-                f"layer {name!r}: shape {np.shape(ckpt.params[name])} != schema {shape}")
+    models.check_params(schema, ckpt.params, "checkpoint params")
     header = {
         "cfg": asdict(ckpt.cfg),
         "cfg_digest": config_digest(ckpt.cfg),
@@ -128,13 +126,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 # initialization and layer reset
 # ---------------------------------------------------------------------------
 
-def _head_layers(cfg: ModelConfig) -> tuple[str, ...]:
-    """Layers whose shape is tied to the task's class count."""
-    if cfg.arch == "auxmil":
-        return ("classifier.weight", "classifier.bias", "aux.head.weight", "aux.head.bias")
-    return ("classifier.weight", "classifier.bias")
-
-
 def init_from_pretrained(ckpt: Checkpoint, n_classes: int,
                          seed: int) -> tuple[ModelConfig, ModelParams]:
     """Copy every backbone layer from the checkpoint; the classifier head
@@ -142,30 +133,27 @@ def init_from_pretrained(ckpt: Checkpoint, n_classes: int,
     re-initialized for ``n_classes``, even when the counts match.
     """
     cfg = ckpt.cfg.retarget(n_classes)
+    schema, heads = models.param_schema(cfg), models.head_layers(cfg)
+    models.check_params([layer for layer in schema if layer[0] not in heads], ckpt.params,
+                        f"source checkpoint ({ckpt.cfg.arch}) for {cfg.arch}")
     rng = np.random.default_rng(seed)
-    heads = _head_layers(cfg)
-    params: ModelParams = {}
-    for name, shape in models.param_schema(cfg):
-        if name in heads:
-            params[name] = models.init_layer(rng, name, shape)
-        else:
-            src = ckpt.params.get(name)
-            if src is None:
-                raise ShapeMismatchError(
-                    f"source checkpoint ({ckpt.cfg.arch}) lacks layer {name!r} "
-                    f"required by {cfg.arch}")
-            params[name] = src.copy()
-    return cfg, params
+    return cfg, {name: models.init_layer(rng, name, shape) if name in heads
+                 else ckpt.params[name].copy() for name, shape in schema}
 
 
 def reset_layers(ckpt: Checkpoint, reset_spec: str, seed: int) -> ModelParams:
-    """Replace the named pretrained layers with fresh initializer draws.
+    """Replace pretrained layers with fresh initializer draws, as
+    ``RESET_SPECS`` says: ``attn.*`` and FC layers ``fc.{i}`` from the
+    spec's first on.
 
     ``attn``      attention layers only
     ``lin3plus``  third-and-later FC layers plus attention
     ``lin2plus``  second-and-later FC layers plus attention
-    ``all``       every backbone layer (classifier heads excluded; they are
-                  re-initialized downstream by init_from_pretrained)
+    ``all``       every backbone layer
+
+    The class-bound heads are copied; ``init_from_pretrained`` redraws them
+    downstream.  Redrawn layers draw from ``default_rng(seed)`` in schema
+    order; every other layer is a bitwise copy.
     """
     if reset_spec not in RESET_SPECS:
         raise ConfigError(f"unknown reset spec {reset_spec!r}")
@@ -173,34 +161,14 @@ def reset_layers(ckpt: Checkpoint, reset_spec: str, seed: int) -> ModelParams:
     if cfg.arch not in ("abmil", "auxmil"):
         raise ConfigError(f"reset_layers requires an attention-family model, got {cfg.arch}")
     n_fc = len(cfg.fc_dims()) - 1
-    if reset_spec in ("lin2plus", "lin3plus") and n_fc < 3:
+    first_fc = RESET_SPECS[reset_spec]
+    if first_fc and n_fc < 3:  # lin2plus, lin3plus
         raise ConfigError(f"reset spec {reset_spec!r} needs >= 3 FC layers, model has {n_fc}")
-
-    heads = _head_layers(cfg)
-
-    def selected(name: str) -> bool:
-        if name in heads:
-            return False
-        if reset_spec == "all":
-            return True
-        if name.startswith("attn."):
-            return True
-        if name.startswith("fc."):
-            idx = int(name.split(".")[1])
-            if reset_spec == "lin3plus":
-                return idx >= 2
-            if reset_spec == "lin2plus":
-                return idx >= 1
-        return False
-
+    fc = range(n_fc if first_fc is None else first_fc, n_fc)
+    redrawn = ("attn.", *(f"fc.{i}." for i in fc))
     rng = np.random.default_rng(seed)
-    params: ModelParams = {}
-    for name, shape in models.param_schema(cfg):
-        if selected(name):
-            params[name] = models.init_layer(rng, name, shape)
-        else:
-            params[name] = ckpt.params[name].copy()
-    return params
+    return {name: models.init_layer(rng, name, shape) if name.startswith(redrawn)
+            else ckpt.params[name].copy() for name, shape in models.param_schema(cfg)}
 
 
 def start(ckpt: Checkpoint, init: str, n_classes: int,
@@ -393,16 +361,26 @@ def finetune(ckpt: Checkpoint, init: str, target: DatasetManifest, train_cfg: Tr
     return finetune_group(ckpt, (init,), target, train_cfg, features, n_bootstrap)[0]
 
 
+def train_siblings(ckpt: Checkpoint, inits: Sequence[str], target: DatasetManifest,
+                   train_cfg: TrainConfig, features: dict[str, np.ndarray],
+                   ) -> tuple[ModelConfig, list[ModelParams], list[TrainResult]]:
+    """Start each of ``inits`` (``start``, seeded by ``train_cfg.seed``) for
+    ``target`` and train them in lockstep as one stack
+    (``training.train_group``).  Returns the target config, the starting
+    parameters and the results, one per init."""
+    starts = [start(ckpt, init, target.task.n_classes, train_cfg.seed) for init in inits]
+    cfg, params = starts[0][0], [params for _, params in starts]
+    return cfg, params, training.train_group(cfg, params, target, train_cfg, features,
+                                             names=list(inits))
+
+
 def finetune_group(ckpt: Checkpoint, inits: Sequence[str], target: DatasetManifest,
                    train_cfg: TrainConfig, features: dict[str, np.ndarray],
                    n_bootstrap: int = 1000) -> list[tuple[TrainResult, EvalResult]]:
     """``finetune`` for init-siblings, trained in lockstep as one stack
-    (``training.train_group``).  Pair j equals ``finetune(ckpt, inits[j], ...)``."""
+    (``train_siblings``).  Pair j equals ``finetune(ckpt, inits[j], ...)``."""
     task = target.task
-    starts = [start(ckpt, init, task.n_classes, train_cfg.seed) for init in inits]
-    cfg = starts[0][0]
-    results = training.train_group(cfg, [params for _, params in starts], target, train_cfg,
-                                   features, names=list(inits))
+    cfg, _, results = train_siblings(ckpt, inits, target, train_cfg, features)
     _, bag_ids, labels, values = training.evaluate_split(
         cfg, models.stack_params([r.params for r in results]), target, "test", features)
     return [(result, evaluate_records(

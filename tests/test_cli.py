@@ -261,6 +261,7 @@ CONFIG_SHAPE_ERRORS = {
                               lambda cfg: cfg["train"].update(weight_decay=-1.0)),
     "aux_weight_negative": ("aux_weight", lambda cfg: cfg["train"].update(aux_weight=-0.5)),
     "split_fraction_negative": ("split_fractions", _negative_split_fraction),
+    "synthetic_seed_negative": ("seed", lambda cfg: cfg["synthetic"].update(seed=-1)),
 }
 
 

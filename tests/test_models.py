@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import random_bag, tiny_configs
 from miltransfer import ModelConfig, build_model, forward, param_count
 from miltransfer.errors import ConfigError, DataError
-from miltransfer.models import param_schema, softmax
+from miltransfer.models import activation_layers, head_layers, param_schema, softmax
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +47,34 @@ def test_build_matches_schema(tiny_cfg):
         assert params[name].shape == shape
         assert params[name].dtype == np.float32
     assert sum(p.size for p in params.values()) == param_count(tiny_cfg)
+
+
+HEADS = {
+    "mean": ("classifier.weight", "classifier.bias"),
+    "max": ("classifier.weight", "classifier.bias"),
+    "abmil": ("classifier.weight", "classifier.bias"),
+    "auxmil": ("classifier.weight", "classifier.bias", "aux.head.weight", "aux.head.bias"),
+    "transformer": ("classifier.weight", "classifier.bias"),
+}
+ACTIVATIONS = {
+    "mean": ["fc.0"],
+    "max": ["fc.0"],
+    "abmil": ["fc.0", "attn"],
+    "auxmil": ["fc.0", "attn"],
+    "transformer": ["fc.0"],
+}
+
+
+@pytest.mark.parametrize("arch", sorted(tiny_configs()))
+def test_head_and_activation_layers(arch):
+    cfg = tiny_configs()[arch]
+    assert head_layers(cfg) == HEADS[arch]
+    assert activation_layers(cfg) == ACTIVATIONS[arch]
+    # the names are the forward's own: its activations, in order
+    assert list(forward(build_model(cfg, seed=0), cfg, random_bag(cfg)).activations) == \
+        ACTIVATIONS[arch]
+    deeper = replace(cfg, fc_hidden_dims=(5, 4))
+    assert activation_layers(deeper) == ["fc.0", "fc.1", "fc.2", *ACTIVATIONS[arch][1:]]
 
 
 def test_build_deterministic(tiny_cfg):

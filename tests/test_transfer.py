@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_bag, tiny_configs
 from miltransfer import (
     Checkpoint,
+    layer_stability_report,
     ModelConfig,
     TaskSpec,
     TrainConfig,
@@ -30,7 +31,7 @@ from miltransfer.errors import (
     ShapeMismatchError,
     VersionMismatchError,
 )
-from miltransfer.models import param_schema
+from miltransfer.models import init_layer, param_schema
 from miltransfer.training import ParamStack
 from miltransfer.transfer import CHECKPOINT_VERSION, config_digest, knn_predict, start
 
@@ -72,6 +73,41 @@ def test_save_checkpoint_refuses_params_unlike_the_schema(tmp_path, abmil_ckpt):
     with pytest.raises(ShapeMismatchError, match="attn.w.bias"):
         save_checkpoint(Checkpoint(cfg=abmil_ckpt.cfg, params=params), path)
     assert not path.exists()
+
+
+def _save(ckpt, params, tmp_path):
+    save_checkpoint(Checkpoint(cfg=ckpt.cfg, params=params), tmp_path / "m.milc")
+
+
+def _init(ckpt, params, tmp_path):
+    init_from_pretrained(Checkpoint(cfg=ckpt.cfg, params=params), 2, seed=0)
+
+
+def _stack(ckpt, params, tmp_path):
+    ParamStack.from_params([ckpt.params, params], param_schema(ckpt.cfg))
+
+
+def _stability(ckpt, params, tmp_path):
+    # the check comes first, so no manifest or features are needed
+    layer_stability_report(ckpt, params, None, features={})
+
+
+@pytest.mark.parametrize("fault", ["missing", "misshapen"])
+@pytest.mark.parametrize("caller", [_save, _init, _stack, _stability])
+def test_params_unlike_the_schema_raise_shape_mismatch(tmp_path, abmil_ckpt, caller, fault):
+    """Every reader of in-memory params holds them to the schema the same
+    way: a ``ShapeMismatchError`` (a data error, not a checkpoint-format
+    one) that names the layer."""
+    assert issubclass(ShapeMismatchError, DataError)
+    assert not issubclass(ShapeMismatchError, CheckpointFormatError)
+    params = dict(abmil_ckpt.params)
+    if fault == "missing":
+        del params["fc.1.bias"]
+    else:
+        params["fc.1.bias"] = np.zeros(2, dtype=np.float32)
+    with pytest.raises(ShapeMismatchError, match=r"'fc\.1\.bias'"):
+        caller(abmil_ckpt, params, tmp_path)
+    assert not (tmp_path / "m.milc").exists()
 
 
 def test_checkpoint_version_mismatch(tmp_path, abmil_ckpt):
@@ -540,6 +576,37 @@ def test_reset_lin3plus_pattern(abmil_ckpt):
     assert np.array_equal(params["fc.0.weight"], abmil_ckpt.params["fc.0.weight"])
     assert np.array_equal(params["fc.1.weight"], abmil_ckpt.params["fc.1.weight"])
     assert not np.array_equal(params["fc.2.weight"], abmil_ckpt.params["fc.2.weight"])
+
+
+RESET_FC = {"attn": [], "lin3plus": [2], "lin2plus": [1, 2], "all": [0, 1, 2]}
+
+
+@pytest.mark.parametrize("spec", sorted(RESET_FC))
+@pytest.mark.parametrize("arch", ["abmil", "auxmil"])
+def test_reset_redraws_exactly_its_layers(arch, spec):
+    """On a 3-FC model a spec redraws ``attn.*`` and its FC layers, with
+    ``init_layer`` over ``default_rng(seed)`` walked in schema order, and
+    copies every other layer bit for bit."""
+    cfg = ModelConfig(arch, in_dim=10, embed_dim=8, n_classes=3, attn_dim=6,
+                      fc_hidden_dims=(9, 7))
+    rng = np.random.default_rng(1)
+    # every value moved off its init, so any redrawn layer differs
+    ckpt = Checkpoint(cfg=cfg, params={
+        name: v + rng.standard_normal(v.shape).astype(np.float32)
+        for name, v in build_model(cfg, seed=2).items()})
+    redrawn = {name for name, _ in param_schema(cfg)
+               if name.startswith("attn.") or any(name.startswith(f"fc.{i}.")
+                                                  for i in RESET_FC[spec])}
+    params = reset_layers(ckpt, spec, seed=21)
+    assert list(params) == [name for name, _ in param_schema(cfg)]
+    assert {name for name in params
+            if params[name].tobytes() != ckpt.params[name].tobytes()} == redrawn
+    oracle = np.random.default_rng(21)
+    for name, shape in param_schema(cfg):
+        want = init_layer(oracle, name, shape) if name in redrawn else ckpt.params[name]
+        assert params[name].dtype == np.float32
+        assert params[name].tobytes() == want.tobytes(), name
+        assert params[name] is not ckpt.params[name]
 
 
 def test_reset_requires_depth():
