@@ -4,7 +4,9 @@ Every command reads one JSON experiment config (``config_version: 1``; see
 ``configs/demo.json``), writes its results under ``<output_dir>/results/``
 and appends a deterministic run log.  ``load_config`` parses the file once
 into a frozen ``ExperimentConfig`` and checks every section, whether or not
-the command reads it; an unknown key is an error.  Keys, with defaults:
+the command reads it; an unknown key is an error, and so is a repeated
+entry of seeds, data.targets, protocol.k_shots, protocol.reset_specs or
+the synthetic task ids.  Keys, with defaults:
 
     output_dir, seeds   required; ``--out`` and ``--seed`` override them
     data        root, pretrain, targets: required by the commands that read them
@@ -61,7 +63,8 @@ missing or mistyped, such as one written before results named their model,
 is a data error.
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.  An
 input file that cannot be read or decoded is a data error, or a config
-error when it is the config itself.
+error when it is the config itself.  A directory under output_dir or
+data.root that cannot be created is a config error naming that key.
 """
 
 from __future__ import annotations
@@ -145,6 +148,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigError(f"seeds must be non-empty and >= 0, got {list(self.seeds)}")
+        # a repeated entry would write its results, or its task, twice to one path
+        for key, values in (("seeds[{}]", self.seeds), ("data.targets[{}]", self.data.targets),
+                            ("protocol.k_shots[{}]", self.protocol.k_shots),
+                            ("protocol.reset_specs[{}]", self.protocol.reset_specs),
+                            ("synthetic.tasks[{}].task_id",
+                             [task.task_id for task in self.synthetic])):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ConfigError(f"{key.format(i)} repeats "
+                                      f"{key.format(values.index(value))}: {value!r}")
 
 
 # synthetic's own keys, shared by its tasks; a task holds the other fields
@@ -189,6 +202,16 @@ def task_manifest(cfg: ExperimentConfig, task_id: str) -> DatasetManifest:
     return load_manifest(required(cfg.data.root, "data.root") / task_id / "manifest.csv")
 
 
+def make_dirs(key: str, *dirs: Path) -> None:
+    """Create ``dirs``, else a ``ConfigError`` naming the config ``key`` they derive from."""
+    for d in dirs:
+        try:
+            d.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"config: {key}: cannot create directory {d} "
+                              f"({exc.strerror or exc})") from exc
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------
@@ -202,8 +225,7 @@ class Workspace:
         self.zoo_path = Path(zoo_path) if zoo_path else self.out / "zoo.json"
 
     def prepare(self):
-        for d in (self.out, self.results, self.checkpoints, self.logs):
-            d.mkdir(parents=True, exist_ok=True)
+        make_dirs("output_dir", self.out, self.results, self.checkpoints, self.logs)
 
     def write_result(self, name: str, result: EvalResult | analysis.StabilityReport) -> Path:
         path = self.results / f"{name}.json"
@@ -271,6 +293,7 @@ def cmd_generate(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
     root = required(cfg.data.root, "data.root")
     outputs = []
     for task_cfg in required(cfg.synthetic, "synthetic.tasks"):
+        make_dirs("data.root", root / task_cfg.task_id)
         manifest = synth_generate(task_cfg, root / task_cfg.task_id)
         outputs.append(str(root / task_cfg.task_id / "manifest.csv"))
         print(f"generated {task_cfg.task_id}: {len(manifest.entries)} bags "

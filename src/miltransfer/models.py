@@ -17,6 +17,17 @@ them, ``head_layers`` names the class-bound heads and ``activation_layers``
 the layers whose outputs a forward yields.  Gradients are hand-derived; the
 finite-difference suite in the tests is the correctness oracle.
 
+Each layer kind has one forward and one backward, called with the layer's
+schema name; a backward adds the layer's own gradients to ``grads`` and
+returns its input's.  ``_linear`` serves ``attn.V``, ``attn.U``,
+``attn.w``, ``tx.{i}.qkv``, ``tx.{i}.proj``, ``tx.{i}.ff2``, ``aux.head``
+and the ``classifier``, on max's instance rows or, through
+``_classifier``, on the pooled row; ``_dense_forward`` (linear, ReLU,
+dropout) serves ``fc.{i}`` and ``tx.{i}.ff1``, and ``_layernorm_forward``
+``tx.{i}.norm1/2``.  Two stay inline: ``cls_token``, and ``tx.{i}.ff2``'s
+forward, whose residual rounds as ``(x + f1 W^T) + b``; through
+``_linear`` it would round as ``x + (f1 W^T + b)``, other bytes.
+
 One forward/backward kernel serves one model and a stack of J
 init-siblings: give every parameter a leading job axis, shape
 ``(J, *schema_shape)``, and the bag, label and dropout masks are shared
@@ -363,44 +374,86 @@ def _dropout(rng: np.random.Generator, x: np.ndarray, rate: float):
 
 
 # ---------------------------------------------------------------------------
+# layers, one forward/backward pair per kind (see the module docstring)
+# ---------------------------------------------------------------------------
+
+def _linear(params, name, x):
+    """Schema layer ``name``: ``x @ W.T + b`` on one bag's rows."""
+    return x @ _T(params[f"{name}.weight"]) + params[f"{name}.bias"][..., None, :]
+
+
+def _linear_backward(g, x, params, name, grads, input_grad=True):
+    """``_linear``'s backward from its output gradient ``g`` and input ``x``;
+    returns None when ``input_grad`` is False."""
+    grads[f"{name}.weight"] += _T(g) @ x
+    grads[f"{name}.bias"] += g.sum(axis=-2)
+    return g @ params[f"{name}.weight"] if input_grad else None
+
+
+def _dense_forward(params, name, x, rng, rate):
+    """Linear, ReLU, then dropout when an ``rng`` is given.  The cache's
+    ``relu`` is the post-ReLU output before dropout."""
+    z = _linear(params, name, x)
+    relu_mask = z > 0
+    relu = out = z * relu_mask
+    drop = None
+    if rng is not None and rate > 0:
+        out, drop = _dropout(rng, out, rate)
+    return out, {"inp": x, "relu_mask": relu_mask, "drop": drop, "relu": relu}
+
+
+def _dense_backward(g, c, params, name, grads, input_grad=True):
+    if c["drop"] is not None:
+        g = g * c["drop"]
+    return _linear_backward(g * c["relu_mask"], c["inp"], params, name, grads, input_grad)
+
+
+def _layernorm_forward(params, name, x):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = (x - mu) * inv_std
+    y = xhat * params[f"{name}.weight"][..., None, :] + params[f"{name}.bias"][..., None, :]
+    return y, {"xhat": xhat, "inv_std": inv_std}
+
+
+def _layernorm_backward(g, c, params, name, grads):
+    xhat, inv_std = c["xhat"], c["inv_std"]
+    g_xhat = g * params[f"{name}.weight"][..., None, :]
+    grads[f"{name}.weight"] += (g * xhat).sum(axis=-2)
+    grads[f"{name}.bias"] += g.sum(axis=-2)
+    return inv_std * (g_xhat - g_xhat.mean(axis=-1, keepdims=True)
+                      - xhat * (g_xhat * xhat).mean(axis=-1, keepdims=True))
+
+
+def _classifier(params, pooled):
+    """The classifier on one pooled (embed_dim,) row per leading index."""
+    return _linear(params, "classifier", pooled[..., None, :])[..., 0, :]
+
+
+# ---------------------------------------------------------------------------
 # forward
 # ---------------------------------------------------------------------------
 
 def _fc_forward(params, cfg, x, rng):
-    """Shared pre-attention stack: (linear, ReLU, dropout) per layer."""
+    """Shared pre-attention stack: one dense layer per ``fc.{i}``."""
     cache = []
-    a = x
-    n_layers = len(cfg.fc_dims()) - 1
-    for i in range(n_layers):
-        w, b = params[f"fc.{i}.weight"], params[f"fc.{i}.bias"]
-        z = a @ _T(w) + b[..., None, :]
-        relu_mask = z > 0
-        relu = out = z * relu_mask
-        drop = None
-        if rng is not None and cfg.dropout_ff > 0:
-            out, drop = _dropout(rng, out, cfg.dropout_ff)
-        cache.append({"inp": a, "relu_mask": relu_mask, "drop": drop, "relu": relu})
-        a = out
-    return a, cache
+    for i in range(len(cfg.fc_dims()) - 1):
+        x, c = _dense_forward(params, f"fc.{i}", x, rng, cfg.dropout_ff)
+        cache.append(c)
+    return x, cache
 
 
 def _fc_backward(g, fc_cache, params, grads):
     for i in reversed(range(len(fc_cache))):
-        c = fc_cache[i]
-        if c["drop"] is not None:
-            g = g * c["drop"]
-        g = g * c["relu_mask"]
-        grads[f"fc.{i}.weight"] += _T(g) @ c["inp"]
-        grads[f"fc.{i}.bias"] += g.sum(axis=-2)
-        if i:  # nothing needs the gradient w.r.t. the bag features
-            g = g @ params[f"fc.{i}.weight"]
+        # nothing needs the gradient w.r.t. the bag features
+        g = _dense_backward(g, fc_cache[i], params, f"fc.{i}", grads, input_grad=i > 0)
 
 
 def _gated_rows(params, h):
     """Gated attention's row-wise half: m = tanh(V h) * sigmoid(U h)."""
-    t = np.tanh(h @ _T(params["attn.V.weight"]) + params["attn.V.bias"][..., None, :])
-    s = 1.0 / (1.0 + np.exp(-(h @ _T(params["attn.U.weight"])
-                              + params["attn.U.bias"][..., None, :])))
+    t = np.tanh(_linear(params, "attn.V", h))
+    s = 1.0 / (1.0 + np.exp(-_linear(params, "attn.U", h)))
     return {"t": t, "s": s, "m": t * s}
 
 
@@ -408,7 +461,7 @@ def _attention_pool(params, rows):
     """Gated attention's bag half, on one bag's ``h``, ``t``, ``s`` and
     ``m`` rows: the width-1 scores, their softmax and the pooled ``h``."""
     h, m = rows["h"], rows["m"]
-    scores = (m @ _T(params["attn.w.weight"]))[..., 0] + params["attn.w.bias"]
+    scores = _linear(params, "attn.w", m)[..., 0]
     att = softmax(scores)
     return {**rows, "scores": scores, "att": att, "pooled": _vecmat(att, h)}
 
@@ -419,40 +472,14 @@ def _gated_attention_backward(g_pooled, c, params, grads):
     g_h = att[..., :, None] * g_pooled[..., None, :]
     g_att = _matvec(h, g_pooled)
     g_scores = att * (g_att - _vecmat(att, g_att[..., :, None]))
-    grads["attn.w.weight"] += _vecmat(g_scores, m)[..., None, :]
-    grads["attn.w.bias"] += g_scores.sum(axis=-1, keepdims=True)
-    g_m = g_scores[..., :, None] * params["attn.w.weight"]
+    g_m = _linear_backward(g_scores[..., :, None], m, params, "attn.w", grads)
     g_t = g_m * c["s"]
     g_s = g_m * c["t"]
     g_v_pre = g_t * (1.0 - c["t"] ** 2)
     g_u_pre = g_s * c["s"] * (1.0 - c["s"])
-    grads["attn.V.weight"] += _T(g_v_pre) @ h
-    grads["attn.V.bias"] += g_v_pre.sum(axis=-2)
-    grads["attn.U.weight"] += _T(g_u_pre) @ h
-    grads["attn.U.bias"] += g_u_pre.sum(axis=-2)
-    g_h += g_v_pre @ params["attn.V.weight"] + g_u_pre @ params["attn.U.weight"]
+    g_h += (_linear_backward(g_v_pre, h, params, "attn.V", grads)
+            + _linear_backward(g_u_pre, h, params, "attn.U", grads))
     return g_h
-
-
-def _layernorm_forward(x, gamma, beta):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv_std
-    return xhat * gamma[..., None, :] + beta[..., None, :], {"xhat": xhat, "inv_std": inv_std}
-
-
-def _layernorm_backward(g_y, c, gamma):
-    xhat, inv_std = c["xhat"], c["inv_std"]
-    g_xhat = g_y * gamma[..., None, :]
-    g_x = inv_std * (
-        g_xhat
-        - g_xhat.mean(axis=-1, keepdims=True)
-        - xhat * (g_xhat * xhat).mean(axis=-1, keepdims=True)
-    )
-    g_gamma = (g_y * xhat).sum(axis=-2)
-    g_beta = g_y.sum(axis=-2)
-    return g_x, g_gamma, g_beta
 
 
 def _split_heads(x, n_heads):
@@ -469,9 +496,9 @@ def _merge_heads(x):
 def _tx_block_forward(params, cfg, x, i, rng):
     e = cfg.embed_dim
     c: dict = {}
-    y1, c["ln1"] = _layernorm_forward(x, params[f"tx.{i}.norm1.weight"], params[f"tx.{i}.norm1.bias"])
+    y1, c["ln1"] = _layernorm_forward(params, f"tx.{i}.norm1", x)
     c["y1"] = y1
-    qkv = y1 @ _T(params[f"tx.{i}.qkv.weight"]) + params[f"tx.{i}.qkv.bias"][..., None, :]
+    qkv = _linear(params, f"tx.{i}.qkv", y1)
     q = _split_heads(qkv[..., :e], N_HEADS)
     k = _split_heads(qkv[..., e:2 * e], N_HEADS)
     v = _split_heads(qkv[..., 2 * e:], N_HEADS)
@@ -480,43 +507,24 @@ def _tx_block_forward(params, cfg, x, i, rng):
     p = softmax(scores, axis=-1)
     ctx = _merge_heads(p @ v)
     c.update(q=q, k=k, v=v, p=p, ctx=ctx, scale=scale)
-    attn_out = ctx @ _T(params[f"tx.{i}.proj.weight"]) + params[f"tx.{i}.proj.bias"][..., None, :]
-    x = x + attn_out
+    x = x + _linear(params, f"tx.{i}.proj", ctx)
     if cfg.encoder_hidden_dim is not None:
-        y2, c["ln2"] = _layernorm_forward(x, params[f"tx.{i}.norm2.weight"], params[f"tx.{i}.norm2.bias"])
-        c["y2"] = y2
-        f1_pre = y2 @ _T(params[f"tx.{i}.ff1.weight"]) + params[f"tx.{i}.ff1.bias"][..., None, :]
-        relu_mask = f1_pre > 0
-        f1 = f1_pre * relu_mask
-        drop = None
-        if rng is not None and cfg.dropout_ff > 0:
-            f1, drop = _dropout(rng, f1, cfg.dropout_ff)
-        c.update(relu_mask=relu_mask, drop=drop, f1=f1)
+        y2, c["ln2"] = _layernorm_forward(params, f"tx.{i}.norm2", x)
+        f1, c["ff1"] = _dense_forward(params, f"tx.{i}.ff1", y2, rng, cfg.dropout_ff)
+        c["f1"] = f1
+        # not _linear, which would round as x + (f1 @ W.T + b): other bytes
         x = x + f1 @ _T(params[f"tx.{i}.ff2.weight"]) + params[f"tx.{i}.ff2.bias"][..., None, :]
     return x, c
 
 
 def _tx_block_backward(g, c, params, cfg, i, grads):
     if cfg.encoder_hidden_dim is not None:
-        g_ff_out = g
-        grads[f"tx.{i}.ff2.weight"] += _T(g_ff_out) @ c["f1"]
-        grads[f"tx.{i}.ff2.bias"] += g_ff_out.sum(axis=-2)
-        g_f1 = g_ff_out @ params[f"tx.{i}.ff2.weight"]
-        if c["drop"] is not None:
-            g_f1 = g_f1 * c["drop"]
-        g_f1_pre = g_f1 * c["relu_mask"]
-        grads[f"tx.{i}.ff1.weight"] += _T(g_f1_pre) @ c["y2"]
-        grads[f"tx.{i}.ff1.bias"] += g_f1_pre.sum(axis=-2)
-        g_y2 = g_f1_pre @ params[f"tx.{i}.ff1.weight"]
-        g_mid_ln, g_gamma2, g_beta2 = _layernorm_backward(g_y2, c["ln2"], params[f"tx.{i}.norm2.weight"])
-        grads[f"tx.{i}.norm2.weight"] += g_gamma2
-        grads[f"tx.{i}.norm2.bias"] += g_beta2
-        g = g + g_mid_ln  # residual join after the attention half
+        g_f1 = _linear_backward(g, c["f1"], params, f"tx.{i}.ff2", grads)
+        g_y2 = _dense_backward(g_f1, c["ff1"], params, f"tx.{i}.ff1", grads)
+        # residual join after the attention half
+        g = g + _layernorm_backward(g_y2, c["ln2"], params, f"tx.{i}.norm2", grads)
 
-    g_attn_out = g
-    grads[f"tx.{i}.proj.weight"] += _T(g_attn_out) @ c["ctx"]
-    grads[f"tx.{i}.proj.bias"] += g_attn_out.sum(axis=-2)
-    g_ctx = _split_heads(g_attn_out @ params[f"tx.{i}.proj.weight"], N_HEADS)
+    g_ctx = _split_heads(_linear_backward(g, c["ctx"], params, f"tx.{i}.proj", grads), N_HEADS)
     p, q, k, v = c["p"], c["q"], c["k"], c["v"]
     g_p = g_ctx @ _T(v)
     g_v = _T(p) @ g_ctx
@@ -524,13 +532,9 @@ def _tx_block_backward(g, c, params, cfg, i, grads):
     g_q = (g_scores @ k) * c["scale"]
     g_k = (_T(g_scores) @ q) * c["scale"]
     g_qkv = np.concatenate([_merge_heads(g_q), _merge_heads(g_k), _merge_heads(g_v)], axis=-1)
-    grads[f"tx.{i}.qkv.weight"] += _T(g_qkv) @ c["y1"]
-    grads[f"tx.{i}.qkv.bias"] += g_qkv.sum(axis=-2)
-    g_y1 = g_qkv @ params[f"tx.{i}.qkv.weight"]
-    g_x_ln, g_gamma1, g_beta1 = _layernorm_backward(g_y1, c["ln1"], params[f"tx.{i}.norm1.weight"])
-    grads[f"tx.{i}.norm1.weight"] += g_gamma1
-    grads[f"tx.{i}.norm1.bias"] += g_beta1
-    return g + g_x_ln  # residual join at the block input
+    g_y1 = _linear_backward(g_qkv, c["y1"], params, f"tx.{i}.qkv", grads)
+    # residual join at the block input
+    return g + _layernorm_backward(g_y1, c["ln1"], params, f"tx.{i}.norm1", grads)
 
 
 def _checked_bag(features, cfg: ModelConfig, where: str = "bag") -> np.ndarray:
@@ -555,8 +559,7 @@ def _instance_stage(params, cfg, x, rng):
     h, fc_cache = _fc_forward(params, cfg, x, rng)
     rows = {"h": h}
     if cfg.arch == "max":
-        rows["inst_logits"] = (h @ _T(params["classifier.weight"])
-                               + params["classifier.bias"][..., None, :])
+        rows["inst_logits"] = _linear(params, "classifier", h)
     elif cfg.arch in ("abmil", "auxmil"):
         rows.update(_gated_rows(params, h))
     return rows, fc_cache
@@ -569,14 +572,12 @@ def _bag_stage(params, cfg, rows, rng):
     h = rows["h"]
     n = h.shape[-2]
     lead = h.shape[:-2]  # () for one model, (J,) for a stack of siblings
-    wc, bc = params["classifier.weight"], params["classifier.bias"]
     cache: dict = {"h": h}
+    logits, activations = None, {}  # max keeps its instance's logits
 
     if cfg.arch == "mean":
         pooled = h.mean(axis=-2)
-        logits = _vecmat(pooled, _T(wc)) + bc
         attention = np.full((*lead, n), 1.0 / n, dtype=h.dtype)
-        out = ForwardOutput(logits, pooled, attention)
     elif cfg.arch == "max":
         inst_logits = rows["inst_logits"]
         # binary: rank instances by the positive-class logit; otherwise by
@@ -586,14 +587,14 @@ def _bag_stage(params, cfg, rows, rng):
         cache["best"] = best
         attention = np.zeros((*lead, n, 1), dtype=h.dtype)
         np.put_along_axis(attention, best, 1.0, axis=-2)
-        out = ForwardOutput(np.take_along_axis(inst_logits, best, axis=-2)[..., 0, :],
-                            np.take_along_axis(h, best, axis=-2)[..., 0, :], attention[..., 0])
+        attention = attention[..., 0]
+        logits = np.take_along_axis(inst_logits, best, axis=-2)[..., 0, :]
+        pooled = np.take_along_axis(h, best, axis=-2)[..., 0, :]
     elif cfg.arch in ("abmil", "auxmil"):
         att_c = _attention_pool(params, rows)
         cache["attn"] = att_c
-        logits = _vecmat(att_c["pooled"], _T(wc)) + bc
-        out = ForwardOutput(logits, att_c["pooled"], att_c["att"])
-        out.activations["attn"] = att_c["scores"][..., None]
+        pooled, attention = att_c["pooled"], att_c["att"]
+        activations["attn"] = att_c["scores"][..., None]
     else:  # transformer
         cls = np.broadcast_to(params["cls_token"][..., None, :], (*lead, 1, cfg.embed_dim))
         tokens = np.concatenate([cls, h], axis=-2)
@@ -603,13 +604,13 @@ def _bag_stage(params, cfg, rows, rng):
             blocks.append(bc_cache)
         cache["blocks"] = blocks
         pooled = tokens[..., 0, :]
-        logits = _vecmat(pooled, _T(wc)) + bc
         # class-token attention over instances, averaged across the final
         # block's heads and renormalized without the cls->cls mass
         raw = blocks[-1]["p"][..., 0, 1:].mean(axis=-2)
         attention = raw / raw.sum(axis=-1, keepdims=True)
-        out = ForwardOutput(logits, pooled, attention)
-    return out, cache
+    if logits is None:
+        logits = _classifier(params, pooled)
+    return ForwardOutput(logits, pooled, attention, activations=activations), cache
 
 
 def _forward_cached(params: ModelParams, cfg: ModelConfig, features: np.ndarray,
@@ -626,8 +627,7 @@ def _forward_cached(params: ModelParams, cfg: ModelConfig, features: np.ndarray,
     out.activations = {**{f"fc.{i}": c["relu"] for i, c in enumerate(cache["fc"])},
                        **out.activations}
     if cfg.arch == "auxmil":
-        out.aux_logits = (rows["h"] @ _T(params["aux.head.weight"])
-                          + params["aux.head.bias"][..., None, :])
+        out.aux_logits = _linear(params, "aux.head", rows["h"])
     return out, cache
 
 
@@ -758,38 +758,31 @@ def loss_and_grads(params: ModelParams, cfg: ModelConfig, features: np.ndarray,
     if grads is None:
         grads = zeros_like_params(params)
     h = cache["h"]
-    wc = params["classifier.weight"]
 
     loss, g_logits = cross_entropy(out.logits, label)
     loss = loss.astype(np.float64)
     g_logits = g_logits.astype(h.dtype)
 
-    grads["classifier.weight"] += g_logits[..., :, None] * out.embedding[..., None, :]
-    grads["classifier.bias"] += g_logits
-    g_pooled = _vecmat(g_logits, wc)
+    g_pooled = _linear_backward(g_logits[..., None, :], out.embedding[..., None, :], params,
+                                "classifier", grads)[..., 0, :]
     if cfg.arch == "mean":
-        g_h = np.broadcast_to(g_pooled[..., None, :] / h.shape[-2], h.shape).copy()
-        _fc_backward(g_h, cache["fc"], params, grads)
+        g_h = np.broadcast_to(g_pooled[..., None, :] / h.shape[-2], h.shape)
     elif cfg.arch == "max":
         g_h = np.zeros_like(h)
         np.put_along_axis(g_h, cache["best"], g_pooled[..., None, :], axis=-2)
-        _fc_backward(g_h, cache["fc"], params, grads)
     elif cfg.arch in ("abmil", "auxmil"):
         g_h = _gated_attention_backward(g_pooled, cache["attn"], params, grads)
         if cfg.arch == "auxmil" and aux_weight != 0.0:
             l_aux, g_aux = aux_loss(out.aux_logits, out.attention, label, cfg.n_classes)
             loss += aux_weight * l_aux
-            g_aux = aux_weight * g_aux
-            grads["aux.head.weight"] += _T(g_aux) @ h
-            grads["aux.head.bias"] += g_aux.sum(axis=-2)
-            g_h += g_aux @ params["aux.head.weight"]
-        _fc_backward(g_h, cache["fc"], params, grads)
+            g_h += _linear_backward(aux_weight * g_aux, h, params, "aux.head", grads)
     else:  # transformer
         g_tokens = np.zeros((*h.shape[:-2], h.shape[-2] + 1, cfg.embed_dim), dtype=h.dtype)
         g_tokens[..., 0, :] = g_pooled
         for i in reversed(range(cfg.n_layers)):
             g_tokens = _tx_block_backward(g_tokens, cache["blocks"][i], params, cfg, i, grads)
         grads["cls_token"] += g_tokens[..., 0, :]
-        _fc_backward(g_tokens[..., 1:, :], cache["fc"], params, grads)
+        g_h = g_tokens[..., 1:, :]
+    _fc_backward(g_h, cache["fc"], params, grads)
     # a float for one model, the (J,) array for a stack of siblings
     return (float(loss) if loss.ndim == 0 else loss), grads, out

@@ -45,6 +45,19 @@ def tiny_configs():
     }
 
 
+def kernel_configs():
+    """``tiny_configs`` plus the kernel branches they miss: max's multiclass
+    selection, a 3-layer FC stack and stacked blocks without feed-forward."""
+    return {
+        **tiny_configs(),
+        "max_3class": ModelConfig("max", in_dim=8, embed_dim=6, n_classes=3),
+        "auxmil_3fc": ModelConfig("auxmil", in_dim=8, embed_dim=6, n_classes=3, attn_dim=4,
+                                  fc_hidden_dims=(7, 5)),
+        "transformer_noff": ModelConfig("transformer", in_dim=8, embed_dim=8, n_classes=2,
+                                        n_layers=2),
+    }
+
+
 @pytest.fixture(params=sorted(tiny_configs()))
 def tiny_cfg(request):
     return tiny_configs()[request.param]

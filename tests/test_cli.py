@@ -222,6 +222,10 @@ def _without_concepts(cfg):
     del cfg["synthetic"]["tasks"][0]["concepts_per_class"]
 
 
+def _repeated_task(cfg):
+    cfg["synthetic"]["tasks"][1]["task_id"] = cfg["synthetic"]["tasks"][0]["task_id"]
+
+
 def _negative_split_fraction(cfg):
     cfg["synthetic"]["tasks"][1]["split_fractions"] = [1.2, -0.1, -0.1]
 
@@ -262,6 +266,15 @@ CONFIG_SHAPE_ERRORS = {
     "aux_weight_negative": ("aux_weight", lambda cfg: cfg["train"].update(aux_weight=-0.5)),
     "split_fraction_negative": ("split_fractions", _negative_split_fraction),
     "synthetic_seed_negative": ("seed", lambda cfg: cfg["synthetic"].update(seed=-1)),
+    "seeds_repeated": ("seeds[1] repeats seeds[0]", lambda cfg: cfg.update(seeds=[0, 0])),
+    "targets_repeated": ("data.targets[1] repeats data.targets[0]",
+                         lambda cfg: cfg["data"].update(targets=["tgt", "tgt"])),
+    "k_shots_repeated": ("protocol.k_shots[2] repeats protocol.k_shots[0]",
+                         lambda cfg: cfg["protocol"].update(k_shots=[4, 16, 4])),
+    "reset_specs_repeated": ("protocol.reset_specs[1] repeats protocol.reset_specs[0]",
+                             lambda cfg: cfg["protocol"].update(reset_specs=["attn", "attn"])),
+    "task_id_repeated": ("synthetic.tasks[1].task_id repeats synthetic.tasks[0].task_id",
+                         _repeated_task),
 }
 
 
@@ -277,6 +290,18 @@ def test_config_shape_errors_are_config_errors(tmp_path, capsys, case):
     assert main(["--config", write_config(tmp_path, cfg), "generate"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, command", [("output_dir", "generate"), ("output_dir", "report"),
+                                          ("data.root", "generate")])
+def test_config_dir_naming_a_file_is_a_config_error(tmp_path, capsys, key, command):
+    cfg = base_config(tmp_path / "data", tmp_path / "runs")
+    Path(cfg[key] if key == "output_dir" else cfg["data"]["root"]).write_text("a file")
+    capsys.readouterr()
+    assert main(["--config", write_config(tmp_path, cfg), command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 def _as_json(value):

@@ -7,7 +7,7 @@ must match within 1e-4 relative error.
 import numpy as np
 import pytest
 
-from conftest import tiny_configs
+from conftest import kernel_configs
 from miltransfer import ModelConfig, build_model
 from miltransfer.models import loss_and_grads
 
@@ -39,16 +39,16 @@ def fd_worst_error(cfg, n_instances=3, aux_weight=0.0, dropout_seed=None, seed=0
     return worst
 
 
-@pytest.mark.parametrize("name", sorted(tiny_configs()))
+@pytest.mark.parametrize("name", sorted(kernel_configs()))
 def test_gradients_eval_mode(name):
-    cfg = tiny_configs()[name]
+    cfg = kernel_configs()[name]
     aux = 0.3 if cfg.arch == "auxmil" else 0.0
     assert fd_worst_error(cfg, aux_weight=aux) < TOL
 
 
-@pytest.mark.parametrize("name", sorted(tiny_configs()))
+@pytest.mark.parametrize("name", sorted(kernel_configs()))
 def test_gradients_with_dropout(name):
-    cfg = tiny_configs()[name]
+    cfg = kernel_configs()[name]
     aux = 0.3 if cfg.arch == "auxmil" else 0.0
     assert fd_worst_error(cfg, aux_weight=aux, dropout_seed=123) < TOL
 

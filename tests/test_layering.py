@@ -1,6 +1,7 @@
 """Package layering: a module reads another package module only through
-its public names, only ``fileio`` reads files, and the package imports
-nothing beyond numpy and the standard library."""
+its public names, only ``fileio`` reads files, only ``models`` spells a
+parameter key, and the package imports nothing beyond numpy and the
+standard library."""
 
 import ast
 import sys
@@ -82,6 +83,26 @@ def test_guard_sees_file_reads():
 def test_only_fileio_reads_files():
     hits = {path.name: file_reads(path.read_text())
             for path in sorted(PACKAGE.glob("*.py")) if path.name != "fileio.py"}
+    assert {name: h for name, h in hits.items() if h} == {}
+
+
+def parameter_keys(source: str) -> list[str]:
+    """String literals in ``source``, f-string parts included, that end in
+    ``.weight`` or ``.bias``: parameter keys spelled out."""
+    return [f"{node.lineno}: {node.value}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.endswith((".weight", ".bias"))]
+
+
+def test_guard_sees_parameter_keys():
+    source = ("grads['attn.w.bias']\nname = f'fc.{i}.weight'\ncfg.weight_decay\n"
+              "layer.weight\nhead = 'classifier.'\nparams[name + '.weight']\n")
+    assert parameter_keys(source) == ["1: attn.w.bias", "2: .weight", "6: .weight"]
+
+
+def test_only_models_spells_parameter_keys():
+    hits = {path.name: parameter_keys(path.read_text())
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "models.py"}
     assert {name: h for name, h in hits.items() if h} == {}
 
 

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_bag, tiny_configs
+from conftest import kernel_configs, random_bag, tiny_configs
 from miltransfer import SynthTaskConfig, TrainConfig, build_model, synth_generate, train
 from miltransfer.errors import NumericError
 from miltransfer.models import forward, loss_and_grads, param_schema, stack_params
@@ -47,14 +47,14 @@ def test_arena_row_is_the_checkpoint_blob(name, tmp_path):
 
 
 # no bag size, nor a bag size plus the class token, equals a tiny layer
-# width (1, 2, 3, 4, 6, 8, 12, 24); at 10 and 14 the auxmil top-8 and
+# width (1, 2, 3, 4, 5, 6, 7, 8, 12, 24); at 10 and 14 the auxmil top-8 and
 # bottom-8 sets overlap, at 17 they do not
 @pytest.mark.parametrize("n", [10, 14, 17])
 @pytest.mark.parametrize("dropout_seed", [None, 17], ids=["eval", "dropout"])
-@pytest.mark.parametrize("name", sorted(tiny_configs()))
+@pytest.mark.parametrize("name", sorted(kernel_configs()))
 def test_stacked_loss_and_grads_equal_solo_bitwise(name, dropout_seed, n):
     """Also: ``forward`` is the kernel's output, bit for bit, solo and stacked."""
-    cfg = tiny_configs()[name]
+    cfg = kernel_configs()[name]
     starts = [build_model(cfg, seed=s) for s in (3, 4, 5)]
     x = random_bag(cfg, n=n, seed=n)
     kwargs = dict(aux_weight=0.3 if cfg.arch == "auxmil" else 0.0, dropout_seed=dropout_seed)
