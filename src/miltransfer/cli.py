@@ -203,7 +203,7 @@ def task_manifest(cfg: ExperimentConfig, task_id: str) -> DatasetManifest:
 
 
 def make_dirs(key: str, *dirs: Path) -> None:
-    """Create ``dirs``, else a ``ConfigError`` naming the config ``key`` they derive from."""
+    """Create ``dirs``, else a ``ConfigError`` naming the config key or flag they derive from."""
     for d in dirs:
         try:
             d.mkdir(parents=True, exist_ok=True)
@@ -226,6 +226,7 @@ class Workspace:
 
     def prepare(self):
         make_dirs("output_dir", self.out, self.results, self.checkpoints, self.logs)
+        make_dirs("--zoo", self.zoo_path.parent)
 
     def write_result(self, name: str, result: EvalResult | analysis.StabilityReport) -> Path:
         path = self.results / f"{name}.json"
@@ -256,7 +257,6 @@ def _zoo_read(path: Path) -> dict:
 
 def zoo_update(path: Path, entry: dict):
     """Insert or replace a zoo entry under an exclusive advisory lock."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     lock = path.with_suffix(".lock")
     with open(lock, "w") as lk:
         fcntl.flock(lk, fcntl.LOCK_EX)

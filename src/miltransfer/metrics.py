@@ -5,14 +5,14 @@ Mann-Whitney formulation (ties count one half); balanced accuracy averages
 per-class recall over the classes present; quadratic weighted kappa uses
 squared rank-distance weights.
 
-Each metric is one kernel with an optional leading resample axis.  On 1-D
-records it returns a float and raises ``UndefinedMetricError`` where the
-metric is undefined; on 2-D records each row is one resample, the result is
-one value per row, and NaN marks a row where the metric is undefined.
-``bootstrap`` draws its resamples in blocks of rows and calls its ``fn`` once
-per block on 2-D records whose rows are resamples; ``fn`` returns one value
-per row, NaN for an undefined resample.  The point estimate and every
-resample therefore share one kernel and the same arithmetic.
+Each metric is one kernel over 1-D records with optional ``(R, n)``
+``counts``: row r holds how often each record occurs in resample r.  Without
+counts a kernel returns a float and raises ``UndefinedMetricError`` where the
+metric is undefined; with counts it returns one value per row, NaN where the
+resample is undefined.  Counts are small integers, exact in float64, and so
+is every total a kernel forms from them (a tie group's positives, a class's
+hits, a confusion cell), so a row's value equals bit for bit the kernel's
+value on that resample's records written out.
 """
 
 from __future__ import annotations
@@ -30,122 +30,120 @@ from .fileio import typed
 _BLOCK_ELEMS = 1 << 17
 
 
-def _rows(a, b, what: str):
-    """Equal-shape 1-D or 2-D records as 2-D arrays (rows are resamples)."""
+def _records(a, b, counts, what: str):
+    """Equal-length 1-D records, and ``counts`` as float64 rows (one row of ones if None)."""
     a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape or a.ndim not in (1, 2):
-        raise DataError(f"{what} must be equal-length vectors or equal-shape 2-D arrays")
-    return np.atleast_2d(a), np.atleast_2d(b)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise DataError(f"{what} must be equal-length vectors")
+    w = np.ones((1, a.size)) if counts is None else np.asarray(counts, dtype=np.float64)
+    if w.ndim != 2 or w.shape[1] != a.size:
+        raise DataError(f"counts must have shape (R, {a.size}), got {w.shape}")
+    return a, b, w
 
 
 def _class_ids(x: np.ndarray, n_classes: int, what: str) -> np.ndarray:
-    if x.shape[1] == 0:
-        raise DataError("empty input")
     ids = x.astype(np.int64)
-    if ids.min() < 0 or ids.max() >= n_classes:
+    if ((ids < 0) | (ids >= n_classes)).any():
         raise DataError(f"{what} must lie in [0, {n_classes})")
     return ids
 
 
-def _finish(out: np.ndarray, ndim: int, undefined: str):
-    """The row values for 2-D input; the single value, or an error, for 1-D."""
-    if ndim == 2:
+def _onehot(ids: np.ndarray, k: int) -> np.ndarray:
+    return (ids[:, None] == np.arange(k)).astype(np.float64)
+
+
+def _finish(out: np.ndarray, counts, undefined: str):
+    """The row values when counts were given; else the single value, or an error."""
+    if counts is not None:
         return out
     if np.isnan(out[0]):
         raise UndefinedMetricError(undefined)
     return float(out[0])
 
 
-def auroc(scores, labels):
+def auroc(scores, labels, counts=None):
     """Probability that a random positive outranks a random negative.
 
-    Ranks are tie-averaged within each row (a tie group at sorted positions
-    s..e gets rank (s+e)/2 + 1), so every rank is an exact half-integer and
-    the result is the Mann-Whitney U over P*N with ties counting one half.
-    Scores must be finite: a NaN would sort above every number.
+    The scores are sorted once into tie groups.  Per row, the Mann-Whitney U
+    sums each group's positives x (negatives below + half its negatives),
+    exact half-integers, and returns U / (P*N).  Labels must be 0 or 1, and
+    scores finite: a NaN would sort above every number.
     """
-    ndim = np.ndim(scores)
-    s, y = _rows(np.asarray(scores, dtype=np.float64), labels, "scores and labels")
-    n_pos = (y == 1).sum(axis=1)
-    n_neg = (y == 0).sum(axis=1)
-    order = np.argsort(s, axis=1, kind="stable")
-    s = np.take_along_axis(s, order, axis=1)
-    pos = np.take_along_axis(y, order, axis=1) == 1
-    n = s.shape[1]
-    at = np.broadcast_to(np.arange(n), s.shape)
-    first = np.ones(s.shape, dtype=bool)
-    first[:, 1:] = s[:, 1:] != s[:, :-1]
-    last = np.ones(s.shape, dtype=bool)
-    last[:, :-1] = first[:, 1:]
-    start = np.maximum.accumulate(np.where(first, at, 0), axis=1)
-    end = np.minimum.accumulate(np.where(last, at, n - 1)[:, ::-1], axis=1)[:, ::-1]
-    r_pos = np.where(pos, start + end + 2, 0).sum(axis=1) / 2.0  # twice the ranks: exact
-    pairs = n_pos * n_neg
-    out = np.full(s.shape[0], np.nan)
+    s, y, w = _records(np.asarray(scores, dtype=np.float64), labels, counts,
+                       "scores and labels")
+    if not np.isin(y, (0, 1)).all():
+        raise DataError("auroc labels must be 0 or 1")
+    order = np.argsort(s)
+    s, pos, w_t = s[order], (y[order] == 1)[:, None], w.T[order]  # records by score, x rows
+    first = np.ones(s.size, dtype=bool)
+    first[1:] = s[1:] != s[:-1]
+    groups = np.flatnonzero(first)
+    n_pos = np.add.reduceat(w_t * pos, groups, axis=0)
+    n_neg = np.add.reduceat(w_t * ~pos, groups, axis=0)
+    below = np.cumsum(n_neg, axis=0) - n_neg
+    u = (n_pos * (below + n_neg / 2.0)).sum(axis=0)
+    pairs = n_pos.sum(axis=0) * n_neg.sum(axis=0)
+    out = np.full(w.shape[0], np.nan)
     ok = pairs > 0
-    out[ok] = (r_pos[ok] - n_pos[ok] * (n_pos[ok] + 1) / 2.0) / pairs[ok]
-    return _finish(out, ndim, "auroc needs both classes present")
+    out[ok] = u[ok] / pairs[ok]
+    return _finish(out, counts, "auroc needs both classes present")
 
 
-def balanced_accuracy(preds, labels, n_classes: int):
+def balanced_accuracy(preds, labels, n_classes: int, counts=None):
     """Mean per-class recall; classes absent from the labels are excluded."""
-    ndim = np.ndim(labels)
-    p, y = _rows(preds, labels, "preds and labels")
+    p, y, w = _records(preds, labels, counts, "preds and labels")
     y = _class_ids(y, n_classes, "labels")
-    r = y.shape[0]
-    key = (np.arange(r)[:, None] * n_classes + y).ravel()
-    total = np.bincount(key, minlength=r * n_classes).reshape(r, n_classes)
-    hits = np.bincount(key[(p == y).ravel()], minlength=r * n_classes).reshape(r, n_classes)
+    onehot = _onehot(y, n_classes)
+    total = w @ onehot
+    hits = w @ (onehot * (p == y)[:, None])
     present = total > 0
     recall = hits / np.maximum(total, 1)
     # Rows with the same number of present classes are averaged together, so
     # each row's mean adds its recalls in class order, as np.mean of a list.
     count = present.sum(axis=1)
-    out = np.empty(r)
-    for m in np.unique(count):
+    out = np.full(w.shape[0], np.nan)  # a row with no records stays NaN
+    for m in np.unique(count[count > 0]):
         rows = count == m
         out[rows] = recall[rows][present[rows]].reshape(-1, m).mean(axis=1)
-    return _finish(out, ndim, "balanced_accuracy is undefined")
+    return _finish(out, counts, "balanced_accuracy needs at least one record")
 
 
-def quadratic_weighted_kappa(preds, labels, n_classes: int):
+def quadratic_weighted_kappa(preds, labels, n_classes: int, counts=None):
     """Cohen's kappa with (i-j)^2 / (C-1)^2 disagreement weights.
 
     Zero expected disagreement counts as perfect degenerate agreement (1.0).
     """
-    ndim = np.ndim(labels)
-    p, y = _rows(preds, labels, "preds and labels")
+    p, y, w = _records(preds, labels, counts, "preds and labels")
     y = _class_ids(y, n_classes, "labels")
     p = _class_ids(p, n_classes, "preds")
-    r, c2 = y.shape[0], n_classes * n_classes
-    key = (np.arange(r)[:, None] * c2 + y * n_classes + p).ravel()
-    observed = np.bincount(key, minlength=r * c2).reshape(r, n_classes, n_classes).astype(
-        np.float64)
+    r, c2 = w.shape[0], n_classes * n_classes
+    observed = (w @ _onehot(y * n_classes + p, c2)).reshape(r, n_classes, n_classes)
     n = observed.sum(axis=(1, 2))
     expected = (observed.sum(axis=2)[:, :, None] * observed.sum(axis=1)[:, None, :]
-                / n[:, None, None])
+                / np.maximum(n, 1)[:, None, None])
     idx = np.arange(n_classes, dtype=np.float64)
-    w = (idx[:, None] - idx[None, :]) ** 2 / (n_classes - 1) ** 2
-    denom = (w * expected).reshape(r, c2).sum(axis=1)
-    agree = (w * observed).reshape(r, c2).sum(axis=1)
+    wt = (idx[:, None] - idx[None, :]) ** 2 / (n_classes - 1) ** 2
+    denom = (wt * expected).reshape(r, c2).sum(axis=1)
+    agree = (wt * observed).reshape(r, c2).sum(axis=1)
     out = np.ones(r)
     ok = denom != 0.0
     out[ok] = 1.0 - agree[ok] / denom[ok]
-    return _finish(out, ndim, "quadratic_weighted_kappa is undefined")
+    out[n == 0] = np.nan
+    return _finish(out, counts, "quadratic_weighted_kappa needs at least one record")
 
 
 def metric_fn(metric: str, n_classes: int):
-    """Callable (labels, values) for a named task metric.
+    """Callable (labels, values, counts=None) for a named task metric.
 
-    ``values`` are scores for auroc and argmax predictions otherwise.  Like
-    the kernels, it takes 1-D records or 2-D rows of resampled records.
+    ``values`` are scores for auroc and argmax predictions otherwise; like
+    the kernels, it takes optional ``(R, n)`` resample counts.
     """
     if metric == "auroc":
-        return lambda labels, values: auroc(values, labels)
+        return lambda y, v, counts=None: auroc(v, y, counts)
     if metric == "balanced_accuracy":
-        return lambda labels, values: balanced_accuracy(values, labels, n_classes)
+        return lambda y, v, counts=None: balanced_accuracy(v, y, n_classes, counts)
     if metric == "quadratic_weighted_kappa":
-        return lambda labels, values: quadratic_weighted_kappa(values, labels, n_classes)
+        return lambda y, v, counts=None: quadratic_weighted_kappa(v, y, n_classes, counts)
     raise DataError(f"unknown metric {metric!r}")
 
 
@@ -153,27 +151,28 @@ def bootstrap(labels, values, fn, n_bootstrap: int = 1000, seed: int = 0):
     """Resample bags with replacement and return (mean, std, skipped).
 
     Resample indices come from ``default_rng(seed)`` as one row of n draws
-    per resample, in blocks of rows.  ``fn(labels[idx], values[idx])`` is
-    called once per block on 2-D records whose rows are resamples, and
-    returns one value per row, NaN where the metric is undefined (e.g. a
-    one-class AUROC draw).  Such resamples are skipped and counted rather
-    than imputed.
+    per resample, in blocks of rows.  One ``bincount`` turns a block into
+    ``(R, n)`` per-record counts, and ``fn(labels, values, counts)`` returns
+    one value per row, NaN where the metric is undefined (e.g. a one-class
+    AUROC draw).  Such resamples are skipped and counted rather than
+    imputed.  The counts are exact integers, so each row's value is the
+    kernel's value on the resampled records.
     """
-    labels = np.asarray(labels)
-    values = np.asarray(values)
-    if labels.shape[0] < 2:
+    n = len(labels)
+    if n < 2:
         raise DataError("bootstrap needs at least 2 records")
     rng = np.random.default_rng(seed)
-    n = labels.shape[0]
     block = max(1, _BLOCK_ELEMS // n)
     kept = []
     skipped = 0
     for start in range(0, n_bootstrap, block):
-        idx = rng.integers(0, n, size=(min(block, n_bootstrap - start), n))
-        stats = np.asarray(fn(labels[idx], values[idx]), dtype=np.float64)
-        if stats.shape != (idx.shape[0],):
+        rows = min(block, n_bootstrap - start)
+        keys = rng.integers(0, n, size=(rows, n)) + n * np.arange(rows)[:, None]
+        counts = np.bincount(keys.ravel(), minlength=rows * n).reshape(rows, n)
+        stats = np.asarray(fn(labels, values, counts), dtype=np.float64)
+        if stats.shape != (rows,):
             raise DataError(f"bootstrap fn returned shape {stats.shape}, "
-                            f"expected ({idx.shape[0]},): one value per resample")
+                            f"expected ({rows},): one value per resample")
         undefined = np.isnan(stats)
         skipped += int(undefined.sum())
         kept.append(stats[~undefined])

@@ -445,7 +445,7 @@ def test_criterion_9_roundtrips_and_determinism(tmp_path):
     checks.append(("knn deterministic", (r1.value, r1.bootstrap_std) ==
                    (r2.value, r2.bootstrap_std)))
 
-    fn = lambda y, v: auroc(v, y)
+    fn = lambda y, v, counts: auroc(v, y, counts)
     scores = rng.random(40)
     checks.append(("bootstrap deterministic",
                    bootstrap(lab, scores, fn, 300, seed=9) ==

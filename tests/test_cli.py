@@ -293,15 +293,22 @@ def test_config_shape_errors_are_config_errors(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("key, command", [("output_dir", "generate"), ("output_dir", "report"),
-                                          ("data.root", "generate")])
+                                          ("data.root", "generate"), ("--zoo", "pretrain")])
 def test_config_dir_naming_a_file_is_a_config_error(tmp_path, capsys, key, command):
     cfg = base_config(tmp_path / "data", tmp_path / "runs")
-    Path(cfg[key] if key == "output_dir" else cfg["data"]["root"]).write_text("a file")
+    argv = ["--config", write_config(tmp_path, cfg), command]
+    if key == "--zoo":  # the zoo's parent is a file: refused before any training
+        assert main(argv[:2] + ["generate"]) == 0
+        (tmp_path / "afile").write_text("a file")
+        argv = ["--zoo", str(tmp_path / "afile" / "zoo.json")] + argv
+    else:
+        Path(cfg[key] if key == "output_dir" else cfg["data"]["root"]).write_text("a file")
     capsys.readouterr()
-    assert main(["--config", write_config(tmp_path, cfg), command]) == 2
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err and "Traceback" not in err
     assert err.count("\n") == 1
+    assert not list(tmp_path.rglob("*.milc"))
 
 
 def _as_json(value):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
@@ -36,6 +36,22 @@ def test_auroc_ties_half():
 def test_auroc_single_class_error():
     with pytest.raises(UndefinedMetricError):
         auroc(np.array([0.1, 0.2]), np.array([1, 1]))
+
+
+def test_auroc_refuses_labels_outside_0_1():
+    with pytest.raises(DataError, match="0 or 1"):
+        auroc([0.9, 0.5, 0.1], [0, 1, 2])
+    with pytest.raises(DataError, match="0 or 1"):
+        evaluate_records("auroc", 2, list("abc"), [0, 1, 2], [0.9, 0.5, 0.1], n_bootstrap=10)
+
+
+def test_kernels_refuse_2d_records_and_1d_counts():
+    with pytest.raises(DataError):
+        auroc(np.zeros((2, 3)), np.zeros((2, 3), dtype=int))
+    with pytest.raises(DataError):
+        balanced_accuracy(np.zeros((2, 3)), np.zeros((2, 3)), 2)
+    with pytest.raises(DataError):
+        quadratic_weighted_kappa([0, 1], [0, 1], 2, counts=np.ones(2))
 
 
 @settings(max_examples=30, deadline=None)
@@ -110,11 +126,14 @@ def test_kappa_symmetric():
 # bootstrap
 # ---------------------------------------------------------------------------
 
+def _accuracy(y, v, counts):
+    return counts @ (y == v) / len(y)
+
+
 def test_bootstrap_identical_records_zero_std():
     labels = np.array([0, 1] * 10)
     preds = labels.copy()
-    fn = lambda y, v: (y == v).mean(axis=-1)
-    mean, std, skipped = bootstrap(labels, preds, fn, n_bootstrap=200, seed=0)
+    mean, std, skipped = bootstrap(labels, preds, _accuracy, n_bootstrap=200, seed=0)
     assert mean == 1.0 and std == 0.0 and skipped == 0
 
 
@@ -122,7 +141,7 @@ def test_bootstrap_deterministic():
     rng = np.random.default_rng(1)
     labels = rng.integers(0, 2, 50)
     scores = rng.random(50)
-    fn = lambda y, v: auroc(v, y)
+    fn = metrics.metric_fn("auroc", 2)
     assert bootstrap(labels, scores, fn, 300, seed=42) == bootstrap(labels, scores, fn, 300, seed=42)
 
 
@@ -130,15 +149,14 @@ def test_bootstrap_accuracy_std_matches_binomial():
     rng = np.random.default_rng(2)
     labels = np.zeros(100, dtype=int)
     preds = (rng.random(100) < 0.5).astype(int)  # ~Bernoulli(0.5) accuracy
-    fn = lambda y, v: (y == v).mean(axis=-1)
-    _, std, _ = bootstrap(labels, preds, fn, n_bootstrap=1000, seed=3)
+    _, std, _ = bootstrap(labels, preds, _accuracy, n_bootstrap=1000, seed=3)
     assert abs(std - 0.05) < 0.015
 
 
 def test_bootstrap_skips_degenerate_resamples():
     labels = np.array([1] * 19 + [0])
     scores = np.linspace(0, 1, 20)
-    fn = lambda y, v: auroc(v, y)
+    fn = metrics.metric_fn("auroc", 2)
     mean, std, skipped = bootstrap(labels, scores, fn, n_bootstrap=500, seed=5)
     assert skipped > 0
     assert 0.0 <= mean <= 1.0
@@ -146,7 +164,7 @@ def test_bootstrap_skips_degenerate_resamples():
 
 def test_bootstrap_needs_two_records():
     with pytest.raises(DataError):
-        bootstrap(np.array([1]), np.array([0.5]), lambda y, v: 1.0)
+        bootstrap(np.array([1]), np.array([0.5]), lambda y, v, c: np.ones(len(c)))
 
 
 def test_evaluate_records_json_round_trip():
@@ -166,7 +184,7 @@ def test_evaluate_records_kappa():
                            n_bootstrap=50, seed=1)
     assert res.metric_name == "quadratic_weighted_kappa"
     assert res.value == quadratic_weighted_kappa(preds, labels, 3)
-    qwk = lambda y, v: quadratic_weighted_kappa(v, y, 3)
+    qwk = metrics.metric_fn("quadratic_weighted_kappa", 3)
     std = bootstrap(np.array(labels), np.array(preds), qwk, 50, 1)[1]
     assert std > 0 and res.bootstrap_std == std
 
@@ -174,11 +192,13 @@ def test_evaluate_records_kappa():
 # ---------------------------------------------------------------------------
 # batched bootstrap against the per-resample reference
 # ---------------------------------------------------------------------------
-# The reference is the per-record, per-resample implementation the batched
-# kernels replaced.  All three metrics must match it bitwise: AUROC ranks are
-# exact half-integers, recalls and kappa terms are formed by the same
-# elementwise operations, and each row's sum runs over the same values in
-# the same order as the reference's one-dimensional sum.
+# The reference copies each resample's records and calls a per-record kernel
+# once per resample.  The count-weighted kernels must match it bitwise: every
+# count, and every tie-group, class or confusion-cell total formed from
+# counts, is an exact integer or half-integer in float64, recalls and kappa
+# terms are formed by the same elementwise operations, and each row's sum
+# runs over the same values in the same order as the reference's
+# one-dimensional sum.
 
 def _ref_auroc(scores, labels):
     scores = np.asarray(scores, dtype=np.float64)
@@ -245,7 +265,7 @@ def test_bootstrap_auroc_matches_reference(seed, n, levels, p_pos, n_boot):
     rng = np.random.default_rng(seed)
     labels = (rng.random(n) < p_pos).astype(np.int64)
     scores = rng.integers(0, levels, n) / levels  # heavy ties
-    _same_outcome(lambda: bootstrap(labels, scores, lambda y, v: auroc(v, y), n_boot, seed),
+    _same_outcome(lambda: bootstrap(labels, scores, metrics.metric_fn("auroc", 2), n_boot, seed),
                   lambda: _ref_bootstrap(labels, scores, lambda y, v: _ref_auroc(v, y),
                                          n_boot, seed))
 
@@ -258,7 +278,7 @@ def test_bootstrap_balanced_accuracy_matches_reference(seed, n, n_classes, n_boo
     used = data.draw(st.integers(1, n_classes))  # classes above `used` stay absent
     labels = rng.integers(0, used, n)
     preds = np.where(rng.random(n) < 0.6, labels, rng.integers(0, n_classes, n))
-    ba = lambda y, v: balanced_accuracy(v, y, n_classes)
+    ba = metrics.metric_fn("balanced_accuracy", n_classes)
     ref = lambda y, v: _ref_balanced_accuracy(v, y, n_classes)
     assert ba(labels, preds) == ref(labels, preds)
     assert bootstrap(labels, preds, ba, n_boot, seed) == _ref_bootstrap(
@@ -287,30 +307,53 @@ def test_bootstrap_blocks_draw_the_per_resample_stream(monkeypatch):
     labels = rng.integers(0, 2, 7)
     scores = rng.random(7)
     seen = []
-    fn = lambda y, v: (seen.append(v) or auroc(v, y))
+    fn = lambda y, v, c: (seen.append(c) or auroc(v, y, c))
     monkeypatch.setattr(metrics, "_BLOCK_ELEMS", 3 * 7)  # blocks of 3 resamples
     got = bootstrap(labels, scores, fn, 10, seed=4)
-    assert [block.shape[0] for block in seen] == [3, 3, 3, 1]
+    assert [block.shape for block in seen] == [(3, 7), (3, 7), (3, 7), (1, 7)]
     stream = np.random.default_rng(4)
-    want = np.stack([scores[stream.integers(0, 7, size=7)] for _ in range(10)])
+    want = np.stack([np.bincount(stream.integers(0, 7, size=7), minlength=7)
+                     for _ in range(10)])
     assert np.array_equal(np.concatenate(seen), want)
     assert got == _ref_bootstrap(labels, scores, lambda y, v: _ref_auroc(v, y), 10, 4)
+
+
+@pytest.mark.parametrize("metric", ["auroc", "balanced_accuracy", "quadratic_weighted_kappa"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 40), n_classes=st.integers(2, 6),
+       max_count=st.integers(0, 4))
+@example(seed=0, n=5, n_classes=3, max_count=0)  # a row that leaves no record
+def test_weighted_kernel_equals_repeated_records(metric, seed, n, n_classes, max_count):
+    rng = np.random.default_rng(seed)
+    k = 2 if metric == "auroc" else n_classes
+    labels = rng.integers(0, k, n)
+    values = rng.integers(0, 4, n) / 4 if metric == "auroc" else rng.integers(0, k, n)
+    counts = rng.integers(0, max_count + 1, n)
+    fn = metrics.metric_fn(metric, k)
+    got = fn(labels, values, counts[None])
+    assert got.shape == (1,)
+    try:
+        want = fn(np.repeat(labels, counts), np.repeat(values, counts))
+    except UndefinedMetricError:
+        assert np.isnan(got[0])
+    else:
+        assert got[0] == want
 
 
 def test_two_record_one_class_is_undefined():
     with pytest.raises(UndefinedMetricError):
         evaluate_records("auroc", 2, ["a", "b"], [1, 1], [0.2, 0.7], n_bootstrap=50)
     with pytest.raises(UndefinedMetricError):
-        bootstrap(np.array([1, 1]), np.array([0.2, 0.7]), lambda y, v: auroc(v, y), 50)
+        bootstrap(np.array([1, 1]), np.array([0.2, 0.7]), metrics.metric_fn("auroc", 2), 50)
 
 
 def test_bootstrap_fn_wrong_shape_is_data_error():
     labels = np.array([0, 1, 0, 1])
     preds = np.array([0, 1, 1, 1])
     with pytest.raises(DataError):
-        bootstrap(labels, preds, lambda y, v: float((y == v).mean()), 20)
+        bootstrap(labels, preds, lambda y, v, c: float((y == v).mean()), 20)
     with pytest.raises(DataError):
-        bootstrap(labels, preds, lambda y, v: y == v, 20)
+        bootstrap(labels, preds, lambda y, v, c: c, 20)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
