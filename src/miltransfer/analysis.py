@@ -11,14 +11,23 @@ that hold sampled instances are packed into tiles, and a bag's rows do not
 depend on which other bags share its tile: a subsample's rows equal the
 same rows of a full capture, bit for bit.
 
-SVCCA works on Gram matrices.  It centers both activation matrices X and Y
-(n samples by width w), forms the three w x w Grams X'X, Y'Y and X'Y, and
-takes each self-Gram's eigendecomposition X'X = V S^2 V'.  Each side keeps the
-smallest set of principal directions holding the requested share of S^2.
-The canonical correlations are the singular values of
-S_x^-1 V_x' (X'Y) V_y S_y^-1, which equals U_x'U_y for the left singular
-vectors U = X V S^-1.  No n-row basis is built.  The mean canonical
-correlation is reported on a 0-100 scale.
+SVCCA works on one Gram matrix.  It centers Z = [X | Y], the two activation
+matrices (n samples by widths w_x and w_y) side by side, and forms Z'Z once;
+X'X, Y'Y and X'Y are its blocks.  Each self-Gram's eigendecomposition
+X'X = V S^2 V' gives a side's principal directions, and each side keeps the
+smallest set of them holding the requested share of S^2.  The canonical
+correlations are the singular values of S_x^-1 V_x' (X'Y) V_y S_y^-1, which
+equals U_x'U_y for the left singular vectors U = X V S^-1.  No n-row basis
+is built.  The mean canonical correlation is reported on a 0-100 scale.
+
+Bytes.  A report is a function of the config, manifest, seed and the
+numpy/BLAS build.  Z'Z is a symmetric rank-k update, and the step after it
+multiplies only width-sized matrices, so on OpenBLAS 0.3.31 a report on
+layers of 1 to 48 units (each width tried), 52, 64 or 100 keeps its bits
+at 1 and 2 BLAS threads, where a general X'Y product over the n samples
+does not.  Wider layers can still move in the last digits with the
+thread count: the Gram at some widths (49, 50, 63, 65), the products of the
+kept directions at 128 to 192, and ``eigh`` and ``svd`` from 256 units up.
 """
 
 from __future__ import annotations
@@ -59,16 +68,18 @@ class StabilityReport:
 def sample_instances(manifest: DatasetManifest, split: str, max_instances: int,
                      seed: int, features: dict[str, np.ndarray]) -> list[tuple[str, int]]:
     """Deterministic subsample of up to max_instances (bag, instance) pairs
-    across a split, in manifest order.  An empty split gives no pairs."""
-    pairs = []
-    for e in manifest.split(split):
-        for j in range(features[e.bag_id].shape[0]):
-            pairs.append((e.bag_id, j))
-    if len(pairs) > max_instances:
-        rng = np.random.default_rng(seed)
-        idx = np.sort(rng.choice(len(pairs), size=max_instances, replace=False))
-        pairs = [pairs[i] for i in idx]
-    return pairs
+    across a split, in manifest order.  An empty split gives no pairs.
+
+    The split's instances are numbered bag after bag; the sorted draw of
+    ``max_instances`` numbers is mapped to its bags through the bags' start
+    numbers, so no list of every pair is built."""
+    bag_ids = [e.bag_id for e in manifest.split(split)]
+    starts = np.cumsum([0] + [features[bag_id].shape[0] for bag_id in bag_ids])
+    total = int(starts[-1])
+    idx = (np.sort(np.random.default_rng(seed).choice(total, max_instances, replace=False))
+           if total > max_instances else np.arange(total))
+    bags = np.searchsorted(starts, idx, side="right") - 1
+    return [(bag_ids[b], j) for b, j in zip(bags.tolist(), (idx - starts[bags]).tolist())]
 
 
 def capture_activations(cfg: ModelConfig, params: ModelParams,
@@ -146,23 +157,24 @@ def svcca(x: np.ndarray, y: np.ndarray, variance_keep: float = 0.99):
     The method and its rank tolerance are in the module docstring and
     ``_principal_directions``.
     """
-    x = np.array(x, dtype=np.float64)  # copies, centered in place below
-    y = np.array(y, dtype=np.float64)
+    x, y = np.asarray(x), np.asarray(y)
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise DataError("svcca needs two (n_samples x width) matrices with equal n_samples")
-    n = x.shape[0]
-    if n <= max(x.shape[1], y.shape[1]):
+    n, wx = x.shape
+    if n <= max(wx, y.shape[1]):
         raise DataError(f"svcca needs n_samples > max width, got n={n}, "
-                        f"widths ({x.shape[1]}, {y.shape[1]})")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+                        f"widths ({wx}, {y.shape[1]})")
+    z = np.concatenate([x, y], axis=1, dtype=np.float64)  # the one copy, centered in place
+    if not np.isfinite(z).all():
         raise NumericError("svcca activations hold non-finite values")
-    x -= x.mean(axis=0)
-    y -= y.mean(axis=0)
-    vx, sx = _principal_directions(x.T @ x, n, variance_keep)
-    vy, sy = _principal_directions(y.T @ y, n, variance_keep)
+    z -= z.mean(axis=0)
+    gram = z.T @ z
+    del z  # the n-row copy is freed before the decompositions run
+    vx, sx = _principal_directions(gram[:wx, :wx], n, variance_keep)
+    vy, sy = _principal_directions(gram[wx:, wx:], n, variance_keep)
     if sx.size == 0 or sy.size == 0:
         return 0.0, np.zeros(0)
-    m = (vx.T @ (x.T @ y) @ vy) / np.outer(sx, sy)
+    m = (vx.T @ gram[:wx, wx:] @ vy) / np.outer(sx, sy)
     corrs = np.clip(np.linalg.svd(m, compute_uv=False), 0.0, 1.0)
     return float(100.0 * corrs.mean()), corrs
 

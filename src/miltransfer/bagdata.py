@@ -69,7 +69,9 @@ def write_feature_file(features: np.ndarray, path: str | Path) -> None:
 
 
 def read_feature_file(path: str | Path) -> np.ndarray:
-    """Read a feature matrix written by :func:`write_feature_file`."""
+    """Read a feature matrix written by :func:`write_feature_file`.  The
+    payload is copied once, out of the file's bytes: a view of them would be
+    read-only and off float alignment."""
     data = read_input(path, "feature file", DataError)
     if len(data) < len(FEATURE_MAGIC) or data[: len(FEATURE_MAGIC)] != FEATURE_MAGIC:
         raise BadMagicError(f"{path}: not a feature file (bad magic)")
@@ -81,17 +83,17 @@ def read_feature_file(path: str | Path) -> np.ndarray:
     n, d = struct.unpack_from("<QQ", data, _HEADER_LEN)
     if n == 0 or d == 0 or n * d * 4 > _MAX_PAYLOAD_BYTES:
         raise DimensionOverflowError(f"{path}: invalid dimensions {n}x{d}")
-    payload = data[_HEADER_LEN + _DIMS_LEN:]
-    expected = n * d * 4
-    if len(payload) < expected:
+    offset = _HEADER_LEN + _DIMS_LEN
+    size, expected = len(data) - offset, n * d * 4
+    if size < expected:
         raise TruncatedPayloadError(
-            f"{path}: payload holds {len(payload)} bytes, {expected} required for {n}x{d}"
+            f"{path}: payload holds {size} bytes, {expected} required for {n}x{d}"
         )
-    if len(payload) > expected:
+    if size > expected:
         raise TruncatedPayloadError(
-            f"{path}: payload holds {len(payload)} bytes, expected exactly {expected}"
+            f"{path}: payload holds {size} bytes, expected exactly {expected}"
         )
-    return np.frombuffer(payload, dtype="<f4").reshape(n, d).copy()
+    return np.frombuffer(data, "<f4", count=n * d, offset=offset).reshape(n, d).copy()
 
 
 # ---------------------------------------------------------------------------

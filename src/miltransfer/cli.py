@@ -47,7 +47,10 @@ one parameter stack (``transfer.train_siblings``): ``transfer``, ``fewshot``,
 ``svcca`` and each ``scale-sweep`` row stack two jobs, and ``reset`` stacks
 one job per reset spec.  ``knn`` trains nothing; its two siblings are
 embedded as one stack per split (``transfer.embed_bags``).  A sibling's
-result equals the one its solo run would write, byte for byte.
+result equals the one its solo run would write, byte for byte.  Result and
+checkpoint bytes are a function of the config, manifest, seed and the
+numpy/BLAS build; an SVCCA report on a layer more than 48 units wide can
+also depend on the BLAS thread count (``analysis``).
 
 Each job writes ``<tag>_<arch>_<target>_<init>_s<seed>.json``, where the
 tag is the command name (``fewshot<K>``, ``scale<n_params>``); ``run_jobs``
@@ -454,6 +457,7 @@ def run_jobs(cfg: ExperimentConfig, ws: Workspace, tag: str, jobs: list[Job]) ->
         siblings = list(siblings)
         if target_id != loaded_target:
             target = task_manifest(cfg, target_id)
+            features = None  # the previous target's cache dies before the next is read
             features = training.load_split_features(target)
             loaded_target = target_id
         ckpt = checkpoint(model, seed)

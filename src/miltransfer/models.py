@@ -326,16 +326,14 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = z - z.max(axis=axis, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
-
-
 def cross_entropy(logits: np.ndarray, label: int) -> tuple[np.ndarray, np.ndarray]:
     """CE loss of every row of ``logits`` (classes on the last axis) against
     one class, and its gradient w.r.t. the logits."""
-    loss = -log_softmax(logits)[..., label]
-    grad = softmax(logits)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=-1, keepdims=True)
+    loss = -(z[..., label] - np.log(total)[..., 0])  # negated last, so -0.0 stays -0.0
+    grad = e / total
     grad[..., label] -= 1.0
     return loss, grad
 

@@ -27,8 +27,8 @@ Bag features come only from the caller's cache, keyed by bag id
 Early stopping stays per job.  A job that stops leaves the stack at its
 epoch boundary with its best-validation snapshot; the others train on.
 
-Determinism: identical (config, manifest, seed) reproduce bitwise identical
-parameters, and each job's bytes equal its solo run.
+Determinism: the parameters' bytes are a function of the config, manifest,
+seed and the numpy/BLAS build, and each job's bytes equal its solo run.
 """
 
 from __future__ import annotations

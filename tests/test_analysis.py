@@ -11,6 +11,7 @@ from miltransfer import (
     layer_stability_report,
     svcca,
 )
+from miltransfer.analysis import sample_instances
 from miltransfer.errors import ConfigError, DataError, NumericError
 from miltransfer.models import forward, softmax, stack_params
 from miltransfer.transfer import embed_bags, reset_layers
@@ -251,6 +252,33 @@ def test_nonfinite_forward_names_the_bag(abmil_setup, reader):
     first = manifest.split("test")[0].bag_id
     with pytest.raises(NumericError, match=f"test bag {first!r}"):
         embed_bags(cfg, bad, manifest, "test", feats)
+
+
+def _ref_sample_instances(manifest, split, max_instances, seed, features):
+    """List every (bag, instance) pair of the split, then draw from the list."""
+    pairs = [(e.bag_id, j) for e in manifest.split(split)
+             for j in range(features[e.bag_id].shape[0])]
+    if len(pairs) > max_instances:
+        rng = np.random.default_rng(seed)
+        idx = np.sort(rng.choice(len(pairs), size=max_instances, replace=False))
+        pairs = [pairs[i] for i in idx]
+    return pairs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sample_instances_equals_enumerate_then_choose(abmil_setup, seed):
+    """Budgets below, at and above the split's instance count, over random
+    bag sizes with an empty bag among them."""
+    _, _, manifest, _ = abmil_setup
+    bags = manifest.split("test")
+    sizes = np.random.default_rng(seed).integers(1, 30, len(bags))
+    sizes[seed % len(bags)] = 0
+    features = {e.bag_id: np.zeros((size, 1), np.float32) for e, size in zip(bags, sizes)}
+    total = sum(f.shape[0] for f in features.values())
+    for budget in (1, total // 3, total - 1, total, total + 7):
+        got = sample_instances(manifest, "test", budget, seed, features)
+        assert got == _ref_sample_instances(manifest, "test", budget, seed, features)
+        assert all(type(j) is int for _, j in got)
 
 
 def test_capture_unknown_layer(abmil_setup):

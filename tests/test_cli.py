@@ -1,7 +1,12 @@
 import builtins
+import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
+import weakref
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -9,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from miltransfer import fileio, transfer
+import miltransfer
+from miltransfer import fileio, training, transfer
 from miltransfer.bagdata import load_manifest, write_feature_file, write_manifest
 from miltransfer.cli import load_config, main, zoo_update
 from miltransfer.metrics import EvalResult
@@ -777,3 +783,74 @@ def test_grid_commands_are_byte_deterministic(two_target_grid, tmp_path):
         for name in files:
             got = (second / name).read_bytes().replace(str(tmp_path).encode(), str(tmp).encode())
             assert got == (first / name).read_bytes(), name
+
+
+def test_run_jobs_drops_the_previous_feature_cache(two_target_grid, tmp_path, monkeypatch):
+    """A command over two targets holds one feature cache at a time: the
+    first target's cache is dead when the second one's load starts."""
+    tmp, _, _ = two_target_grid
+
+    class Cache(dict):  # a plain dict cannot be weakly referenced
+        pass
+
+    caches, alive_at_load = [], []
+    original = training.load_split_features
+
+    def load(manifest):
+        alive_at_load.append([ref() is not None for ref in caches])
+        cache = Cache(original(manifest))
+        caches.append(weakref.ref(cache))
+        return cache
+
+    monkeypatch.setattr(training, "load_split_features", load)
+    assert main(["--config", str(tmp / "config.json"), "--out", str(tmp_path / "runs"),
+                 "--zoo", str(tmp / "runs" / "zoo.json"), "knn"]) == 0
+    assert alive_at_load == [[], [False]]
+
+
+THREAD_TREE = """
+import sys
+from miltransfer.cli import main
+for command in sys.argv[2:]:
+    if main(["--config", sys.argv[1], command]) != 0:
+        sys.exit(f"{command} failed")
+"""
+
+
+def test_cli_tree_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """One tree with 512-d inputs and layers at most 64 wide, run in two
+    interpreters at 1 and at 2 BLAS threads, writes every result and
+    checkpoint byte for byte again.  SVCCA reads X'Y from the Gram of
+    [X | Y]: a general X'Y product changes its bits with the thread count."""
+    commands = ("generate", "pretrain", "transfer", "knn", "svcca", "reset", "report")
+    src = str(Path(miltransfer.__file__).parents[1])
+    procs = {}
+    for threads in (1, 2):
+        root = tmp_path / f"threads{threads}"
+        root.mkdir()
+        cfg = base_config(root / "data", root / "runs")
+        cfg["synthetic"].update(feat_dim=512, bag_size_range=[20, 41])
+        # 1,208 test instances: on OpenBLAS a 32- or 64-wide X'Y gemm over that
+        # many rows changes its bits with the thread count (over 1,184 it
+        # happens not to)
+        cfg["synthetic"]["tasks"][1].update(n_bags_per_class=40,
+                                            split_fractions=[0.3, 0.2, 0.5])
+        cfg["model"].update(in_dim=512, embed_dim=32, attn_dim=16, fc_hidden_dims=[64])
+        cfg["train"].update(max_epochs=2, min_epochs=1)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+               **{f"{lib}_NUM_THREADS": str(threads) for lib in ("OPENBLAS", "OMP", "MKL")}}
+        procs[threads] = subprocess.Popen(
+            [sys.executable, "-c", THREAD_TREE, write_config(root, cfg), *commands],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    digests = {}
+    for threads, proc in procs.items():
+        _, err = proc.communicate(timeout=600)
+        assert proc.returncode == 0, err.decode()
+        runs = tmp_path / f"threads{threads}" / "runs"
+        digests[threads] = {
+            str(path.relative_to(runs)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for sub in ("results", "checkpoints") for path in sorted((runs / sub).iterdir())}
+    assert sorted(digests[1]) == sorted(digests[2])
+    assert any(name.startswith("results/svcca_") for name in digests[1])
+    assert [name for name in digests[1] if digests[1][name] != digests[2][name]] == []
