@@ -29,7 +29,7 @@ from .errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from .fileio import atomic_open, read_input, read_json, reraise_as, section
+from .fileio import atomic_open, make_dirs, read_input, read_json, reraise_as, section
 
 FEATURE_MAGIC = b"MILF"
 FEATURE_VERSION = 1
@@ -184,7 +184,7 @@ def load_manifest(path: str | Path, task: TaskSpec | None = None) -> DatasetMani
 
     When ``task`` is omitted, a ``task.json`` next to the CSV is used if
     present, otherwise the task is inferred from the labels (which must
-    then be contiguous from 0).
+    then be contiguous from 0) and named after the CSV's directory.
     """
     path = Path(path)
     reader = csv.reader(io.StringIO(read_input(path, "manifest", DataError, "utf-8"),
@@ -223,8 +223,8 @@ def load_manifest(path: str | Path, task: TaskSpec | None = None) -> DatasetMani
                     "provide an explicit TaskSpec"
                 )
             n = len(labels)
-            task = TaskSpec(path.stem, n, tuple(f"class_{i}" for i in range(n)),
-                            default_metric(n))
+            task = TaskSpec(path.absolute().parent.name, n,
+                            tuple(f"class_{i}" for i in range(n)), default_metric(n))
     return DatasetManifest(task=task, entries=tuple(rows), root=path.parent)
 
 
@@ -321,6 +321,11 @@ class SynthTaskConfig:
             raise ConfigError(f"bad bag_size_range {self.bag_size_range}")
         if self.witness_rate * lo < 1.0:
             raise ConfigError("witness_rate * min bag size must be >= 1")
+        # synth_bag draws size - ceil(witness_rate * size) background instances
+        if self.witness_rate < 1.0 and not self.background_concepts() and any(
+                size > math.ceil(self.witness_rate * size) for size in range(lo, hi + 1)):
+            raise ConfigError(f"task {self.task_id!r}: witness_rate < 1 needs background "
+                              "concepts, but every concept is assigned to a class")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be >= 0")
         if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
@@ -369,11 +374,6 @@ def synth_bag(cfg: SynthTaskConfig, protos: np.ndarray, label: int,
     n_wit = math.ceil(cfg.witness_rate * size)
     class_concepts = np.array(cfg.concepts_per_class[label])
     background = np.array(cfg.background_concepts())
-    if size > n_wit and background.size == 0:
-        raise ConfigError(
-            f"task {cfg.task_id!r}: witness_rate < 1 needs background concepts, "
-            "but every concept is assigned to a class"
-        )
     concept_ids = np.concatenate([
         rng.choice(class_concepts, size=n_wit, replace=True),
         rng.choice(background, size=size - n_wit, replace=True) if size > n_wit
@@ -388,8 +388,7 @@ def synth_generate(cfg: SynthTaskConfig, out_dir: str | Path) -> DatasetManifest
     """Generate feature files plus manifest for a synthetic task under
     ``out_dir``.  Bitwise reproducible for a given config."""
     out_dir = Path(out_dir)
-    feat_dir = out_dir / "features"
-    feat_dir.mkdir(parents=True, exist_ok=True)
+    make_dirs(f"synthetic task {cfg.task_id!r}", out_dir / "features")
     protos = concept_prototypes(cfg.feat_dim, cfg.n_concepts, cfg.seed)
 
     n = cfg.n_bags_per_class

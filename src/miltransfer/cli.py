@@ -67,13 +67,14 @@ is a data error.
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.  An
 input file that cannot be read or decoded is a data error, or a config
 error when it is the config itself.  A directory under output_dir or
-data.root that cannot be created is a config error naming that key.
+data.root that cannot be created is a config error naming that key, and an
+output file that cannot be written (``fileio`` does every write) one naming
+the file.
 """
 
 from __future__ import annotations
 
 import argparse
-import fcntl
 import itertools
 import json
 import sys
@@ -92,7 +93,8 @@ from .bagdata import (
     synth_generate,
 )
 from .errors import ConfigError, DataError, MilError, NumericError
-from .fileio import atomic_open, read_json, reraise_as, section, typed, typed_fields
+from .fileio import (append_text, atomic_open, exclusive_lock, make_dirs, read_json,
+                     reraise_as, section, typed, typed_fields)
 from .metrics import EvalResult, evaluate_records
 from .models import ModelConfig
 from .training import TrainConfig
@@ -205,16 +207,6 @@ def task_manifest(cfg: ExperimentConfig, task_id: str) -> DatasetManifest:
     return load_manifest(required(cfg.data.root, "data.root") / task_id / "manifest.csv")
 
 
-def make_dirs(key: str, *dirs: Path) -> None:
-    """Create ``dirs``, else a ``ConfigError`` naming the config key or flag they derive from."""
-    for d in dirs:
-        try:
-            d.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"config: {key}: cannot create directory {d} "
-                              f"({exc.strerror or exc})") from exc
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------
@@ -228,8 +220,8 @@ class Workspace:
         self.zoo_path = Path(zoo_path) if zoo_path else self.out / "zoo.json"
 
     def prepare(self):
-        make_dirs("output_dir", self.out, self.results, self.checkpoints, self.logs)
-        make_dirs("--zoo", self.zoo_path.parent)
+        make_dirs("config: output_dir", self.out, self.results, self.checkpoints, self.logs)
+        make_dirs("config: --zoo", self.zoo_path.parent)
 
     def write_result(self, name: str, result: EvalResult | analysis.StabilityReport) -> Path:
         path = self.results / f"{name}.json"
@@ -243,8 +235,7 @@ class Workspace:
             "seeds": cfg.seeds,
             "outputs": sorted(outputs),
         }
-        with open(self.logs / f"{command}.jsonl", "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        append_text(self.logs / f"{command}.jsonl", json.dumps(entry, sort_keys=True) + "\n")
 
 
 def _zoo_read(path: Path) -> dict:
@@ -260,19 +251,14 @@ def _zoo_read(path: Path) -> dict:
 
 def zoo_update(path: Path, entry: dict):
     """Insert or replace a zoo entry under an exclusive advisory lock."""
-    lock = path.with_suffix(".lock")
-    with open(lock, "w") as lk:
-        fcntl.flock(lk, fcntl.LOCK_EX)
-        try:
-            zoo = _zoo_read(path)
-            zoo["entries"] = [e for e in zoo["entries"] if e["name"] != entry["name"]]
-            zoo["entries"].append(entry)
-            zoo["entries"].sort(key=lambda e: e["name"])
-            with atomic_open(path) as fh:
-                json.dump(zoo, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        finally:
-            fcntl.flock(lk, fcntl.LOCK_UN)
+    with exclusive_lock(path.with_suffix(".lock")):
+        zoo = _zoo_read(path)
+        zoo["entries"] = [e for e in zoo["entries"] if e["name"] != entry["name"]]
+        zoo["entries"].append(entry)
+        zoo["entries"].sort(key=lambda e: e["name"])
+        with atomic_open(path) as fh:
+            json.dump(zoo, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def zoo_lookup(path: Path, name: str) -> Checkpoint:
@@ -296,7 +282,7 @@ def cmd_generate(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
     root = required(cfg.data.root, "data.root")
     outputs = []
     for task_cfg in required(cfg.synthetic, "synthetic.tasks"):
-        make_dirs("data.root", root / task_cfg.task_id)
+        make_dirs("config: data.root", root / task_cfg.task_id / "features")
         manifest = synth_generate(task_cfg, root / task_cfg.task_id)
         outputs.append(str(root / task_cfg.task_id / "manifest.csv"))
         print(f"generated {task_cfg.task_id}: {len(manifest.entries)} bags "

@@ -3,7 +3,8 @@
 The CLI maps these onto exit codes: ConfigError -> 2, DataError (and its
 format subclasses) -> 3, NumericError -> 4.  An input file that cannot be
 read or decoded (missing, a directory, not UTF-8, not JSON) is a DataError,
-or a ConfigError when it is the experiment config itself.
+or a ConfigError when it is the experiment config itself.  An output file
+or directory that cannot be written is a ConfigError.
 """
 
 
@@ -12,7 +13,8 @@ class MilError(Exception):
 
 
 class ConfigError(MilError):
-    """Invalid configuration: bad architecture fields, malformed experiment config."""
+    """Invalid configuration: bad architecture fields, malformed experiment
+    config, an output path that cannot be written."""
 
 
 class DataError(MilError):

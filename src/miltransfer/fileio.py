@@ -1,14 +1,16 @@
-"""Every input file is read here; ``atomic_open`` replaces an output file whole.
+"""Every input file is read and every output file written here.
 
 The readers turn any ``OSError`` or decode error into the caller's
 ``MilError`` class, naming the file: ``ConfigError`` for the config, a
 ``DataError`` class for data.  One typed parser (``typed``, ``section``)
 checks every JSON object read; a data reader re-raises its ``ConfigError``
-as its own class through ``reraise_as``.
+as its own class through ``reraise_as``.  A writer turns any ``OSError``
+into a ``ConfigError`` naming the file or directory it could not write.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import os
@@ -23,25 +25,62 @@ from .errors import ConfigError, MilError
 
 
 @contextmanager
+def _writing(path: Path):
+    """An ``OSError`` in the block becomes a ``ConfigError`` naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write ({exc.strerror or exc})") from exc
+
+
+@contextmanager
 def atomic_open(path: str | Path, mode: str = "w", newline: str | None = None):
     """Write through a temp file beside ``path``, then ``os.replace`` it in.
 
     Readers see the old file or the complete new one, never a partial
     write.  If the block raises, the temp file is removed and ``path`` is
-    left as it was.  ``newline`` is passed to ``open`` in text mode
-    (``""`` for the csv module).
+    left as it was; an ``OSError`` from the block, the ``open`` or the
+    replace becomes a ``ConfigError`` naming ``path``.  ``newline`` is
+    passed to ``open`` in text mode (``""`` for the csv module).
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     binary = "b" in mode
-    try:
-        with open(tmp, mode, encoding=None if binary else "utf-8",
-                  newline=None if binary else newline) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _writing(path):
+        try:
+            with open(tmp, mode, encoding=None if binary else "utf-8",
+                      newline=None if binary else newline) as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+
+
+def append_text(path: Path, text: str) -> None:
+    """Append ``text`` to the file at ``path``, else a ``ConfigError`` naming it."""
+    with _writing(path), open(path, "a", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+@contextmanager
+def exclusive_lock(path: Path):
+    """Hold an exclusive advisory lock on the file at ``path`` for the block."""
+    with _writing(path):
+        lk = open(path, "w")
+    with lk:  # closing the file releases the lock
+        fcntl.flock(lk, fcntl.LOCK_EX)
+        yield
+
+
+def make_dirs(where: str, *dirs: Path) -> None:
+    """Create ``dirs``, else a ``ConfigError`` naming ``where`` they come from."""
+    for d in dirs:
+        try:
+            d.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"{where}: cannot create directory {d} "
+                              f"({exc.strerror or exc})") from exc
 
 
 def read_input(path: str | Path, what: str, error: type[MilError],

@@ -115,6 +115,15 @@ def test_load_manifest_basic(tmp_path):
     assert m.task.metric == "auroc"
 
 
+def test_inferred_task_is_named_after_its_directory(tmp_path, monkeypatch):
+    csv = tmp_path / "src16" / "manifest.csv"
+    csv.parent.mkdir()
+    write_csv(csv, [("a", "a.milf", 0, "train"), ("b", "b.milf", 1, "train")])
+    assert load_manifest(csv).task.task_id == "src16"
+    monkeypatch.chdir(csv.parent)
+    assert load_manifest("manifest.csv").task.task_id == "src16"
+
+
 def test_load_manifest_duplicate_bag_id(tmp_path):
     csv = tmp_path / "manifest.csv"
     write_csv(csv, [("a", "a.milf", 0, "train"), ("a", "b.milf", 1, "train")])
@@ -349,10 +358,18 @@ def test_config_validation():
         synth_cfg(witness_rate=0.05, bag_size_range=(6, 10))  # 0.05*6 < 1
 
 
-def test_background_required_when_witness_below_one(tmp_path):
-    cfg = synth_cfg(n_concepts=2, concepts_per_class=((0,), (1,)), witness_rate=0.5)
+def test_background_required_when_witness_below_one():
+    # refused when the config is built, before any bag or directory is made
     with pytest.raises(ConfigError, match="background"):
-        synth_generate(cfg, tmp_path)
+        synth_cfg(n_concepts=2, concepts_per_class=((0,), (1,)), witness_rate=0.5)
+    synth_cfg(n_concepts=2, concepts_per_class=((0,), (1,)), witness_rate=1.0)
+
+
+def test_features_path_holding_a_file_is_a_config_error(tmp_path):
+    (tmp_path / "features").write_bytes(b"previous")
+    with pytest.raises(ConfigError, match="cannot create directory .*features"):
+        synth_generate(synth_cfg(), tmp_path)
+    assert (tmp_path / "features").read_bytes() == b"previous"
 
 
 def test_bayes_oracle_auroc(tmp_path):

@@ -18,6 +18,7 @@ import miltransfer
 from miltransfer import fileio, training, transfer
 from miltransfer.bagdata import load_manifest, write_feature_file, write_manifest
 from miltransfer.cli import load_config, main, zoo_update
+from miltransfer.errors import ConfigError
 from miltransfer.metrics import EvalResult
 from miltransfer.training import load_split_features
 
@@ -236,6 +237,12 @@ def _negative_split_fraction(cfg):
     cfg["synthetic"]["tasks"][1]["split_fractions"] = [1.2, -0.1, -0.1]
 
 
+def _without_background(cfg):
+    # pre4's classes take all four concepts; its witness_rate 0.4 leaves
+    # background instances in every bag
+    cfg["synthetic"]["n_concepts"] = 4
+
+
 # case -> (the key the error names, edit of a valid config that makes it
 # malformed); ``generate`` reads none of data.pretrain, data.targets, train or
 # protocol, but every section is checked
@@ -281,6 +288,7 @@ CONFIG_SHAPE_ERRORS = {
                              lambda cfg: cfg["protocol"].update(reset_specs=["attn", "attn"])),
     "task_id_repeated": ("synthetic.tasks[1].task_id repeats synthetic.tasks[0].task_id",
                          _repeated_task),
+    "task_without_background": ("synthetic.tasks[0]", _without_background),
 }
 
 
@@ -296,6 +304,7 @@ def test_config_shape_errors_are_config_errors(tmp_path, capsys, case):
     assert main(["--config", write_config(tmp_path, cfg), "generate"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err and "Traceback" not in err
+    assert not (tmp_path / "data").exists()
 
 
 @pytest.mark.parametrize("key, command", [("output_dir", "generate"), ("output_dir", "report"),
@@ -667,7 +676,7 @@ def _atomic_writes(pipeline, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["feature_file", "manifest_csv", "task_json", "history_jsonl"])
-def test_failed_write_keeps_previous_file(pipeline, tmp_path, monkeypatch, case):
+def test_failed_write_keeps_previous_file(pipeline, tmp_path, monkeypatch, capsys, case):
     path, write_previous, write_new = _atomic_writes(pipeline, tmp_path)[case]
     write_previous()
     before = path.read_bytes()
@@ -677,10 +686,58 @@ def test_failed_write_keeps_previous_file(pipeline, tmp_path, monkeypatch, case)
         return _PartialFile(fh) if Path(file).name.startswith(f".{path.name}.") else fh
 
     monkeypatch.setattr(fileio, "open", partial_open, raising=False)
-    with pytest.raises(OSError, match="disk full"):
-        write_new()
+    capsys.readouterr()
+    if case == "history_jsonl":  # written by main, which exits 2 naming the file
+        assert write_new() == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{path}: cannot write (disk full)" in err
+    else:
+        with pytest.raises(ConfigError, match="cannot write \\(disk full\\)"):
+            write_new()
     assert path.read_bytes() == before
     assert not [p for p in tmp_path.rglob("*.tmp")]
+
+
+# case -> (command, the output path under tmp_path that a directory blocks,
+# or that a file blocks for the features directory)
+UNWRITABLE_OUTPUTS = {
+    "result": ("knn", "runs/results/knn_abmil_tgt_pretrained_s0.json"),
+    "report_csv": ("report", "runs/report.csv"),
+    "checkpoint": ("pretrain", "runs/checkpoints/abmil_pre4_s0.milc"),
+    "history_jsonl": ("pretrain", "runs/checkpoints/abmil_pre4_s0.history.jsonl"),
+    "run_log": ("report", "runs/logs/report.jsonl"),
+    "zoo_lock": ("pretrain", "runs/zoo.lock"),
+    "features": ("generate", "data/pre4/features"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_is_a_config_error(pipeline, tmp_path, capsys, case):
+    tmp, cfg, _ = pipeline
+    command, blocked = UNWRITABLE_OUTPUTS[case]
+    cfg = json.loads(json.dumps(cfg))
+    cfg["output_dir"] = str(tmp_path / "runs")
+    path = tmp_path / blocked
+    path.parent.mkdir(parents=True)
+    if command == "generate":
+        cfg["data"]["root"] = str(tmp_path / "data")
+        kept = path
+    else:
+        path.mkdir()
+        kept = path / "kept"
+    kept.write_bytes(b"previous")
+    if command == "knn":
+        shutil.copy(tmp / "runs" / "zoo.json", tmp_path / "runs" / "zoo.json")
+    if command == "report":
+        (tmp_path / "runs" / "results").mkdir(parents=True)
+        (tmp_path / "runs" / "results" / "good.json").write_bytes(_result_bytes())
+    capsys.readouterr()
+    assert main(["--config", write_config(tmp_path, cfg), command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert str(path) in err and "Traceback" not in err
+    assert kept.read_bytes() == b"previous"
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_zoo_update_failure_keeps_previous_zoo(tmp_path):

@@ -1,7 +1,7 @@
 """Package layering: a module reads another package module only through
-its public names, only ``fileio`` reads files, only ``models`` spells a
-parameter key, and the package imports nothing beyond numpy and the
-standard library."""
+its public names, only ``fileio`` reads or writes files, only ``models``
+spells a parameter key, and the package imports nothing beyond numpy and
+the standard library."""
 
 import ast
 import sys
@@ -45,6 +45,25 @@ def test_no_module_reads_another_modules_private_names():
     assert {name: h for name, h in hits.items() if h} == {}
 
 
+def open_mode(call: ast.Call) -> ast.expr | None:
+    """The mode of an ``open(...)`` or ``.open(...)`` call, a literal ``r``
+    when it is left out; None for any other call."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        args = call.args[1:2]  # open(file, mode)
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        args = call.args[:1]   # path.open(mode)
+    else:
+        return None
+    return next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                args[0] if args else ast.Constant("r"))
+
+
+def literal(mode: ast.expr) -> str | None:
+    """The string of a literal ``mode``, else None."""
+    return mode.value if isinstance(mode, ast.Constant) and isinstance(mode.value, str) else None
+
+
 def file_reads(source: str) -> list[str]:
     """Calls in ``source`` that read a file: ``.read_bytes()``, ``.read_text()``,
     and ``open(...)`` or ``.open(...)`` in a read mode: the default mode, a
@@ -53,20 +72,10 @@ def file_reads(source: str) -> list[str]:
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
+        func, mode = node.func, open_mode(node)
         if isinstance(func, ast.Attribute) and func.attr in ("read_bytes", "read_text"):
             hits.append(f"{node.lineno}: .{func.attr}()")
-            continue
-        if isinstance(func, ast.Name) and func.id == "open":
-            args = node.args[1:2]  # open(file, mode)
-        elif isinstance(func, ast.Attribute) and func.attr == "open":
-            args = node.args[:1]   # path.open(mode)
-        else:
-            continue
-        mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
-                    args[0] if args else ast.Constant("r"))
-        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
-                and not set(mode.value) & set("r+")):
+        elif mode is not None and (literal(mode) is None or set(literal(mode)) & set("r+")):
             hits.append(f"{node.lineno}: open")
     return hits
 
@@ -82,6 +91,42 @@ def test_guard_sees_file_reads():
 
 def test_only_fileio_reads_files():
     hits = {path.name: file_reads(path.read_text())
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "fileio.py"}
+    assert {name: h for name, h in hits.items() if h} == {}
+
+
+def file_writes(source: str) -> list[str]:
+    """Calls in ``source`` that write a file or directory: ``open(...)`` or
+    ``.open(...)`` in a literal mode holding ``w``, ``a``, ``x`` or ``+``,
+    ``.mkdir()``, ``os.makedirs()``, ``os.replace()``, ``.write_text()``,
+    ``.write_bytes()`` and ``.unlink()``."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func, mode = node.func, open_mode(node)
+        if isinstance(func, ast.Attribute) and (
+                func.attr in ("mkdir", "write_text", "write_bytes", "unlink")
+                or (func.attr in ("makedirs", "replace") and isinstance(func.value, ast.Name)
+                    and func.value.id == "os")):
+            hits.append(f"{node.lineno}: .{func.attr}()")
+        elif mode is not None and set(literal(mode) or "") & set("wax+"):
+            hits.append(f"{node.lineno}: open")
+    return hits
+
+
+def test_guard_sees_file_writes():
+    source = ("open(p, 'w')\npath.open('ab')\nopen(p, mode='x')\nopen(p, 'r+b')\n"
+              "d.mkdir(parents=True)\nos.makedirs(d)\nos.replace(a, b)\np.write_text(s)\n"
+              "p.write_bytes(b)\ntmp.unlink(missing_ok=True)\nopen(p)\nopen(p, 'rb')\n"
+              "open(p, mode)\ns.replace('a', 'b')\nreplace(cfg, seed=1)\nfh.write(s)\n")
+    assert file_writes(source) == ["1: open", "2: open", "3: open", "4: open",
+                                   "5: .mkdir()", "6: .makedirs()", "7: .replace()",
+                                   "8: .write_text()", "9: .write_bytes()", "10: .unlink()"]
+
+
+def test_only_fileio_writes_files():
+    hits = {path.name: file_writes(path.read_text())
             for path in sorted(PACKAGE.glob("*.py")) if path.name != "fileio.py"}
     assert {name: h for name, h in hits.items() if h} == {}
 
