@@ -29,7 +29,8 @@ from .errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from .fileio import atomic_open, make_dirs, read_input, read_json, reraise_as, section
+from .fileio import (atomic_open, input_size, make_dirs, read_input, read_json, reraise_as,
+                     section)
 
 FEATURE_MAGIC = b"MILF"
 FEATURE_VERSION = 1
@@ -94,6 +95,22 @@ def read_feature_file(path: str | Path) -> np.ndarray:
             f"{path}: payload holds {size} bytes, expected exactly {expected}"
         )
     return np.frombuffer(data, "<f4", count=n * d, offset=offset).reshape(n, d).copy()
+
+
+def read_feature_files(paths) -> list[np.ndarray]:
+    """``read_feature_file`` of each path, as views of one float32 buffer
+    sized from the files' lengths: a dropped cache frees one block, where
+    one array per bag can leave it resident in holes of the heap."""
+    counts = [max(0, input_size(path, "feature file", DataError) - _HEADER_LEN - _DIMS_LEN) // 4
+              for path in paths]
+    buf, mats = np.empty(sum(counts), "<f4"), []
+    for path, start, count in zip(paths, np.cumsum([0, *counts]), counts):
+        x = read_feature_file(path)
+        if x.size != count:
+            raise DataError(f"{path}: feature file changed while it was read")
+        mats.append(buf[start:start + count].reshape(x.shape))
+        mats[-1][...] = x
+    return mats
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +180,12 @@ class DatasetManifest:
     def has_val(self) -> bool:
         return any(e.split == "val" for e in self.entries)
 
-    def load_features(self, entry: ManifestEntry) -> np.ndarray:
+    def feature_path(self, entry: ManifestEntry) -> Path:
         path = Path(entry.path)
-        if not path.is_absolute():
-            path = self.root / path
-        return read_feature_file(path)
+        return path if path.is_absolute() else self.root / path
+
+    def load_features(self, entry: ManifestEntry) -> np.ndarray:
+        return read_feature_file(self.feature_path(entry))
 
     def class_counts(self, split_tag: str = "train") -> np.ndarray:
         counts = np.zeros(self.task.n_classes, dtype=np.int64)

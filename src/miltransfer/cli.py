@@ -54,7 +54,7 @@ also depend on the BLAS thread count (``analysis``).
 
 Each job writes ``<tag>_<arch>_<target>_<init>_s<seed>.json``, where the
 tag is the command name (``fewshot<K>``, ``scale<n_params>``); ``run_jobs``
-alone records the job in the result's context: model, arch, target_task,
+alone records the job in a result: protocol, model, arch, target_task,
 init, seed, source_task and, for few-shot, k_shot.  ``reset`` writes no
 un-reset run: its baseline is ``transfer``'s pretrained result.  ``report``
 averages every result within one (protocol, k_shot, task, arch, model, init)
@@ -66,10 +66,11 @@ missing or mistyped, such as one written before results named their model,
 is a data error.
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.  An
 input file that cannot be read or decoded is a data error, or a config
-error when it is the config itself.  A directory under output_dir or
-data.root that cannot be created is a config error naming that key, and an
-output file that cannot be written (``fileio`` does every write) one naming
-the file.
+error when it is the config itself.  An undefined metric (AUROC on one
+class) is a data error naming the task and split.  A directory under
+output_dir or data.root that cannot be created is a config error naming
+that key, and an output file that cannot be written (``fileio`` does every
+write) one naming the file.
 """
 
 from __future__ import annotations
@@ -92,10 +93,10 @@ from .bagdata import (
     load_manifest,
     synth_generate,
 )
-from .errors import ConfigError, DataError, MilError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .fileio import (append_text, atomic_open, exclusive_lock, make_dirs, read_json,
                      reraise_as, section, typed, typed_fields)
-from .metrics import EvalResult, evaluate_records
+from .metrics import EvalResult
 from .models import ModelConfig
 from .training import TrainConfig
 from .transfer import Checkpoint, config_digest
@@ -174,32 +175,31 @@ def load_config(path: str | Path) -> ExperimentConfig:
     raw = read_json(path, "config", ConfigError)
     if not isinstance(raw, dict) or raw.pop("config_version", None) != CONFIG_VERSION:
         raise ConfigError(f"config {path}: expected an object with config_version {CONFIG_VERSION}")
-    with reraise_as(ConfigError, "config"):
-        data, model, train, protocol, synthetic = (
-            raw.pop(key, {}) for key in ("data", "model", "train", "protocol", "synthetic"))
-        protocol = dict(typed(protocol, dict, "protocol"))
-        rows = typed(protocol.pop("scale_rows", []), tuple[dict, ...], "protocol.scale_rows")
-        synthetic = dict(typed(synthetic, dict, "synthetic"))
-        tasks = typed(synthetic.pop("tasks", []), tuple[dict, ...], "synthetic.tasks")
-        shared = {"bag_size_range": (16, 32),
-                  **typed_fields(SynthTaskConfig, synthetic, "synthetic", SYNTH_SHARED)}
-        task_keys = [f.name for f in fields(SynthTaskConfig) if f.name not in SYNTH_SHARED]
-        return section(
-            ExperimentConfig, raw, "", keys=("output_dir", "seeds"),
-            data=section(DataConfig, data, "data"),
-            model=None if model == {} else section(ModelConfig, model, "model", n_classes=2),
-            train=section(TrainConfig, train, "train", seed=0),
-            protocol=section(ProtocolConfig, protocol, "protocol", scale_rows=tuple(
-                section(ModelConfig, {**model, **row}, f"protocol.scale_rows[{i}]", n_classes=2)
-                for i, row in enumerate(rows))),
-            synthetic=tuple(section(SynthTaskConfig, task, f"synthetic.tasks[{i}]", task_keys,
-                                    **shared) for i, task in enumerate(tasks)))
+    data, model, train, protocol, synthetic = (
+        raw.pop(key, {}) for key in ("data", "model", "train", "protocol", "synthetic"))
+    protocol = dict(typed(protocol, dict, "protocol"))
+    rows = typed(protocol.pop("scale_rows", []), tuple[dict, ...], "protocol.scale_rows")
+    synthetic = dict(typed(synthetic, dict, "synthetic"))
+    tasks = typed(synthetic.pop("tasks", []), tuple[dict, ...], "synthetic.tasks")
+    shared = {"bag_size_range": (16, 32),
+              **typed_fields(SynthTaskConfig, synthetic, "synthetic", SYNTH_SHARED)}
+    task_keys = [f.name for f in fields(SynthTaskConfig) if f.name not in SYNTH_SHARED]
+    return section(
+        ExperimentConfig, raw, "", keys=("output_dir", "seeds"),
+        data=section(DataConfig, data, "data"),
+        model=None if model == {} else section(ModelConfig, model, "model", n_classes=2),
+        train=section(TrainConfig, train, "train", seed=0),
+        protocol=section(ProtocolConfig, protocol, "protocol", scale_rows=tuple(
+            section(ModelConfig, {**model, **row}, f"protocol.scale_rows[{i}]", n_classes=2)
+            for i, row in enumerate(rows))),
+        synthetic=tuple(section(SynthTaskConfig, task, f"synthetic.tasks[{i}]", task_keys,
+                                **shared) for i, task in enumerate(tasks)))
 
 
 def required(value, key: str):
     """``value``, or a ``ConfigError`` naming ``key`` when it is unset."""
     if not value:
-        raise ConfigError(f"config: {key} is required for this command")
+        raise ConfigError(f"{key} is required for this command")
     return value
 
 
@@ -220,8 +220,8 @@ class Workspace:
         self.zoo_path = Path(zoo_path) if zoo_path else self.out / "zoo.json"
 
     def prepare(self):
-        make_dirs("config: output_dir", self.out, self.results, self.checkpoints, self.logs)
-        make_dirs("config: --zoo", self.zoo_path.parent)
+        make_dirs("output_dir", self.out, self.results, self.checkpoints, self.logs)
+        make_dirs("--zoo", self.zoo_path.parent)
 
     def write_result(self, name: str, result: EvalResult | analysis.StabilityReport) -> Path:
         path = self.results / f"{name}.json"
@@ -282,7 +282,7 @@ def cmd_generate(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
     root = required(cfg.data.root, "data.root")
     outputs = []
     for task_cfg in required(cfg.synthetic, "synthetic.tasks"):
-        make_dirs("config: data.root", root / task_cfg.task_id / "features")
+        make_dirs("data.root", root / task_cfg.task_id / "features")
         manifest = synth_generate(task_cfg, root / task_cfg.task_id)
         outputs.append(str(root / task_cfg.task_id / "manifest.csv"))
         print(f"generated {task_cfg.task_id}: {len(manifest.entries)} bags "
@@ -308,14 +308,11 @@ def _pretrain(cfg: ExperimentConfig, ws: Workspace, mcfg: ModelConfig, model: st
         name = zoo_name(model, seed)
         params = models.build_model(mcfg, seed=seed)
         result = training.train(mcfg, params, manifest, replace(cfg.train, seed=seed), features)
-        _, bag_ids, labels, values = training.evaluate_split(
-            mcfg, result.params, manifest, "test", features)
-        eval_result = evaluate_records(
-            manifest.task.metric, manifest.task.n_classes, bag_ids, labels, values,
-            n_bootstrap=cfg.protocol.n_bootstrap, seed=seed,
-            context={"protocol": "pretrain", "model": model, "arch": mcfg.arch,
-                     "init": "scratch", "source_task": manifest.task.task_id,
-                     "target_task": manifest.task.task_id, "seed": seed})
+        [eval_result] = training.evaluate_split(mcfg, result.params, manifest, "test", features,
+                                                cfg.protocol.n_bootstrap, seed)
+        eval_result.context.update(protocol="pretrain", model=model, arch=mcfg.arch,
+                                   init="scratch", source_task=manifest.task.task_id,
+                                   target_task=manifest.task.task_id, seed=seed)
         ckpt = Checkpoint(cfg=mcfg, params=result.params, pretrain_task_id=manifest.task.task_id,
                           train_summary={"seed": seed, "epochs": len(result.history),
                                          "best_val": result.best_val_metric()})
@@ -431,9 +428,8 @@ def run_jobs(cfg: ExperimentConfig, ws: Workspace, tag: str, jobs: list[Job]) ->
     one stack; the ``grid`` order puts siblings next to each other.  Each
     (model, seed) checkpoint is read from the zoo once.  A target's manifest
     and features are read once per run of consecutive jobs on it, which the
-    ``grid`` order makes once per target.  Every result's context is then
-    given its whole job identity here (model, arch, target_task, init, seed,
-    source_task and k_shot), over whatever keys its runner wrote.
+    ``grid`` order makes once per target.  Each result is then given its
+    whole job identity here, and only here.
     """
     checkpoint = cache(lambda model, seed: zoo_lookup(ws.zoo_path, zoo_name(model, seed)))
     loaded_target, target, features = None, None, None
@@ -452,8 +448,8 @@ def run_jobs(cfg: ExperimentConfig, ws: Workspace, tag: str, jobs: list[Job]) ->
         for job, result in zip(siblings, results):
             if isinstance(result, EvalResult):
                 result.context.update(
-                    model=model, arch=ckpt.cfg.arch, target_task=target_id, init=job.init,
-                    seed=seed, source_task=transfer.source_task(ckpt, job.init),
+                    protocol=protocol, model=model, arch=ckpt.cfg.arch, target_task=target_id,
+                    init=job.init, seed=seed, source_task=transfer.source_task(ckpt, job.init),
                     **({} if k_shot is None else {"k_shot": k_shot}))
             name = f"{prefix}_{ckpt.cfg.arch}_{target_id}_{job.init}_s{seed}"
             outputs.append(str(ws.write_result(name, result)))
@@ -493,7 +489,7 @@ def cmd_scale_sweep(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
     names = [f"{model_name(cfg, mcfg)}_p{n_params}" for mcfg, n_params in zip(mcfgs, sizes)]
     for i, model in enumerate(names):  # equal names would share checkpoints and results
         if names.index(model) != i:
-            raise ConfigError(f"config: protocol.scale_rows[{names.index(model)}] and "
+            raise ConfigError(f"protocol.scale_rows[{names.index(model)}] and "
                               f"protocol.scale_rows[{i}] both name model {model}")
     outputs = []
     for mcfg, n_params, model in zip(mcfgs, sizes, names):
@@ -619,9 +615,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except MilError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError (and its
-format subclasses) -> 3, NumericError -> 4.  An input file that cannot be
-read or decoded (missing, a directory, not UTF-8, not JSON) is a DataError,
-or a ConfigError when it is the experiment config itself.  An output file
-or directory that cannot be written is a ConfigError.
+format and undefined-metric subclasses) -> 3, NumericError -> 4.  An input
+file that cannot be read or decoded (missing, a directory, not UTF-8, not
+JSON) is a DataError, or a ConfigError when it is the experiment config
+itself.  An output file or directory that cannot be written is a
+ConfigError.
 """
 
 
@@ -55,5 +56,5 @@ class NumericError(MilError):
     """Non-finite loss or gradients encountered during optimization."""
 
 
-class UndefinedMetricError(MilError):
-    """Metric is undefined for the given inputs (e.g. single-class AUROC)."""
+class UndefinedMetricError(DataError):
+    """Metric is undefined for the given data (e.g. single-class AUROC)."""

@@ -83,15 +83,29 @@ def make_dirs(where: str, *dirs: Path) -> None:
                               f"({exc.strerror or exc})") from exc
 
 
+@contextmanager
+def _reading(path: str | Path, what: str, error: type[MilError]):
+    """An ``OSError`` in the block, or a NUL byte in ``path``, becomes an
+    ``error`` naming the ``what`` file."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise error(f"{what} {path}: cannot read ({reason})") from exc
+
+
+def input_size(path: str | Path, what: str, error: type[MilError]) -> int:
+    """The length in bytes of the ``what`` file at ``path``, else an ``error``."""
+    with _reading(path, what, error):
+        return os.stat(path).st_size
+
+
 def read_input(path: str | Path, what: str, error: type[MilError],
                encoding: str | None = None) -> bytes | str:
     """The bytes of the ``what`` file at ``path``, decoded if an ``encoding``
     is given, else an ``error``."""
-    try:
+    with _reading(path, what, error):
         data = Path(path).read_bytes()
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        reason = getattr(exc, "strerror", None) or exc
-        raise error(f"{what} {path}: cannot read ({reason})") from exc
     try:
         return data if encoding is None else data.decode(encoding)
     except UnicodeDecodeError as exc:
@@ -167,9 +181,9 @@ def section(cls, raw, where: str, keys=None, **fixed):
 
 
 @contextmanager
-def reraise_as(error: type[MilError], where: str):
-    """A ``ConfigError`` raised in the block becomes an ``error`` at ``where``."""
+def reraise_as(error: type[MilError], where: str, caught: type[MilError] = ConfigError):
+    """A ``caught`` error raised in the block becomes an ``error`` at ``where``."""
     try:
         yield
-    except ConfigError as exc:
+    except caught as exc:
         raise error(f"{where}: {exc}") from exc

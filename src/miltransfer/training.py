@@ -22,7 +22,8 @@ into layers: per-layer (J, *shape) views feed the model kernel, and the
 same views of one row are that job's dict of arrays.
 
 Bag features come only from the caller's cache, keyed by bag id
-(``load_split_features``): the trainer and ``evaluate_split`` read no file.
+(``load_split_features``): the trainer and ``evaluate_split``, the one
+scorer of every val and test split, read no file.
 
 Early stopping stays per job.  A job that stops leaves the stack at its
 epoch boundary with its best-validation snapshot; the others train on.
@@ -40,10 +41,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import models
-from .bagdata import SPLITS, DatasetManifest, weighted_epoch_order
-from .errors import ConfigError, DataError, NumericError
-from .metrics import metric_fn
+from . import metrics, models
+from .bagdata import SPLITS, DatasetManifest, read_feature_files, weighted_epoch_order
+from .errors import ConfigError, DataError, NumericError, UndefinedMetricError
+from .fileio import reraise_as
+from .metrics import EvalResult
 from .models import ModelConfig, ModelParams
 
 ADAM_BETA1 = 0.9
@@ -181,13 +183,14 @@ def adamw_step(stack: ParamStack, lr: float, weight_decay: float) -> None:
 
 
 def evaluate_split(cfg: ModelConfig, params: ModelParams, manifest: DatasetManifest,
-                   split: str, features: dict[str, np.ndarray]):
-    """Eval-mode metric over one split, on the cached ``features``.
+                   split: str, features: dict[str, np.ndarray], n_bootstrap: int = 0,
+                   seed: int = 0) -> list[EvalResult]:
+    """Eval-mode ``metrics.evaluate_records`` of each job on one split, on
+    the cached ``features``: J results for a leading job axis J, else one.
 
-    Returns (metric_value, bag_ids, labels, values) where values are
-    positive-class probabilities for auroc tasks and argmax predictions
-    otherwise, one per bag.  Parameters with a leading job axis J give J
-    metric values and (J, n_bags) values.
+    A result's values are positive-class probabilities for auroc tasks and
+    argmax predictions otherwise, one per bag.  Its context is empty.  An
+    undefined metric is an ``UndefinedMetricError`` naming task and split.
     """
     task = manifest.task
     entries, logits = [], []
@@ -199,16 +202,20 @@ def evaluate_split(cfg: ModelConfig, params: ModelParams, manifest: DatasetManif
         values = models.softmax(logits)[..., 1].astype(np.float64)
     else:
         values = np.argmax(logits, axis=-1)
-    labels = [e.label for e in entries]
-    fn = metric_fn(task.metric, task.n_classes)
-    y = np.asarray(labels)
-    metric = fn(y, values) if values.ndim == 1 else np.array([fn(y, row) for row in values])
-    return metric, [e.bag_id for e in entries], labels, values
+    bag_ids, labels = [e.bag_id for e in entries], [e.label for e in entries]
+    with reraise_as(UndefinedMetricError, f"task {task.task_id}, {split} split",
+                    UndefinedMetricError):
+        return [metrics.evaluate_records(task.metric, task.n_classes, bag_ids, labels, job_values,
+                                         n_bootstrap=n_bootstrap, seed=seed)
+                for job_values in values.reshape(-1, len(entries))]
 
 
 def load_split_features(manifest: DatasetManifest):
-    """Feature cache keyed by bag_id; desk-scale datasets fit in memory."""
-    return {e.bag_id: manifest.load_features(e) for tag in SPLITS for e in manifest.split(tag)}
+    """Feature cache keyed by bag_id, every bag a view of one buffer
+    (``read_feature_files``); desk-scale datasets fit in memory."""
+    entries = [e for tag in SPLITS for e in manifest.split(tag)]
+    mats = read_feature_files([manifest.feature_path(e) for e in entries])
+    return {e.bag_id: x for e, x in zip(entries, mats)}
 
 
 def train(cfg: ModelConfig, params: ModelParams, manifest: DatasetManifest,
@@ -269,13 +276,14 @@ def train_group(cfg: ModelConfig, starts: list[ModelParams], manifest: DatasetMa
             epoch_loss += loss
             global_step += 1
 
-        val = evaluate_split(cfg, stack.layers, manifest, "val", features)[0] if has_val else None
+        val = ([r.value for r in evaluate_split(cfg, stack.layers, manifest, "val", features)]
+               if has_val else None)
         stopped = []
         for r, j in enumerate(jobs):
             histories[j].append({
                 "epoch": epoch,
                 "train_loss": float(epoch_loss[r] / steps_per_epoch),
-                "val_metric": None if val is None else float(val[r]),
+                "val_metric": None if val is None else val[r],
                 "lr": lr,
             })
             if val is None or val[r] > best_metric[j]:

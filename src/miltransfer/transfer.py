@@ -6,7 +6,8 @@ A target model starts from a checkpoint and an init name: ``pretrained``,
 ``random`` or ``reset_<spec>`` (``RESET_SPECS``).  ``start`` is the one
 place an init name becomes starting weights, and ``source_task`` the one
 place it becomes the source task a result records.  ``train_siblings``
-starts and trains a group of init-siblings as one stack.  Which layers are
+starts and trains a group of init-siblings as one stack.  A result holds
+no job identity: the caller records it.  Which layers are
 class-bound heads, and whether params fit the schema, ``models`` decides
 (``head_layers``, ``check_params``).
 """
@@ -29,6 +30,7 @@ from .errors import (
     ConfigError,
     DataError,
     NumericError,
+    UndefinedMetricError,
     VersionMismatchError,
 )
 from .fileio import atomic_open, parse_json, read_input, reraise_as, section, typed
@@ -344,9 +346,11 @@ def knn_evaluate(train_embeddings, train_labels, test_embeddings, test_labels,
                                       task.n_classes, distance)
     values = pos_fraction if task.metric == "auroc" else preds
     ids = list(bag_ids) if bag_ids is not None else [str(i) for i in range(len(preds))]
-    return evaluate_records(task.metric, task.n_classes, ids, test_labels, values,
-                            n_bootstrap=n_bootstrap, seed=seed,
-                            context={"protocol": "knn", "k": k, "distance": distance})
+    with reraise_as(UndefinedMetricError, f"task {task.task_id}, test queries",
+                    UndefinedMetricError):
+        return evaluate_records(task.metric, task.n_classes, ids, test_labels, values,
+                                n_bootstrap=n_bootstrap, seed=seed,
+                                context={"k": k, "distance": distance})
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +382,8 @@ def finetune_group(ckpt: Checkpoint, inits: Sequence[str], target: DatasetManife
                    train_cfg: TrainConfig, features: dict[str, np.ndarray],
                    n_bootstrap: int = 1000) -> list[tuple[TrainResult, EvalResult]]:
     """``finetune`` for init-siblings, trained in lockstep as one stack
-    (``train_siblings``).  Pair j equals ``finetune(ckpt, inits[j], ...)``."""
-    task = target.task
+    and scored as one stack.  Pair j equals ``finetune(ckpt, inits[j], ...)``."""
     cfg, _, results = train_siblings(ckpt, inits, target, train_cfg, features)
-    _, bag_ids, labels, values = training.evaluate_split(
-        cfg, models.stack_params([r.params for r in results]), target, "test", features)
-    return [(result, evaluate_records(
-        task.metric, task.n_classes, bag_ids, labels, job_values,
-        n_bootstrap=n_bootstrap, seed=train_cfg.seed,
-        context={"protocol": "finetune", "arch": cfg.arch, "init": init,
-                 "source_task": source_task(ckpt, init), "target_task": task.task_id,
-                 "seed": train_cfg.seed}))
-        for init, result, job_values in zip(inits, results, values)]
+    tests = training.evaluate_split(cfg, models.stack_params([r.params for r in results]),
+                                    target, "test", features, n_bootstrap, train_cfg.seed)
+    return list(zip(results, tests))

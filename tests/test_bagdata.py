@@ -96,6 +96,28 @@ def test_write_rejects_non_finite(tmp_path):
         write_feature_file(np.array([[np.nan]], dtype=np.float32), tmp_path / "x.milf")
 
 
+def test_read_feature_files_are_views_of_one_buffer(tmp_path):
+    rng = np.random.default_rng(5)
+    mats = [rng.standard_normal(shape).astype(np.float32) for shape in ((3, 4), (1, 7), (5, 2))]
+    paths = [tmp_path / f"{i}.milf" for i in range(len(mats))]
+    for m, path in zip(mats, paths):
+        write_feature_file(m, path)
+    back = bagdata.read_feature_files(paths)
+    assert all(x.base is back[0].base for x in back)
+    for x, path in zip(back, paths):
+        assert x.shape == read_feature_file(path).shape
+        assert x.tobytes() == read_feature_file(path).tobytes()
+
+
+def test_feature_file_changed_while_read_is_data_error(tmp_path, monkeypatch):
+    path = tmp_path / "a.milf"
+    write_feature_file(np.ones((2, 3), dtype=np.float32), path)
+    size = path.stat().st_size
+    monkeypatch.setattr(bagdata, "input_size", lambda *args: size + 4)  # a row grew since
+    with pytest.raises(DataError, match="changed while it was read"):
+        bagdata.read_feature_files([path])
+
+
 # ---------------------------------------------------------------------------
 # manifests
 # ---------------------------------------------------------------------------
@@ -171,6 +193,10 @@ def _feature_path_with_nul(tmp_path):
     return lambda: m.load_features(m.entries[0])
 
 
+def _cached_feature_path_with_nul(tmp_path):
+    return lambda: bagdata.read_feature_files([tmp_path / "a\0b.milf"])
+
+
 def _feature_path_is_a_directory(tmp_path):
     write_csv(tmp_path / "manifest.csv",
               [("a", "bags", 0, "train"), ("b", "b.milf", 1, "train")])
@@ -197,6 +223,7 @@ UNREADABLE_INPUTS = {
     "manifest_field_over_csv_limit": _oversized_manifest_field,
     "feature_path_is_a_directory": _feature_path_is_a_directory,
     "feature_path_with_nul": _feature_path_with_nul,
+    "cached_feature_path_with_nul": _cached_feature_path_with_nul,
 }
 
 

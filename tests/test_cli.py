@@ -1,4 +1,5 @@
 import builtins
+import errno
 import hashlib
 import json
 import os
@@ -304,6 +305,7 @@ def test_config_shape_errors_are_config_errors(tmp_path, capsys, case):
     assert main(["--config", write_config(tmp_path, cfg), "generate"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err and "Traceback" not in err
+    assert not err.startswith("config error: config:")  # "config" is named once
     assert not (tmp_path / "data").exists()
 
 
@@ -321,8 +323,8 @@ def test_config_dir_naming_a_file_is_a_config_error(tmp_path, capsys, key, comma
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and key in err and "Traceback" not in err
-    assert err.count("\n") == 1
+    assert err.startswith(f"config error: {key}: cannot create directory ")
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert not list(tmp_path.rglob("*.milc"))
 
 
@@ -740,6 +742,28 @@ def test_unwritable_output_is_a_config_error(pipeline, tmp_path, capsys, case):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+@pytest.mark.parametrize("command", ["transfer", "knn"])
+def test_one_class_test_split_is_a_data_error(pipeline, tmp_path, capsys, command):
+    """AUROC on a test split of class 0 alone is undefined: one data error
+    line that names the task and the split."""
+    tmp, cfg, _ = pipeline
+    task_dir = tmp_path / "data" / "tgt"
+    shutil.copytree(tmp / "data" / "tgt", task_dir)
+    manifest = load_manifest(task_dir / "manifest.csv")
+    write_manifest(manifest.with_entries(
+        [e for e in manifest.entries if e.split != "test" or e.label == 0]),
+        task_dir / "manifest.csv")
+    cfg = json.loads(json.dumps(cfg))
+    cfg["data"]["root"] = str(tmp_path / "data")
+    capsys.readouterr()
+    assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "runs"),
+                 "--zoo", str(tmp / "runs" / "zoo.json"), command]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: task tgt, test ") and err.count("\n") == 1
+    assert "auroc needs both classes present" in err and "Traceback" not in err
+    assert not list((tmp_path / "runs" / "results").iterdir())
+
+
 def test_zoo_update_failure_keeps_previous_zoo(tmp_path):
     path = tmp_path / "zoo.json"
     zoo_update(path, {"name": "a", "checkpoint": "a.milc"})
@@ -749,6 +773,84 @@ def test_zoo_update_failure_keeps_previous_zoo(tmp_path):
         zoo_update(path, {"name": "b", "checkpoint": object()})
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["zoo.json", "zoo.lock"]
+
+
+class _CrashingOs:
+    """``os`` as ``fileio`` sees it, counting each ``replace``, the commit of
+    an atomic write; the ``k``-th (none for 0) fails as a full disk would."""
+
+    def __init__(self, k: int = 0):
+        self.k, self.commits, self.failed = k, 0, None
+
+    def replace(self, src, dst):
+        self.commits += 1
+        if self.commits == self.k:
+            self.failed = Path(dst)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        os.replace(src, dst)
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+
+CRASH_COMMANDS = ("generate", "pretrain", "transfer", "report")
+
+
+def _tree_files(root: Path) -> dict[Path, bytes]:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def crash_tree(tmp_path_factory):
+    """A tiny tree run uninterrupted in ``work/``: the config, the tree as
+    each command found it, each command's commit count and the final files."""
+    tmp = tmp_path_factory.mktemp("crash")
+    work = tmp / "work"
+    cfg = base_config(work / "data", work / "runs")
+    cfg["synthetic"]["tasks"][1]["n_bags_per_class"] = 20
+    cfg_path = write_config(tmp, cfg)
+    work.mkdir()
+    before, commits = {}, {}
+    for command in CRASH_COMMANDS:
+        before[command] = tmp / f"before_{command}"
+        shutil.copytree(work, before[command])
+        counter = _CrashingOs()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fileio, "os", counter)
+            assert main(["--config", cfg_path, command]) == 0, command
+        commits[command] = counter.commits
+    return work, cfg_path, before, commits, _tree_files(work)
+
+
+@pytest.mark.parametrize("command", CRASH_COMMANDS)
+def test_crash_at_any_commit_leaves_only_finished_files(crash_tree, monkeypatch, capsys,
+                                                        command):
+    """A command whose k-th atomic write fails at its commit exits 2 with
+    one line naming the file, and leaves no temp file; every file it leaves
+    is byte for byte the uninterrupted tree's, and the failed file holds
+    what it held before the command.  Each run restarts from the tree the
+    command found, in the same directory, so every path agrees.  Every
+    commit of pretrain, transfer and report fails once; generate's first,
+    middle and last do."""
+    work, cfg_path, before, commits, finished = crash_tree
+    n = commits[command]
+    assert n > 0
+    ks = (1, (n + 1) // 2, n) if command == "generate" else range(1, n + 1)
+    for k in ks:
+        shutil.rmtree(work)
+        shutil.copytree(before[command], work)
+        crash = _CrashingOs(k)
+        monkeypatch.setattr(fileio, "os", crash)
+        capsys.readouterr()
+        assert main(["--config", cfg_path, command]) == 2, k
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, (k, err)
+        assert f"{crash.failed}: cannot write (" in err, (k, err)
+        assert not list(work.rglob("*.tmp")), k
+        left = _tree_files(work)
+        assert [name for name, data in left.items() if finished.get(name) != data] == [], k
+        failed = crash.failed.relative_to(work)
+        assert left.get(failed) == _tree_files(before[command]).get(failed), k
 
 
 GRID_COMMANDS = ("transfer", "knn", "reset", "fewshot")

@@ -14,7 +14,7 @@ from conftest import kernel_configs, random_bag, tiny_configs
 from miltransfer import SynthTaskConfig, TrainConfig, build_model, synth_generate, train
 from miltransfer.errors import NumericError
 from miltransfer.models import forward, loss_and_grads, param_schema, stack_params
-from miltransfer.training import ParamStack, load_split_features, train_group
+from miltransfer.training import ParamStack, evaluate_split, load_split_features, train_group
 from miltransfer.transfer import (
     Checkpoint,
     embed_bags,
@@ -85,6 +85,21 @@ def test_stacked_embed_bags_equal_solo_bitwise(name, easy_task, easy_features):
         solo_ids, solo_emb, solo_labels = embed_bags(cfg, solo, easy_task, "test", easy_features)
         assert ids == solo_ids and labels.tobytes() == solo_labels.tobytes()
         assert emb[j].tobytes() == solo_emb.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(tiny_configs()))
+def test_stacked_evaluate_split_equals_solo(name, easy_task, easy_features):
+    """Each job's test result from a stack of three, bootstrap and all, is
+    its solo call's."""
+    cfg = replace(tiny_configs()[name], in_dim=16)
+    params = [build_model(cfg, seed=s) for s in (3, 4, 5)]
+    results = evaluate_split(cfg, stack_params(params), easy_task, "test", easy_features,
+                             n_bootstrap=50, seed=2)
+    assert len(results) == len(params)
+    for result, solo in zip(results, params):
+        [solo_result] = evaluate_split(cfg, solo, easy_task, "test", easy_features,
+                                       n_bootstrap=50, seed=2)
+        assert result.to_json() == solo_result.to_json()
 
 
 @pytest.fixture(scope="module")

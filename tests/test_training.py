@@ -158,7 +158,7 @@ def test_checkpoint_on_best(easy_task, easy_features, tiny_abmil):
     cfg = TrainConfig(seed=3, lr=1e-3, max_epochs=8, min_epochs=2, patience=3)
     result = train(tiny_abmil, build_model(tiny_abmil, seed=3), easy_task, cfg, easy_features)
     best = max(h["val_metric"] for h in result.history)
-    val, *_ = evaluate_split(tiny_abmil, result.params, easy_task, "val", easy_features)
+    val = evaluate_split(tiny_abmil, result.params, easy_task, "val", easy_features)[0].value
     assert val == pytest.approx(best, abs=1e-9)
 
 
@@ -179,7 +179,7 @@ def test_training_loss_decreases(easy_task, easy_features, tiny_abmil):
 def test_trained_model_separates_easy_task(easy_task, easy_features, tiny_abmil):
     result = train(tiny_abmil, build_model(tiny_abmil, seed=0), easy_task,
                    TrainConfig(seed=0, lr=1e-3), easy_features)
-    val, *_ = evaluate_split(tiny_abmil, result.params, easy_task, "val", easy_features)
+    val = evaluate_split(tiny_abmil, result.params, easy_task, "val", easy_features)[0].value
     assert val >= 0.99
 
 

@@ -33,7 +33,8 @@ from miltransfer.errors import (
 )
 from miltransfer.models import init_layer, param_schema
 from miltransfer.training import ParamStack
-from miltransfer.transfer import CHECKPOINT_VERSION, config_digest, knn_predict, start
+from miltransfer.transfer import (CHECKPOINT_VERSION, RESET_SPECS, config_digest, knn_predict,
+                                  source_task, start)
 
 
 @pytest.fixture
@@ -258,7 +259,7 @@ def test_random_start_equals_direct_training(easy_task, easy_features, tiny_abmi
     direct = train(tiny_abmil, build_model(tiny_abmil, seed=4), easy_task, tcfg, easy_features)
     for k in direct.params:
         assert np.array_equal(result.params[k], direct.params[k])
-    assert eval_result.context["init"] == eval_result.context["source_task"] == "random"
+    assert eval_result.context == {}  # the job's identity is the caller's to record
 
 
 def _bytes(params):
@@ -639,15 +640,10 @@ def test_reset_all_draws_match_fresh_init_distribution(abmil_ckpt):
 
 
 # ---------------------------------------------------------------------------
-# finetune plumbing
+# the source task a result records
 # ---------------------------------------------------------------------------
 
-def test_finetune_from_pretrained_records_context(easy_task, easy_features, tiny_abmil):
-    src = Checkpoint(cfg=tiny_abmil.retarget(3), params=build_model(tiny_abmil.retarget(3), seed=1),
-                     pretrain_task_id="pretask")
-    tcfg = TrainConfig(seed=0, lr=1e-3, max_epochs=2, min_epochs=1, patience=1)
-    _, eval_result = finetune(src, "pretrained", easy_task, tcfg, easy_features, n_bootstrap=50)
-    assert eval_result.context["init"] == "pretrained"
-    assert eval_result.context["source_task"] == "pretask"
-    assert eval_result.context["target_task"] == easy_task.task.task_id
-    assert 0.0 <= eval_result.value <= 1.0
+def test_source_task_names_the_pretraining_task(abmil_ckpt):
+    assert source_task(abmil_ckpt, "random") == "random"
+    for init in ("pretrained", *(f"reset_{spec}" for spec in RESET_SPECS)):
+        assert source_task(abmil_ckpt, init) == abmil_ckpt.pretrain_task_id == "src", init
