@@ -2,10 +2,19 @@
 synthetic concept-bag generator for desk-scale experiments.
 
 A dataset is a directory with ``manifest.csv`` (header
-``bag_id,path,label,split``), a ``task.json`` describing the task, and one
-feature file per bag.  Feature files are a fixed little-endian binary
-format (magic ``MILF``) holding one float32 matrix of shape
-``n_instances x feat_dim``.
+``bag_id,path,label,split``), a ``task.json`` describing the task, and the
+feature files its rows name.  Feature files are a fixed little-endian binary
+format (magic ``MILF``) of float32 rows, ``feat_dim`` values each, in one of
+two layouts told apart by the version byte:
+
+- version 1, one bag: ``n_instances x feat_dim`` rows;
+- version 2, a feature pack: an index of bags (row count and ``bag_id``
+  each), then every bag's rows in index order.
+
+A manifest row names its bag's file; rows that name one pack share it and
+find their rows under their ``bag_id``, while a version-1 file is one
+unnamed bag, whatever ``bag_id`` its row gives.  ``synth_generate`` writes
+one pack per task, ``features.milf``, which every row of its manifest names.
 """
 
 from __future__ import annotations
@@ -26,16 +35,20 @@ from .errors import (
     ConfigError,
     DataError,
     DimensionOverflowError,
+    FeatureFormatError,
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from .fileio import (atomic_open, input_size, make_dirs, read_input, read_json, reraise_as,
+from .fileio import (atomic_open, make_dirs, open_input, read_input, read_json, reraise_as,
                      section)
 
 FEATURE_MAGIC = b"MILF"
 FEATURE_VERSION = 1
+PACK_VERSION = 2
+FEATURE_PACK = "features.milf"  # the pack synth_generate writes in each task directory
 _HEADER_LEN = 13  # magic(4) + version(1) + reserved(8)
-_DIMS_LEN = 16    # two u64
+_DIMS_LEN = 16    # two u64: v1 n_instances, v2 bag count; then feat_dim
+_RECORD_LEN = 16  # a pack's index record: u64 rows, u64 id length, then the id
 # declared payload must fit in a signed 64-bit byte count
 _MAX_PAYLOAD_BYTES = 2**63 - 1
 
@@ -47,69 +60,162 @@ METRICS = ("auroc", "balanced_accuracy", "quadratic_weighted_kappa")
 # feature files
 # ---------------------------------------------------------------------------
 
-def write_feature_file(features: np.ndarray, path: str | Path) -> None:
-    """Write a float32 instance-feature matrix to ``path``.
-
-    Layout: bytes 0-3 magic ``MILF``; byte 4 version; bytes 5-12 reserved
-    zeros; bytes 13-20 n_instances (u64 LE); bytes 21-28 feat_dim (u64 LE);
-    then ``n*d`` float32 LE values, row-major.
-    """
+def _float32_rows(features, feat_dim: int | None = None) -> np.ndarray:
+    """``features`` as contiguous little-endian float32 rows, checked for shape
+    (and width ``feat_dim``, if given) and finiteness."""
     arr = np.asarray(features)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DataError(f"feature matrix must be 2-d and non-empty, got shape {arr.shape}")
+    if feat_dim is not None and arr.shape[1] != feat_dim:
+        raise DataError(f"feature matrix is {arr.shape[1]} wide, the pack {feat_dim}")
     if not np.isfinite(arr).all():
         raise DataError("feature matrix contains non-finite values")
-    arr = np.ascontiguousarray(arr, dtype="<f4")
-    n, d = arr.shape
+    return np.ascontiguousarray(arr, dtype="<f4")
+
+
+def _header(version: int, count: int, feat_dim: int) -> bytes:
+    return FEATURE_MAGIC + bytes([version]) + b"\x00" * 8 + struct.pack("<QQ", count, feat_dim)
+
+
+def write_feature_file(features: np.ndarray, path: str | Path) -> None:
+    """Write a float32 instance-feature matrix to ``path`` as one bag.
+
+    Layout (version 1): bytes 0-3 magic ``MILF``; byte 4 version; bytes 5-12
+    reserved zeros; bytes 13-20 n_instances (u64 LE); bytes 21-28 feat_dim
+    (u64 LE); then ``n*d`` float32 LE values, row-major.
+    """
+    arr = _float32_rows(features)
     with atomic_open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(bytes([FEATURE_VERSION]))
-        fh.write(b"\x00" * 8)
-        fh.write(struct.pack("<QQ", n, d))
-        fh.write(arr.tobytes())
+        fh.write(_header(FEATURE_VERSION, *arr.shape))
+        fh.write(arr.data)
 
 
-def read_feature_file(path: str | Path) -> np.ndarray:
-    """Read a feature matrix written by :func:`write_feature_file`.  The
-    payload is copied once, out of the file's bytes: a view of them would be
-    read-only and off float alignment."""
-    data = read_input(path, "feature file", DataError)
-    if len(data) < len(FEATURE_MAGIC) or data[: len(FEATURE_MAGIC)] != FEATURE_MAGIC:
-        raise BadMagicError(f"{path}: not a feature file (bad magic)")
-    if len(data) < _HEADER_LEN + _DIMS_LEN:
-        raise TruncatedPayloadError(f"{path}: file too short for header")
-    version = data[4]
-    if version != FEATURE_VERSION:
-        raise VersionMismatchError(f"{path}: unsupported feature format version {version}")
-    n, d = struct.unpack_from("<QQ", data, _HEADER_LEN)
-    if n == 0 or d == 0 or n * d * 4 > _MAX_PAYLOAD_BYTES:
-        raise DimensionOverflowError(f"{path}: invalid dimensions {n}x{d}")
-    offset = _HEADER_LEN + _DIMS_LEN
-    size, expected = len(data) - offset, n * d * 4
-    if size < expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload holds {size} bytes, {expected} required for {n}x{d}"
-        )
-    if size > expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload holds {size} bytes, expected exactly {expected}"
-        )
-    return np.frombuffer(data, "<f4", count=n * d, offset=offset).reshape(n, d).copy()
+def write_feature_pack(bag_ids, bags, path: str | Path) -> None:
+    """Write the float32 matrices ``bags``, one per id of ``bag_ids`` and in
+    that order, to ``path`` as one feature pack, holding one bag at a time.
+
+    Layout (version 2): the version-1 header with the bag count in place of
+    n_instances; one index record per bag: rows (u64 LE), id length (u64
+    LE), the UTF-8 ``bag_id``; then each bag's float32 LE rows in index
+    order.  The index is reserved first and its row counts, like feat_dim,
+    filled in once every bag is written.
+    """
+    ids = [bag_id.encode("utf-8") for bag_id in bag_ids]
+    if not ids or len(set(ids)) != len(ids):
+        raise DataError(f"{path}: a feature pack needs at least one bag and distinct ids")
+    index_len = _HEADER_LEN + _DIMS_LEN + sum(_RECORD_LEN + len(i) for i in ids)
+    rows, feat_dim = [], None
+    with atomic_open(path, "wb") as fh:
+        fh.write(b"\x00" * index_len)
+        for x in bags:
+            arr = _float32_rows(x, feat_dim)
+            rows.append(arr.shape[0])
+            feat_dim = arr.shape[1]
+            fh.write(arr.data)
+        if len(rows) != len(ids):
+            raise DataError(f"{path}: {len(rows)} bags for {len(ids)} bag ids")
+        fh.seek(0)
+        fh.write(_header(PACK_VERSION, len(ids), feat_dim) + b"".join(
+            struct.pack("<QQ", n, len(i)) + i for n, i in zip(rows, ids)))
 
 
-def read_feature_files(paths) -> list[np.ndarray]:
-    """``read_feature_file`` of each path, as views of one float32 buffer
-    sized from the files' lengths: a dropped cache frees one block, where
-    one array per bag can leave it resident in holes of the heap."""
-    counts = [max(0, input_size(path, "feature file", DataError) - _HEADER_LEN - _DIMS_LEN) // 4
-              for path in paths]
-    buf, mats = np.empty(sum(counts), "<f4"), []
-    for path, start, count in zip(paths, np.cumsum([0, *counts]), counts):
-        x = read_feature_file(path)
-        if x.size != count:
-            raise DataError(f"{path}: feature file changed while it was read")
-        mats.append(buf[start:start + count].reshape(x.shape))
-        mats[-1][...] = x
+@dataclass(frozen=True)
+class FeatureIndex:
+    """A feature file's header and index, checked against its length
+    ``size``: ``bags`` maps each bag id to its (rows, byte offset), in file
+    order; a version-1 file holds one bag, under the id None."""
+    size: int
+    feat_dim: int
+    bags: dict
+
+    def locate(self, bag_id: str | None, path) -> tuple[int, int]:
+        """(rows, byte offset) of ``bag_id``; any id names a version-1 file's bag."""
+        key = None if None in self.bags else bag_id
+        if key not in self.bags:
+            raise DataError(f"{path}: holds no bag {bag_id!r}")
+        return self.bags[key]
+
+
+def _index_record(fh, size: int, path, i: int, count: int) -> tuple[str, int]:
+    """The (bag id, rows) of a pack's ``i``-th index record, read from ``fh``."""
+    record = fh.read(_RECORD_LEN)
+    if len(record) == _RECORD_LEN:
+        rows, id_len = struct.unpack("<QQ", record)
+        raw = fh.read(id_len) if id_len <= size - fh.tell() else b""
+        if len(raw) == id_len:
+            try:
+                return raw.decode("utf-8"), rows
+            except UnicodeDecodeError as exc:
+                raise FeatureFormatError(
+                    f"{path}: index record {i}: bag id is not UTF-8") from exc
+    raise TruncatedPayloadError(f"{path}: index record {i} of {count} is cut short")
+
+
+def read_feature_index(path: str | Path) -> FeatureIndex:
+    """The header and index of the feature file at ``path``, checked against
+    its length."""
+    with open_input(path, "feature file", DataError) as (fh, size):
+        head = fh.read(_HEADER_LEN + _DIMS_LEN)
+        if head[: len(FEATURE_MAGIC)] != FEATURE_MAGIC:
+            raise BadMagicError(f"{path}: not a feature file (bad magic)")
+        if len(head) < _HEADER_LEN + _DIMS_LEN:
+            raise TruncatedPayloadError(f"{path}: file too short for header")
+        version = head[4]
+        if version not in (FEATURE_VERSION, PACK_VERSION):
+            raise VersionMismatchError(f"{path}: unsupported feature format version {version}")
+        count, d = struct.unpack_from("<QQ", head, _HEADER_LEN)
+        records = ([(None, count)] if version == FEATURE_VERSION
+                   else [_index_record(fh, size, path, i, count) for i in range(count)])
+        bags, start = {}, fh.tell()
+        offset = start
+        for bag_id, n in records:
+            where = path if bag_id is None else f"{path}: bag {bag_id!r}"
+            if bag_id in bags:
+                raise FeatureFormatError(f"{where} repeats in the index")
+            if n == 0 or d == 0 or n * d * 4 > _MAX_PAYLOAD_BYTES:
+                raise DimensionOverflowError(f"{where}: invalid dimensions {n}x{d}")
+            if offset + n * d * 4 > size:
+                raise TruncatedPayloadError(f"{where}: payload holds {max(0, size - offset)} "
+                                            f"bytes, {n * d * 4} required for {n}x{d}")
+            bags[bag_id] = (n, offset)
+            offset += n * d * 4
+        if offset < size:
+            raise TruncatedPayloadError(f"{path}: payload holds {size - start} bytes, "
+                                        f"expected exactly {offset - start}")
+        return FeatureIndex(size, d, bags)
+
+
+def read_feature_file(path: str | Path, bag_id: str | None = None) -> np.ndarray:
+    """The rows of bag ``bag_id`` in the feature file at ``path`` (written by
+    :func:`write_feature_file` or :func:`write_feature_pack`); ``bag_id`` may
+    be left out for a version-1 file."""
+    return read_feature_files([path], [bag_id])[0]
+
+
+def read_feature_files(paths, bag_ids=None) -> list[np.ndarray]:
+    """The rows of bag ``bag_ids[i]`` in the feature file ``paths[i]``, for
+    every i (``bag_ids`` may be left out for version-1 files), as views of
+    one float32 buffer: a dropped cache frees one block, where one array per
+    bag can leave it resident in holes of the heap.  Each distinct file's
+    index is read once to size the buffer, then each bag's rows straight
+    into it."""
+    bag_ids = [None] * len(paths) if bag_ids is None else list(bag_ids)
+    requests: dict = {}
+    for i, path in enumerate(paths):
+        requests.setdefault(path, []).append(i)
+    indexes = {path: read_feature_index(path) for path in requests}
+    spans = [indexes[path].locate(bag_id, path) for path, bag_id in zip(paths, bag_ids)]
+    shapes = [(rows, indexes[path].feat_dim) for path, (rows, _) in zip(paths, spans)]
+    counts = [rows * d for rows, d in shapes]
+    buf = np.empty(sum(counts), "<f4")
+    mats = [buf[start:start + count].reshape(shape)
+            for start, count, shape in zip(np.cumsum([0, *counts]), counts, shapes)]
+    for path, wanted in requests.items():
+        with open_input(path, "feature file", DataError) as (fh, size):
+            for i in wanted:
+                fh.seek(spans[i][1])
+                if size != indexes[path].size or fh.readinto(mats[i]) != mats[i].nbytes:
+                    raise DataError(f"{path}: feature file changed while it was read")
     return mats
 
 
@@ -185,7 +291,7 @@ class DatasetManifest:
         return path if path.is_absolute() else self.root / path
 
     def load_features(self, entry: ManifestEntry) -> np.ndarray:
-        return read_feature_file(self.feature_path(entry))
+        return read_feature_file(self.feature_path(entry), entry.bag_id)
 
     def class_counts(self, split_tag: str = "train") -> np.ndarray:
         counts = np.zeros(self.task.n_classes, dtype=np.int64)
@@ -397,34 +503,36 @@ def synth_bag(cfg: SynthTaskConfig, protos: np.ndarray, label: int,
         rng.choice(background, size=size - n_wit, replace=True) if size > n_wit
         else np.array([], dtype=np.int64),
     ])
-    x = protos[concept_ids] + cfg.noise_sigma * rng.standard_normal((size, cfg.feat_dim))
-    x = x[rng.permutation(size)]
-    return x.astype(np.float32)
+    x = rng.standard_normal((size, cfg.feat_dim))
+    x *= cfg.noise_sigma
+    x += protos[concept_ids]
+    return x.astype(np.float32)[rng.permutation(size)]
 
 
 def synth_generate(cfg: SynthTaskConfig, out_dir: str | Path) -> DatasetManifest:
-    """Generate feature files plus manifest for a synthetic task under
-    ``out_dir``.  Bitwise reproducible for a given config."""
+    """Generate a synthetic task under ``out_dir``: one feature pack,
+    ``features.milf``, written one bag at a time, and the manifest whose
+    rows all name it.  Bitwise reproducible for a given config."""
     out_dir = Path(out_dir)
-    make_dirs(f"synthetic task {cfg.task_id!r}", out_dir / "features")
+    make_dirs(f"synthetic task {cfg.task_id!r}", out_dir)
     protos = concept_prototypes(cfg.feat_dim, cfg.n_concepts, cfg.seed)
 
     n = cfg.n_bags_per_class
     train_n = max(1, round(cfg.split_fractions[0] * n))
     val_n = round(cfg.split_fractions[1] * n)
+    bags = [(c, i) for c in range(cfg.n_classes) for i in range(n)]
     entries = []
-    for c in range(cfg.n_classes):
-        for i in range(n):
-            bag_id = f"{cfg.task_id}_c{c:02d}_b{i:04d}"
-            rel = f"features/{bag_id}.milf"
-            write_feature_file(synth_bag(cfg, protos, c, i), out_dir / rel)
-            if i < train_n:
-                split_tag = "train"
-            elif i < train_n + val_n:
-                split_tag = "val"
-            else:
-                split_tag = "test"
-            entries.append(ManifestEntry(bag_id, rel, c, split_tag))
+    for c, i in bags:
+        if i < train_n:
+            split_tag = "train"
+        elif i < train_n + val_n:
+            split_tag = "val"
+        else:
+            split_tag = "test"
+        entries.append(ManifestEntry(f"{cfg.task_id}_c{c:02d}_b{i:04d}", FEATURE_PACK, c,
+                                     split_tag))
+    write_feature_pack([e.bag_id for e in entries],
+                       (synth_bag(cfg, protos, c, i) for c, i in bags), out_dir / FEATURE_PACK)
 
     task = TaskSpec(
         task_id=cfg.task_id,

@@ -21,11 +21,13 @@ the synthetic task ids.  Keys, with defaults:
                 task_id, concepts_per_class, n_bags_per_class and
                 split_fractions [0.6, 0.2, 0.2]
 
-``generate`` writes the synthetic tasks; ``pretrain`` trains one checkpoint
-per seed of the model ``<arch>_<pretrain task>`` and registers it in the zoo
-as ``<model>_s<seed>``.  The grid commands are job lists over targets x seeds
-x inits, run by one executor (``run_jobs``) on the zoo checkpoint of each
-job's (model, seed):
+``generate`` writes each synthetic task as three files under
+``data.root/<task_id>/``: one feature pack, ``features.milf``, that every
+row of its ``manifest.csv`` names, the manifest and ``task.json``.
+``pretrain`` trains one checkpoint per seed of the model
+``<arch>_<pretrain task>`` and registers it in the zoo as ``<model>_s<seed>``.
+The grid commands are job lists over targets x seeds x inits, run by one
+executor (``run_jobs``) on the zoo checkpoint of each job's (model, seed):
 
     transfer     finetune x {pretrained, random}
     knn          frozen-embedding KNN x {pretrained, random}
@@ -282,7 +284,7 @@ def cmd_generate(cfg: ExperimentConfig, ws: Workspace) -> list[str]:
     root = required(cfg.data.root, "data.root")
     outputs = []
     for task_cfg in required(cfg.synthetic, "synthetic.tasks"):
-        make_dirs("data.root", root / task_cfg.task_id / "features")
+        make_dirs("data.root", root / task_cfg.task_id)
         manifest = synth_generate(task_cfg, root / task_cfg.task_id)
         outputs.append(str(root / task_cfg.task_id / "manifest.csv"))
         print(f"generated {task_cfg.task_id}: {len(manifest.entries)} bags "

@@ -94,10 +94,12 @@ def _reading(path: str | Path, what: str, error: type[MilError]):
         raise error(f"{what} {path}: cannot read ({reason})") from exc
 
 
-def input_size(path: str | Path, what: str, error: type[MilError]) -> int:
-    """The length in bytes of the ``what`` file at ``path``, else an ``error``."""
-    with _reading(path, what, error):
-        return os.stat(path).st_size
+@contextmanager
+def open_input(path: str | Path, what: str, error: type[MilError]):
+    """The ``what`` file at ``path`` open for binary reads, with its length in
+    bytes; an ``OSError`` in the block becomes an ``error`` naming the file."""
+    with _reading(path, what, error), open(path, "rb") as fh:
+        yield fh, os.fstat(fh.fileno()).st_size
 
 
 def read_input(path: str | Path, what: str, error: type[MilError],

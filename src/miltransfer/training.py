@@ -214,7 +214,8 @@ def load_split_features(manifest: DatasetManifest):
     """Feature cache keyed by bag_id, every bag a view of one buffer
     (``read_feature_files``); desk-scale datasets fit in memory."""
     entries = [e for tag in SPLITS for e in manifest.split(tag)]
-    mats = read_feature_files([manifest.feature_path(e) for e in entries])
+    mats = read_feature_files([manifest.feature_path(e) for e in entries],
+                              [e.bag_id for e in entries])
     return {e.bag_id: x for e, x in zip(entries, mats)}
 
 

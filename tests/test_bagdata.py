@@ -1,4 +1,7 @@
 import math
+import struct
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,18 +19,23 @@ from miltransfer.bagdata import (
     fewshot_sample,
     load_manifest,
     read_feature_file,
+    synth_bag,
     synth_generate,
     weighted_epoch_order,
     write_feature_file,
+    write_feature_pack,
+    write_manifest,
 )
 from miltransfer.errors import (
     BadMagicError,
     ConfigError,
     DataError,
     DimensionOverflowError,
+    FeatureFormatError,
     TruncatedPayloadError,
 )
 from miltransfer.metrics import auroc
+from miltransfer.training import load_split_features
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +120,153 @@ def test_read_feature_files_are_views_of_one_buffer(tmp_path):
 def test_feature_file_changed_while_read_is_data_error(tmp_path, monkeypatch):
     path = tmp_path / "a.milf"
     write_feature_file(np.ones((2, 3), dtype=np.float32), path)
-    size = path.stat().st_size
-    monkeypatch.setattr(bagdata, "input_size", lambda *args: size + 4)  # a row grew since
+    read_index = bagdata.read_feature_index
+
+    def index_then_grow(p):  # a row grows after the index has sized the cache
+        index = read_index(p)
+        write_feature_file(np.ones((3, 3), dtype=np.float32), path)
+        return index
+
+    monkeypatch.setattr(bagdata, "read_feature_index", index_then_grow)
     with pytest.raises(DataError, match="changed while it was read"):
         bagdata.read_feature_files([path])
+
+
+# a 3-bag pack of 3 features: ids a, b and c hold 2, 1 and 3 rows
+PACK_ROWS = {"a": 2, "b": 1, "c": 3}
+
+
+def write_pack(path):
+    rng = np.random.default_rng(7)
+    mats = [rng.standard_normal((n, 3)).astype(np.float32) for n in PACK_ROWS.values()]
+    write_feature_pack(list(PACK_ROWS), mats, path)
+    return mats
+
+
+def test_pack_layout_and_round_trip(tmp_path):
+    path = tmp_path / "p.milf"
+    mats = write_pack(path)
+    data = path.read_bytes()
+    assert data[:13] == b"MILF\x02" + b"\x00" * 8
+    assert struct.unpack_from("<QQ", data, 13) == (3, 3)
+    at = 29
+    for bag_id, rows in PACK_ROWS.items():
+        assert struct.unpack_from("<QQ", data, at) == (rows, 1)
+        assert data[at + 16:at + 17] == bag_id.encode()
+        at += 17
+    assert data[at:] == b"".join(m.astype("<f4").tobytes() for m in mats)
+    for bag_id, m in zip(PACK_ROWS, mats):
+        back = read_feature_file(path, bag_id)
+        assert back.dtype == np.float32 and back.tobytes() == m.tobytes()
+        assert back.shape == m.shape
+
+
+def _record(i):
+    """The byte offset of index record ``i`` in a ``write_pack`` pack."""
+    return 29 + 17 * i
+
+
+def _put(data: bytes, at: int, new: bytes) -> bytes:
+    return data[:at] + new + data[at + len(new):]
+
+
+# case -> (a ``write_pack`` pack's bytes -> the malformed bytes, the bag ids
+# that manifest rows name, the error's class, what it names beside the file)
+PACK_DEFECTS = {
+    "truncated_in_header": (lambda d: d[:20], "abc", TruncatedPayloadError, ""),
+    "truncated_in_index": (lambda d: d[:_record(2) + 7], "abc", TruncatedPayloadError, ""),
+    "truncated_in_payload": (lambda d: d[:-4], "abc", TruncatedPayloadError, "bag 'c'"),
+    "appended_bytes": (lambda d: d + b"\x00" * 4, "abc", TruncatedPayloadError,
+                       "expected exactly"),
+    "duplicate_bag_id": (lambda d: _put(d, _record(1) + 16, b"a"), "abc", FeatureFormatError,
+                         "bag 'a'"),
+    "bag_id_not_utf8": (lambda d: _put(d, _record(2) + 16, b"\xff"), "abc", FeatureFormatError,
+                        "index record 2"),
+    "rows_2_62": (lambda d: _put(d, _record(1), struct.pack("<Q", 2**62)), "abc",
+                  DimensionOverflowError, "bag 'b'"),
+    "bag_not_in_pack": (lambda d: d, "abz", DataError, "bag 'z'"),
+}
+
+
+def write_malformed_pack(task_dir, case):
+    """A task directory whose ``manifest.csv`` names the bags of ``case``'s
+    pack; returns the pack's path."""
+    corrupt, ids, _, _ = PACK_DEFECTS[case]
+    path = task_dir / "features.milf"
+    write_pack(path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    write_csv(task_dir / "manifest.csv",
+              [(bag_id, "features.milf", i % 2, "train") for i, bag_id in enumerate(ids)])
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(PACK_DEFECTS))
+def test_malformed_pack_names_the_file_and_bag(tmp_path, case):
+    path = write_malformed_pack(tmp_path, case)
+    manifest = load_manifest(tmp_path / "manifest.csv")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError) as info:
+            load_split_features(manifest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _, _, error, named = PACK_DEFECTS[case]
+    assert type(info.value) is error
+    assert str(path) in str(info.value) and named in str(info.value)
+    assert peak < 1 << 20  # refused from the index, before the cache is allocated
+
+
+def test_every_truncation_of_a_pack_is_a_format_error(tmp_path):
+    path = tmp_path / "p.milf"
+    write_pack(path)
+    data = path.read_bytes()
+    for n in range(len(data)):
+        path.write_bytes(data[:n])
+        with pytest.raises(FeatureFormatError, match=str(path)):
+            bagdata.read_feature_files([path] * 3, list(PACK_ROWS))
+
+
+def _generated_pack_and_v1_files(root):
+    """A generated task, and a manifest of the same rows whose bags were
+    written from the same ``synth_bag`` outputs as one version-1 file each."""
+    cfg = synth_cfg(n_bags_per_class=6)
+    pack = synth_generate(cfg, root / "pack")
+    protos = concept_prototypes(cfg.feat_dim, cfg.n_concepts, cfg.seed)
+    (root / "v1").mkdir()
+    entries = []
+    for e in pack.entries:
+        write_feature_file(synth_bag(cfg, protos, e.label, int(e.bag_id[-4:])),
+                           root / "v1" / f"{e.bag_id}.milf")
+        entries.append(ManifestEntry(e.bag_id, f"{e.bag_id}.milf", e.label, e.split))
+    write_manifest(pack.with_entries(entries), root / "v1" / "manifest.csv")
+    return pack, load_manifest(root / "v1" / "manifest.csv")
+
+
+def _cache_bytes(features):
+    return {bag_id: (x.shape, x.tobytes()) for bag_id, x in features.items()}
+
+
+def test_pack_cache_equals_per_bag_files_cache(tmp_path):
+    pack, v1 = _generated_pack_and_v1_files(tmp_path)
+    assert {e.path for e in pack.entries} == {"features.milf"}
+    from_pack, from_v1 = load_split_features(pack), load_split_features(v1)
+    assert list(from_pack) == list(from_v1)
+    assert _cache_bytes(from_pack) == _cache_bytes(from_v1)
+    assert next(iter(from_pack.values())).base.tobytes() == \
+        next(iter(from_v1.values())).base.tobytes()
+    for e in pack.entries:
+        assert pack.load_features(e).tobytes() == from_v1[e.bag_id].tobytes()
+
+
+def test_manifest_may_mix_packs_and_per_bag_files(tmp_path):
+    pack, v1 = _generated_pack_and_v1_files(tmp_path)
+    mixed = [e if i % 2 else replace(e, path=str(tmp_path / "pack" / "features.milf"))
+             for i, e in enumerate(v1.entries)]
+    write_manifest(v1.with_entries(mixed), tmp_path / "v1" / "mixed.csv")
+    mixed = load_manifest(tmp_path / "v1" / "mixed.csv")
+    assert len({mixed.feature_path(e) for e in mixed.entries}) == len(mixed.entries) // 2 + 1
+    assert _cache_bytes(load_split_features(mixed)) == _cache_bytes(load_split_features(pack))
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +365,14 @@ def _manifest_labelled(label):
     return make
 
 
+def _malformed_pack(case):
+    def make(tmp_path):
+        write_malformed_pack(tmp_path, case)
+        m = load_manifest(tmp_path / "manifest.csv")
+        return lambda: [m.load_features(e) for e in m.entries]
+    return make
+
+
 # case -> a reader of an input that cannot be read or decoded, given tmp_path
 UNREADABLE_INPUTS = {
     "manifest_label_plus_sign": _manifest_labelled("+1"),
@@ -224,6 +383,7 @@ UNREADABLE_INPUTS = {
     "feature_path_is_a_directory": _feature_path_is_a_directory,
     "feature_path_with_nul": _feature_path_with_nul,
     "cached_feature_path_with_nul": _cached_feature_path_with_nul,
+    **{f"pack_{case}": _malformed_pack(case) for case in PACK_DEFECTS},
 }
 
 
@@ -392,11 +552,42 @@ def test_background_required_when_witness_below_one():
     synth_cfg(n_concepts=2, concepts_per_class=((0,), (1,)), witness_rate=1.0)
 
 
-def test_features_path_holding_a_file_is_a_config_error(tmp_path):
-    (tmp_path / "features").write_bytes(b"previous")
-    with pytest.raises(ConfigError, match="cannot create directory .*features"):
-        synth_generate(synth_cfg(), tmp_path)
-    assert (tmp_path / "features").read_bytes() == b"previous"
+def test_task_path_holding_a_file_is_a_config_error(tmp_path):
+    (tmp_path / "syn").write_bytes(b"previous")
+    with pytest.raises(ConfigError, match="cannot create directory .*syn"):
+        synth_generate(synth_cfg(), tmp_path / "syn")
+    assert (tmp_path / "syn").read_bytes() == b"previous"
+
+
+def _reference_synth_bag(cfg, protos, label, bag_index):
+    """``synth_bag`` as one out-of-place expression, cast after the gather."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xBA6, label, bag_index]))
+    lo, hi = cfg.bag_size_range
+    size = int(rng.integers(lo, hi + 1))
+    n_wit = math.ceil(cfg.witness_rate * size)
+    concept_ids = np.concatenate([
+        rng.choice(np.array(cfg.concepts_per_class[label]), size=n_wit, replace=True),
+        rng.choice(np.array(cfg.background_concepts()), size=size - n_wit, replace=True)
+        if size > n_wit else np.array([], dtype=np.int64),
+    ])
+    x = protos[concept_ids] + cfg.noise_sigma * rng.standard_normal((size, cfg.feat_dim))
+    x = x[rng.permutation(size)]
+    return x.astype(np.float32)
+
+
+@pytest.mark.parametrize("kw", [{}, dict(witness_rate=1.0, noise_sigma=0.0),
+                                dict(feat_dim=4, n_concepts=9, noise_sigma=2.5, seed=11),
+                                dict(feat_dim=1024, noise_sigma=0.3 / 32, bag_size_range=(1, 48),
+                                     witness_rate=1.0)])
+def test_synth_bag_matches_reference_bitwise(kw):
+    cfg = synth_cfg(**kw)
+    protos = concept_prototypes(cfg.feat_dim, cfg.n_concepts, cfg.seed)
+    for label in range(cfg.n_classes):
+        for i in range(cfg.n_bags_per_class):
+            got = synth_bag(cfg, protos, label, i)
+            want = _reference_synth_bag(cfg, protos, label, i)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_bayes_oracle_auroc(tmp_path):

@@ -22,6 +22,7 @@ from miltransfer.cli import load_config, main, zoo_update
 from miltransfer.errors import ConfigError
 from miltransfer.metrics import EvalResult
 from miltransfer.training import load_split_features
+from test_bagdata import PACK_DEFECTS, write_malformed_pack, write_pack
 
 
 def base_config(root, out):
@@ -65,10 +66,15 @@ def pipeline(tmp_path_factory):
 
 
 def test_generate_wrote_tasks(pipeline):
+    """Each task is one feature pack that every manifest row names, the
+    manifest and its task spec: three files, whatever its bag count."""
     tmp, cfg, _ = pipeline
     for task_id in ("pre4", "tgt"):
-        assert (tmp / "data" / task_id / "manifest.csv").exists()
-        assert (tmp / "data" / task_id / "task.json").exists()
+        task_dir = tmp / "data" / task_id
+        assert sorted(p.name for p in task_dir.iterdir()) == [
+            "features.milf", "manifest.csv", "task.json"]
+        assert {e.path for e in load_manifest(task_dir / "manifest.csv").entries} == {
+            "features.milf"}
 
 
 def test_pretrain_wrote_checkpoint_zoo_and_result(pipeline):
@@ -700,8 +706,7 @@ def test_failed_write_keeps_previous_file(pipeline, tmp_path, monkeypatch, capsy
     assert not [p for p in tmp_path.rglob("*.tmp")]
 
 
-# case -> (command, the output path under tmp_path that a directory blocks,
-# or that a file blocks for the features directory)
+# case -> (command, the output path under tmp_path that a directory blocks)
 UNWRITABLE_OUTPUTS = {
     "result": ("knn", "runs/results/knn_abmil_tgt_pretrained_s0.json"),
     "report_csv": ("report", "runs/report.csv"),
@@ -709,7 +714,7 @@ UNWRITABLE_OUTPUTS = {
     "history_jsonl": ("pretrain", "runs/checkpoints/abmil_pre4_s0.history.jsonl"),
     "run_log": ("report", "runs/logs/report.jsonl"),
     "zoo_lock": ("pretrain", "runs/zoo.lock"),
-    "features": ("generate", "data/pre4/features"),
+    "features": ("generate", "data/pre4/features.milf"),
 }
 
 
@@ -720,13 +725,10 @@ def test_unwritable_output_is_a_config_error(pipeline, tmp_path, capsys, case):
     cfg = json.loads(json.dumps(cfg))
     cfg["output_dir"] = str(tmp_path / "runs")
     path = tmp_path / blocked
-    path.parent.mkdir(parents=True)
     if command == "generate":
         cfg["data"]["root"] = str(tmp_path / "data")
-        kept = path
-    else:
-        path.mkdir()
-        kept = path / "kept"
+    path.mkdir(parents=True)
+    kept = path / "kept"
     kept.write_bytes(b"previous")
     if command == "knn":
         shutil.copy(tmp / "runs" / "zoo.json", tmp_path / "runs" / "zoo.json")
@@ -830,13 +832,12 @@ def test_crash_at_any_commit_leaves_only_finished_files(crash_tree, monkeypatch,
     is byte for byte the uninterrupted tree's, and the failed file holds
     what it held before the command.  Each run restarts from the tree the
     command found, in the same directory, so every path agrees.  Every
-    commit of pretrain, transfer and report fails once; generate's first,
-    middle and last do."""
+    commit of each command fails once: generate commits three files per
+    task."""
     work, cfg_path, before, commits, finished = crash_tree
     n = commits[command]
     assert n > 0
-    ks = (1, (n + 1) // 2, n) if command == "generate" else range(1, n + 1)
-    for k in ks:
+    for k in range(1, n + 1):
         shutil.rmtree(work)
         shutil.copytree(before[command], work)
         crash = _CrashingOs(k)
@@ -851,6 +852,40 @@ def test_crash_at_any_commit_leaves_only_finished_files(crash_tree, monkeypatch,
         assert [name for name, data in left.items() if finished.get(name) != data] == [], k
         failed = crash.failed.relative_to(work)
         assert left.get(failed) == _tree_files(before[command]).get(failed), k
+
+
+def _pretrain_on_pack(tmp_path, case, data=None):
+    """``pretrain`` on a data root whose pretrain task is ``case``'s malformed
+    pack, its bytes replaced by ``data`` if given; returns the exit code."""
+    cfg = base_config(tmp_path / "data", tmp_path / "runs")
+    task_dir = tmp_path / "data" / "pre4"
+    shutil.rmtree(task_dir, ignore_errors=True)
+    task_dir.mkdir(parents=True)
+    path = write_malformed_pack(task_dir, case)
+    if data is not None:
+        path.write_bytes(data)
+    return main(["--config", write_config(tmp_path, cfg), "pretrain"])
+
+
+@pytest.mark.parametrize("case", sorted(PACK_DEFECTS))
+def test_malformed_pack_exits_3_naming_it(tmp_path, capsys, case):
+    capsys.readouterr()
+    assert _pretrain_on_pack(tmp_path, case) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {tmp_path / 'data' / 'pre4' / 'features.milf'}: ")
+    assert PACK_DEFECTS[case][3] in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_every_truncated_pack_exits_3(tmp_path, capsys):
+    write_pack(tmp_path / "whole.milf")
+    data = (tmp_path / "whole.milf").read_bytes()
+    for n in range(len(data)):
+        capsys.readouterr()
+        assert _pretrain_on_pack(tmp_path, "truncated_in_payload", data[:n]) == 3, n
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {tmp_path / 'data' / 'pre4' / 'features.milf'}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err, (n, err)
 
 
 GRID_COMMANDS = ("transfer", "knn", "reset", "fewshot")
