@@ -5,11 +5,19 @@ A dataset is a directory with ``manifest.csv`` (header
 ``bag_id,path,label,split``), a ``task.json`` describing the task, and the
 feature files its rows name.  Feature files are a fixed little-endian binary
 format (magic ``MILF``) of float32 rows, ``feat_dim`` values each, in one of
-two layouts told apart by the version byte:
+three layouts told apart by the version byte:
 
 - version 1, one bag: ``n_instances x feat_dim`` rows;
 - version 2, a feature pack: an index of bags (row count and ``bag_id``
-  each), then every bag's rows in index order.
+  each), then every bag's rows in index order;
+- version 3, an aligned feature pack: version 2 with zero bytes after the
+  index up to the next 64-byte boundary, so every bag's rows sit on float32
+  boundaries in the file.
+
+``write_feature_file`` writes version 1 and ``write_feature_pack`` version
+3; all three are read.  A version-3 bag is read as a read-only view of its
+pack mapped into memory; the rows of the other two, off float32 boundaries,
+are copied into one buffer.
 
 A manifest row names its bag's file; rows that name one pack share it and
 find their rows under their ``bag_id``, while a version-1 file is one
@@ -26,6 +34,7 @@ import math
 import re
 import struct
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -39,15 +48,17 @@ from .errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from .fileio import (atomic_open, make_dirs, open_input, read_input, read_json, reraise_as,
-                     section)
+from .fileio import (atomic_open, make_dirs, map_input, open_input, read_input, read_json,
+                     reraise_as, section)
 
 FEATURE_MAGIC = b"MILF"
 FEATURE_VERSION = 1
-PACK_VERSION = 2
+UNALIGNED_PACK_VERSION = 2  # read, no longer written
+PACK_VERSION = 3
+_PACK_ALIGN = 64  # a version-3 pack's payload starts at a multiple of this
 FEATURE_PACK = "features.milf"  # the pack synth_generate writes in each task directory
 _HEADER_LEN = 13  # magic(4) + version(1) + reserved(8)
-_DIMS_LEN = 16    # two u64: v1 n_instances, v2 bag count; then feat_dim
+_DIMS_LEN = 16    # two u64: v1 n_instances, a pack's bag count; then feat_dim
 _RECORD_LEN = 16  # a pack's index record: u64 rows, u64 id length, then the id
 # declared payload must fit in a signed 64-bit byte count
 _MAX_PAYLOAD_BYTES = 2**63 - 1
@@ -94,11 +105,12 @@ def write_feature_pack(bag_ids, bags, path: str | Path) -> None:
     """Write the float32 matrices ``bags``, one per id of ``bag_ids`` and in
     that order, to ``path`` as one feature pack, holding one bag at a time.
 
-    Layout (version 2): the version-1 header with the bag count in place of
+    Layout (version 3): the version-1 header with the bag count in place of
     n_instances; one index record per bag: rows (u64 LE), id length (u64
-    LE), the UTF-8 ``bag_id``; then each bag's float32 LE rows in index
-    order.  The index is reserved first and its row counts, like feat_dim,
-    filled in once every bag is written.
+    LE), the UTF-8 ``bag_id``; zero bytes up to the next multiple of 64;
+    then each bag's float32 LE rows in index order.  The index is reserved
+    first and its row counts, like feat_dim, filled in once every bag is
+    written.
     """
     ids = [bag_id.encode("utf-8") for bag_id in bag_ids]
     if not ids or len(set(ids)) != len(ids):
@@ -106,7 +118,7 @@ def write_feature_pack(bag_ids, bags, path: str | Path) -> None:
     index_len = _HEADER_LEN + _DIMS_LEN + sum(_RECORD_LEN + len(i) for i in ids)
     rows, feat_dim = [], None
     with atomic_open(path, "wb") as fh:
-        fh.write(b"\x00" * index_len)
+        fh.write(b"\x00" * (index_len + -index_len % _PACK_ALIGN))
         for x in bags:
             arr = _float32_rows(x, feat_dim)
             rows.append(arr.shape[0])
@@ -124,6 +136,7 @@ class FeatureIndex:
     """A feature file's header and index, checked against its length
     ``size``: ``bags`` maps each bag id to its (rows, byte offset), in file
     order; a version-1 file holds one bag, under the id None."""
+    version: int
     size: int
     feat_dim: int
     bags: dict
@@ -161,11 +174,18 @@ def read_feature_index(path: str | Path) -> FeatureIndex:
         if len(head) < _HEADER_LEN + _DIMS_LEN:
             raise TruncatedPayloadError(f"{path}: file too short for header")
         version = head[4]
-        if version not in (FEATURE_VERSION, PACK_VERSION):
+        if version not in (FEATURE_VERSION, UNALIGNED_PACK_VERSION, PACK_VERSION):
             raise VersionMismatchError(f"{path}: unsupported feature format version {version}")
         count, d = struct.unpack_from("<QQ", head, _HEADER_LEN)
         records = ([(None, count)] if version == FEATURE_VERSION
                    else [_index_record(fh, size, path, i, count) for i in range(count)])
+        if version == PACK_VERSION:
+            pad = -fh.tell() % _PACK_ALIGN
+            padding = fh.read(pad)
+            if len(padding) < pad:
+                raise TruncatedPayloadError(f"{path}: the padding after the index is cut short")
+            if any(padding):
+                raise FeatureFormatError(f"{path}: the padding after the index is not zero")
         bags, start = {}, fh.tell()
         offset = start
         for bag_id, n in records:
@@ -182,7 +202,7 @@ def read_feature_index(path: str | Path) -> FeatureIndex:
         if offset < size:
             raise TruncatedPayloadError(f"{path}: payload holds {size - start} bytes, "
                                         f"expected exactly {offset - start}")
-        return FeatureIndex(size, d, bags)
+        return FeatureIndex(version, size, d, bags)
 
 
 def read_feature_file(path: str | Path, bag_id: str | None = None) -> np.ndarray:
@@ -194,11 +214,20 @@ def read_feature_file(path: str | Path, bag_id: str | None = None) -> np.ndarray
 
 def read_feature_files(paths, bag_ids=None) -> list[np.ndarray]:
     """The rows of bag ``bag_ids[i]`` in the feature file ``paths[i]``, for
-    every i (``bag_ids`` may be left out for version-1 files), as views of
-    one float32 buffer: a dropped cache frees one block, where one array per
-    bag can leave it resident in holes of the heap.  Each distinct file's
-    index is read once to size the buffer, then each bag's rows straight
-    into it."""
+    every i (``bag_ids`` may be left out for version-1 files).
+
+    Each distinct file's index is read once, then the file is mapped into
+    memory once.  A version-3 pack's bags are views of its map: the cache
+    holds no copy of them, and costs resident memory only for the pages a
+    caller touches.  The rows of version-1 files and version-2 packs are
+    copied into one float32 buffer, whose bags are views of it, and their
+    maps closed.
+
+    Every returned bag is read-only.  A mapped pack holds one file
+    descriptor until the last of its bags is collected.  Truncating a mapped
+    pack in place would kill the reading process with SIGBUS; no writer in
+    this package does so, since every write replaces its file atomically.
+    """
     bag_ids = [None] * len(paths) if bag_ids is None else list(bag_ids)
     requests: dict = {}
     for i, path in enumerate(paths):
@@ -206,16 +235,24 @@ def read_feature_files(paths, bag_ids=None) -> list[np.ndarray]:
     indexes = {path: read_feature_index(path) for path in requests}
     spans = [indexes[path].locate(bag_id, path) for path, bag_id in zip(paths, bag_ids)]
     shapes = [(rows, indexes[path].feat_dim) for path, (rows, _) in zip(paths, spans)]
-    counts = [rows * d for rows, d in shapes]
-    buf = np.empty(sum(counts), "<f4")
-    mats = [buf[start:start + count].reshape(shape)
-            for start, count, shape in zip(np.cumsum([0, *counts]), counts, shapes)]
+    counts = [0 if indexes[path].version == PACK_VERSION else rows * d
+              for path, (rows, d) in zip(paths, shapes)]
+    buf, starts = np.empty(sum(counts), "<f4"), np.cumsum([0, *counts])
+    mats = [None] * len(paths)
     for path, wanted in requests.items():
-        with open_input(path, "feature file", DataError) as (fh, size):
+        mapped = map_input(path, "feature file", DataError, indexes[path].size)
+        if indexes[path].version == PACK_VERSION:  # rows on float32 boundaries
             for i in wanted:
-                fh.seek(spans[i][1])
-                if size != indexes[path].size or fh.readinto(mats[i]) != mats[i].nbytes:
-                    raise DataError(f"{path}: feature file changed while it was read")
+                mats[i] = np.frombuffer(mapped, "<f4", math.prod(shapes[i]),
+                                        spans[i][1]).reshape(shapes[i])
+        else:
+            with mapped:
+                for i in wanted:
+                    buf[starts[i]:starts[i] + counts[i]] = np.frombuffer(
+                        mapped, "<f4", counts[i], spans[i][1])
+                    mats[i] = buf[starts[i]:starts[i] + counts[i]].reshape(shapes[i])
+    for x in mats:
+        x.flags.writeable = False
     return mats
 
 
@@ -462,10 +499,15 @@ class SynthTaskConfig:
         return len(self.concepts_per_class)
 
     def background_concepts(self) -> tuple[int, ...]:
-        used = set()
-        for subset in self.concepts_per_class:
-            used.update(subset)
-        return tuple(k for k in range(self.n_concepts) if k not in used)
+        return tuple(self.concept_pools[1].tolist())
+
+    @cached_property
+    def concept_pools(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """The concept ids ``synth_bag`` draws from: each class's, then the
+        background's (those of no class), built once per config."""
+        used = set().union(*self.concepts_per_class)
+        return (tuple(np.array(subset) for subset in self.concepts_per_class),
+                np.array([k for k in range(self.n_concepts) if k not in used], dtype=np.int64))
 
 
 def concept_prototypes(feat_dim: int, n_concepts: int, seed: int) -> np.ndarray:
@@ -496,10 +538,9 @@ def synth_bag(cfg: SynthTaskConfig, protos: np.ndarray, label: int,
     lo, hi = cfg.bag_size_range
     size = int(rng.integers(lo, hi + 1))
     n_wit = math.ceil(cfg.witness_rate * size)
-    class_concepts = np.array(cfg.concepts_per_class[label])
-    background = np.array(cfg.background_concepts())
+    class_pools, background = cfg.concept_pools
     concept_ids = np.concatenate([
-        rng.choice(class_concepts, size=n_wit, replace=True),
+        rng.choice(class_pools[label], size=n_wit, replace=True),
         rng.choice(background, size=size - n_wit, replace=True) if size > n_wit
         else np.array([], dtype=np.int64),
     ])

@@ -1,4 +1,4 @@
-"""Every input file is read and every output file written here.
+"""Every input file is read or mapped, and every output file written, here.
 
 The readers turn any ``OSError`` or decode error into the caller's
 ``MilError`` class, naming the file: ``ConfigError`` for the config, a
@@ -13,6 +13,7 @@ from __future__ import annotations
 import fcntl
 import json
 import math
+import mmap
 import os
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
@@ -100,6 +101,17 @@ def open_input(path: str | Path, what: str, error: type[MilError]):
     bytes; an ``OSError`` in the block becomes an ``error`` naming the file."""
     with _reading(path, what, error), open(path, "rb") as fh:
         yield fh, os.fstat(fh.fileno()).st_size
+
+
+def map_input(path: str | Path, what: str, error: type[MilError], size: int) -> mmap.mmap:
+    """The ``what`` file at ``path`` mapped read-only, if it is still ``size``
+    bytes long, else an ``error`` saying it changed; an ``OSError`` becomes an
+    ``error`` naming the file.  The map holds its own descriptor until it is
+    closed or collected."""
+    with _reading(path, what, error), open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size != size:
+            raise error(f"{path}: {what} changed while it was read")
+        return mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ)
 
 
 def read_input(path: str | Path, what: str, error: type[MilError],

@@ -211,8 +211,8 @@ def evaluate_split(cfg: ModelConfig, params: ModelParams, manifest: DatasetManif
 
 
 def load_split_features(manifest: DatasetManifest):
-    """Feature cache keyed by bag_id, every bag a view of one buffer
-    (``read_feature_files``); desk-scale datasets fit in memory."""
+    """Feature cache keyed by bag_id, every bag a read-only view of its
+    mapped pack or of one copied buffer (``read_feature_files``)."""
     entries = [e for tag in SPLITS for e in manifest.split(tag)]
     mats = read_feature_files([manifest.feature_path(e) for e in entries],
                               [e.bag_id for e in entries])

@@ -147,18 +147,66 @@ def test_pack_layout_and_round_trip(tmp_path):
     path = tmp_path / "p.milf"
     mats = write_pack(path)
     data = path.read_bytes()
-    assert data[:13] == b"MILF\x02" + b"\x00" * 8
+    assert data[:13] == b"MILF\x03" + b"\x00" * 8
     assert struct.unpack_from("<QQ", data, 13) == (3, 3)
     at = 29
     for bag_id, rows in PACK_ROWS.items():
         assert struct.unpack_from("<QQ", data, at) == (rows, 1)
         assert data[at + 16:at + 17] == bag_id.encode()
         at += 17
-    assert data[at:] == b"".join(m.astype("<f4").tobytes() for m in mats)
+    assert at == _record(3) == 80  # the index ends; zero padding to the next multiple of 64
+    assert data[at:128] == b"\x00" * 48
+    assert data[128:] == b"".join(m.astype("<f4").tobytes() for m in mats)
     for bag_id, m in zip(PACK_ROWS, mats):
         back = read_feature_file(path, bag_id)
         assert back.dtype == np.float32 and back.tobytes() == m.tobytes()
         assert back.shape == m.shape
+
+
+def payload_offset(data: bytes) -> int:
+    """Where the rows of the pack ``data`` begin, found by walking its
+    index; checks that only zero bytes pad the index to that offset."""
+    at = 29
+    for _ in range(struct.unpack_from("<Q", data, 13)[0]):
+        at += 16 + struct.unpack_from("<Q", data, at + 8)[0]
+    end = at + -at % 64
+    assert data[at:end] == b"\x00" * (end - at)
+    return end
+
+
+@pytest.mark.parametrize("feat_dim", [32, 1024])
+def test_generated_pack_is_version_3_with_aligned_rows(tmp_path, feat_dim):
+    manifest = synth_generate(synth_cfg(feat_dim=feat_dim, n_bags_per_class=5), tmp_path)
+    data = (tmp_path / "features.milf").read_bytes()
+    assert data[4] == 3
+    offset = payload_offset(data)
+    assert offset % 64 == 0 and offset > 29
+    features = load_split_features(manifest)
+    assert len(data) - offset == sum(x.nbytes for x in features.values())
+    rows = b"".join(features[e.bag_id].tobytes() for e in manifest.entries)
+    assert data[offset:] == rows
+
+
+def write_version_2_pack(bag_ids, mats, path):
+    """A version-2 pack, which ``write_feature_pack`` no longer writes: the
+    version-3 layout without the padding after the index."""
+    header = b"MILF\x02" + b"\x00" * 8 + struct.pack("<QQ", len(mats), mats[0].shape[1])
+    index = b"".join(struct.pack("<QQ", len(m), len(i.encode())) + i.encode()
+                     for i, m in zip(bag_ids, mats))
+    path.write_bytes(header + index + b"".join(m.astype("<f4").tobytes() for m in mats))
+
+
+def test_version_2_pack_loads_bit_for_bit(tmp_path):
+    mats = write_pack(tmp_path / "v3.milf")
+    write_version_2_pack(list(PACK_ROWS), mats, tmp_path / "v2.milf")
+    back = bagdata.read_feature_files([tmp_path / "v2.milf"] * 3, list(PACK_ROWS))
+    assert [x.tobytes() for x in back] == [m.tobytes() for m in mats]
+    assert [x.shape for x in back] == [m.shape for m in mats]
+    # copied out of the unaligned file into one buffer, like version-1 files
+    assert all(x.base is back[0].base and isinstance(x.base, np.ndarray) for x in back)
+    assert not any(x.flags.writeable for x in back)
+    v3 = bagdata.read_feature_files([tmp_path / "v3.milf"] * 3, list(PACK_ROWS))
+    assert [x.tobytes() for x in back] == [x.tobytes() for x in v3]
 
 
 def _record(i):
@@ -185,6 +233,8 @@ PACK_DEFECTS = {
     "rows_2_62": (lambda d: _put(d, _record(1), struct.pack("<Q", 2**62)), "abc",
                   DimensionOverflowError, "bag 'b'"),
     "bag_not_in_pack": (lambda d: d, "abz", DataError, "bag 'z'"),
+    "padding_not_zero": (lambda d: _put(d, _record(3) + 5, b"\x01"), "abc", FeatureFormatError,
+                         "padding"),
 }
 
 
@@ -221,6 +271,7 @@ def test_every_truncation_of_a_pack_is_a_format_error(tmp_path):
     path = tmp_path / "p.milf"
     write_pack(path)
     data = path.read_bytes()
+    assert data[4] == 3
     for n in range(len(data)):
         path.write_bytes(data[:n])
         with pytest.raises(FeatureFormatError, match=str(path)):
@@ -247,14 +298,25 @@ def _cache_bytes(features):
     return {bag_id: (x.shape, x.tobytes()) for bag_id, x in features.items()}
 
 
+def file_map(x):
+    """The mapped file that the array ``x`` is a view of."""
+    while isinstance(x, np.ndarray):
+        x = x.base
+    return x.obj
+
+
 def test_pack_cache_equals_per_bag_files_cache(tmp_path):
     pack, v1 = _generated_pack_and_v1_files(tmp_path)
     assert {e.path for e in pack.entries} == {"features.milf"}
     from_pack, from_v1 = load_split_features(pack), load_split_features(v1)
     assert list(from_pack) == list(from_v1)
     assert _cache_bytes(from_pack) == _cache_bytes(from_v1)
-    assert next(iter(from_pack.values())).base.tobytes() == \
-        next(iter(from_v1.values())).base.tobytes()
+    # the version-1 rows are copied into one buffer, in cache order; the
+    # pack's bags, views of its one map, hold the same bytes in that order
+    v1_bags, pack_bags = list(from_v1.values()), list(from_pack.values())
+    assert all(x.base is v1_bags[0].base for x in v1_bags)
+    assert v1_bags[0].base.tobytes() == b"".join(x.tobytes() for x in pack_bags)
+    assert all(file_map(x) is file_map(pack_bags[0]) for x in pack_bags)
     for e in pack.entries:
         assert pack.load_features(e).tobytes() == from_v1[e.bag_id].tobytes()
 
@@ -267,6 +329,54 @@ def test_manifest_may_mix_packs_and_per_bag_files(tmp_path):
     mixed = load_manifest(tmp_path / "v1" / "mixed.csv")
     assert len({mixed.feature_path(e) for e in mixed.entries}) == len(mixed.entries) // 2 + 1
     assert _cache_bytes(load_split_features(mixed)) == _cache_bytes(load_split_features(pack))
+
+
+def test_manifest_may_mix_all_three_layouts(tmp_path):
+    pack, v1 = _generated_pack_and_v1_files(tmp_path)
+    features = load_split_features(pack)
+    write_version_2_pack(list(features), list(features.values()), tmp_path / "v2.milf")
+    mixed = [replace(e, path=[str(tmp_path / "pack" / "features.milf"), e.path,
+                              str(tmp_path / "v2.milf")][i % 3])
+             for i, e in enumerate(v1.entries)]
+    write_manifest(v1.with_entries(mixed), tmp_path / "v1" / "mixed.csv")
+    mixed = load_manifest(tmp_path / "v1" / "mixed.csv")
+    assert _cache_bytes(load_split_features(mixed)) == _cache_bytes(features)
+
+
+def test_pack_cache_holds_no_private_copy(tmp_path):
+    cfg = synth_cfg(feat_dim=1024, n_bags_per_class=40, bag_size_range=(24, 40),
+                    witness_rate=1.0)
+    manifest = synth_generate(cfg, tmp_path)
+    assert (tmp_path / "features.milf").stat().st_size >= 8 << 20
+    tracemalloc.start()
+    try:
+        features = load_split_features(manifest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    mapped = file_map(next(iter(features.values())))
+    whole = np.frombuffer(mapped, np.uint8)
+    for x in features.values():
+        assert not x.flags.writeable and file_map(x) is mapped
+        assert np.shares_memory(x, whole)
+    with pytest.raises(ValueError):
+        x[0, 0] = 0.0
+
+
+def test_held_cache_keeps_its_values_when_the_task_is_generated_again(tmp_path):
+    cfg = synth_cfg(n_bags_per_class=6)
+    manifest = synth_generate(cfg, tmp_path)
+    held = load_split_features(manifest)
+    before = _cache_bytes(held)
+    again = synth_generate(replace(cfg, seed=cfg.seed + 1), tmp_path)
+    assert _cache_bytes(held) == before
+    fresh = load_split_features(again)
+    assert list(fresh) == list(held) and _cache_bytes(fresh) != before
+    protos = concept_prototypes(cfg.feat_dim, cfg.n_concepts, cfg.seed + 1)
+    for e in again.entries:
+        want = synth_bag(replace(cfg, seed=cfg.seed + 1), protos, e.label, int(e.bag_id[-4:]))
+        assert fresh[e.bag_id].tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

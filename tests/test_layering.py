@@ -64,10 +64,16 @@ def literal(mode: ast.expr) -> str | None:
     return mode.value if isinstance(mode, ast.Constant) and isinstance(mode.value, str) else None
 
 
+# (module, function) calls that read a file's bytes, or map them into memory
+READ_CALLS = {("mmap", "mmap"), ("np", "memmap"), ("np", "fromfile"), ("np", "load")}
+
+
 def file_reads(source: str) -> list[str]:
     """Calls in ``source`` that read a file: ``.read_bytes()``, ``.read_text()``,
-    and ``open(...)`` or ``.open(...)`` in a read mode: the default mode, a
-    literal mode holding ``r`` or ``+``, or a mode that is not a literal."""
+    ``mmap.mmap(...)``, ``np.memmap(...)``, ``np.fromfile(...)``,
+    ``np.load(...)``, and ``open(...)`` or ``.open(...)`` in a read mode: the
+    default mode, a literal mode holding ``r`` or ``+``, or a mode that is not
+    a literal."""
     hits = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
@@ -75,6 +81,9 @@ def file_reads(source: str) -> list[str]:
         func, mode = node.func, open_mode(node)
         if isinstance(func, ast.Attribute) and func.attr in ("read_bytes", "read_text"):
             hits.append(f"{node.lineno}: .{func.attr}()")
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and (func.value.id, func.attr) in READ_CALLS):
+            hits.append(f"{node.lineno}: {func.value.id}.{func.attr}()")
         elif mode is not None and (literal(mode) is None or set(literal(mode)) & set("r+")):
             hits.append(f"{node.lineno}: open")
     return hits
@@ -83,10 +92,14 @@ def file_reads(source: str) -> list[str]:
 def test_guard_sees_file_reads():
     source = ("data = path.read_bytes()\ntext = Path(p).read_text()\nopen(p)\n"
               "open(p, 'rb')\nopen(p, mode='r+')\npath.open()\nopen(p, mode)\n"
+              "mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)\nnp.memmap(p, '<f4')\n"
+              "np.fromfile(p, '<f4')\nnp.load(p)\n"
               "open(p, 'w')\nopen(p, 'a', encoding='utf-8')\npath.open('wb')\n"
-              "fh.read()\njson.loads(text)\n")
+              "fh.read()\njson.loads(text)\nnp.frombuffer(mapped, '<f4')\njson.load(fh)\n")
     assert file_reads(source) == ["1: .read_bytes()", "2: .read_text()", "3: open",
-                                  "4: open", "5: open", "6: open", "7: open"]
+                                  "4: open", "5: open", "6: open", "7: open",
+                                  "8: mmap.mmap()", "9: np.memmap()", "10: np.fromfile()",
+                                  "11: np.load()"]
 
 
 def test_only_fileio_reads_files():
