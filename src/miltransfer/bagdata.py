@@ -5,19 +5,18 @@ A dataset is a directory with ``manifest.csv`` (header
 ``bag_id,path,label,split``), a ``task.json`` describing the task, and the
 feature files its rows name.  Feature files are a fixed little-endian binary
 format (magic ``MILF``) of float32 rows, ``feat_dim`` values each, in one of
-three layouts told apart by the version byte:
+two layouts told apart by the version byte:
 
-- version 1, one bag: ``n_instances x feat_dim`` rows;
-- version 2, a feature pack: an index of bags (row count and ``bag_id``
-  each), then every bag's rows in index order;
-- version 3, an aligned feature pack: version 2 with zero bytes after the
-  index up to the next 64-byte boundary, so every bag's rows sit on float32
-  boundaries in the file.
+- version 1, one bag: ``n_instances x feat_dim`` rows, the one-file-per-slide
+  layout a feature extractor writes;
+- version 3, a feature pack: an index of bags (row count and ``bag_id``
+  each), zero bytes up to the next 64-byte boundary, then every bag's rows in
+  index order, so each sits on float32 boundaries in the file.
 
 ``write_feature_file`` writes version 1 and ``write_feature_pack`` version
-3; all three are read.  A version-3 bag is read as a read-only view of its
-pack mapped into memory; the rows of the other two, off float32 boundaries,
-are copied into one buffer.
+3, and both are read; version 2, an unpadded pack that no writer here makes
+any more, is refused.  A version-3 bag is read as a read-only view of its
+pack mapped into memory; version-1 rows are copied into one buffer.
 
 A manifest row names its bag's file; rows that name one pack share it and
 find their rows under their ``bag_id``, while a version-1 file is one
@@ -33,6 +32,7 @@ import json
 import math
 import re
 import struct
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -48,12 +48,10 @@ from .errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from .fileio import (atomic_open, make_dirs, map_input, open_input, read_input, read_json,
-                     reraise_as, section)
+from .fileio import atomic_open, make_dirs, map_input, read_input, read_json, reraise_as, section
 
 FEATURE_MAGIC = b"MILF"
 FEATURE_VERSION = 1
-UNALIGNED_PACK_VERSION = 2  # read, no longer written
 PACK_VERSION = 3
 _PACK_ALIGN = 64  # a version-3 pack's payload starts at a multiple of this
 FEATURE_PACK = "features.milf"  # the pack synth_generate writes in each task directory
@@ -131,84 +129,69 @@ def write_feature_pack(bag_ids, bags, path: str | Path) -> None:
             struct.pack("<QQ", n, len(i)) + i for n, i in zip(rows, ids)))
 
 
-@dataclass(frozen=True)
-class FeatureIndex:
-    """A feature file's header and index, checked against its length
-    ``size``: ``bags`` maps each bag id to its (rows, byte offset), in file
-    order; a version-1 file holds one bag, under the id None."""
-    version: int
-    size: int
-    feat_dim: int
-    bags: dict
-
-    def locate(self, bag_id: str | None, path) -> tuple[int, int]:
-        """(rows, byte offset) of ``bag_id``; any id names a version-1 file's bag."""
-        key = None if None in self.bags else bag_id
-        if key not in self.bags:
-            raise DataError(f"{path}: holds no bag {bag_id!r}")
-        return self.bags[key]
-
-
-def _index_record(fh, size: int, path, i: int, count: int) -> tuple[str, int]:
-    """The (bag id, rows) of a pack's ``i``-th index record, read from ``fh``."""
-    record = fh.read(_RECORD_LEN)
-    if len(record) == _RECORD_LEN:
-        rows, id_len = struct.unpack("<QQ", record)
-        raw = fh.read(id_len) if id_len <= size - fh.tell() else b""
-        if len(raw) == id_len:
+def _parse_index(data, path) -> tuple[int, dict]:
+    """(feat_dim, bags) of the feature file bytes ``data`` read from
+    ``path``, its header, index and padding checked against their length:
+    ``bags`` maps each bag id to its (rows, byte offset), in file order; a
+    version-1 file holds one bag, under the id None."""
+    size = len(data)
+    if data[: len(FEATURE_MAGIC)] != FEATURE_MAGIC:
+        raise BadMagicError(f"{path}: not a feature file (bad magic)")
+    if size < _HEADER_LEN + _DIMS_LEN:
+        raise TruncatedPayloadError(f"{path}: file too short for header")
+    version = data[4]
+    if version not in (FEATURE_VERSION, PACK_VERSION):
+        raise VersionMismatchError(f"{path}: unsupported feature format version {version}")
+    count, d = struct.unpack_from("<QQ", data, _HEADER_LEN)
+    start, records = _HEADER_LEN + _DIMS_LEN, [(None, count)]
+    if version == PACK_VERSION:
+        records = []
+        for i in range(count):
+            if start + _RECORD_LEN > size:
+                raise TruncatedPayloadError(f"{path}: index record {i} of {count} is cut short")
+            n, id_len = struct.unpack_from("<QQ", data, start)
+            start += _RECORD_LEN
+            if id_len > size - start:
+                raise TruncatedPayloadError(f"{path}: index record {i} of {count} is cut short")
             try:
-                return raw.decode("utf-8"), rows
+                records.append((data[start:start + id_len].decode("utf-8"), n))
             except UnicodeDecodeError as exc:
                 raise FeatureFormatError(
                     f"{path}: index record {i}: bag id is not UTF-8") from exc
-    raise TruncatedPayloadError(f"{path}: index record {i} of {count} is cut short")
-
-
-def read_feature_index(path: str | Path) -> FeatureIndex:
-    """The header and index of the feature file at ``path``, checked against
-    its length."""
-    with open_input(path, "feature file", DataError) as (fh, size):
-        head = fh.read(_HEADER_LEN + _DIMS_LEN)
-        if head[: len(FEATURE_MAGIC)] != FEATURE_MAGIC:
-            raise BadMagicError(f"{path}: not a feature file (bad magic)")
-        if len(head) < _HEADER_LEN + _DIMS_LEN:
-            raise TruncatedPayloadError(f"{path}: file too short for header")
-        version = head[4]
-        if version not in (FEATURE_VERSION, UNALIGNED_PACK_VERSION, PACK_VERSION):
-            raise VersionMismatchError(f"{path}: unsupported feature format version {version}")
-        count, d = struct.unpack_from("<QQ", head, _HEADER_LEN)
-        records = ([(None, count)] if version == FEATURE_VERSION
-                   else [_index_record(fh, size, path, i, count) for i in range(count)])
-        if version == PACK_VERSION:
-            pad = -fh.tell() % _PACK_ALIGN
-            padding = fh.read(pad)
-            if len(padding) < pad:
-                raise TruncatedPayloadError(f"{path}: the padding after the index is cut short")
-            if any(padding):
-                raise FeatureFormatError(f"{path}: the padding after the index is not zero")
-        bags, start = {}, fh.tell()
-        offset = start
-        for bag_id, n in records:
-            where = path if bag_id is None else f"{path}: bag {bag_id!r}"
-            if bag_id in bags:
-                raise FeatureFormatError(f"{where} repeats in the index")
-            if n == 0 or d == 0 or n * d * 4 > _MAX_PAYLOAD_BYTES:
-                raise DimensionOverflowError(f"{where}: invalid dimensions {n}x{d}")
-            if offset + n * d * 4 > size:
-                raise TruncatedPayloadError(f"{where}: payload holds {max(0, size - offset)} "
-                                            f"bytes, {n * d * 4} required for {n}x{d}")
-            bags[bag_id] = (n, offset)
-            offset += n * d * 4
-        if offset < size:
-            raise TruncatedPayloadError(f"{path}: payload holds {size - start} bytes, "
-                                        f"expected exactly {offset - start}")
-        return FeatureIndex(version, size, d, bags)
+            start += id_len
+        pad = -start % _PACK_ALIGN
+        if start + pad > size:
+            raise TruncatedPayloadError(f"{path}: the padding after the index is cut short")
+        if any(data[start:start + pad]):
+            raise FeatureFormatError(f"{path}: the padding after the index is not zero")
+        start += pad
+    bags, offset = {}, start
+    for bag_id, n in records:
+        where = path if bag_id is None else f"{path}: bag {bag_id!r}"
+        if bag_id in bags:
+            raise FeatureFormatError(f"{where} repeats in the index")
+        if n == 0 or d == 0 or n * d * 4 > _MAX_PAYLOAD_BYTES:
+            raise DimensionOverflowError(f"{where}: invalid dimensions {n}x{d}")
+        if offset + n * d * 4 > size:
+            raise TruncatedPayloadError(f"{where}: payload holds {max(0, size - offset)} "
+                                        f"bytes, {n * d * 4} required for {n}x{d}")
+        bags[bag_id] = (n, offset)
+        offset += n * d * 4
+    if offset < size:
+        raise TruncatedPayloadError(f"{path}: payload holds {size - start} bytes, "
+                                    f"expected exactly {offset - start}")
+    return d, bags
 
 
 def read_feature_file(path: str | Path, bag_id: str | None = None) -> np.ndarray:
     """The rows of bag ``bag_id`` in the feature file at ``path`` (written by
     :func:`write_feature_file` or :func:`write_feature_pack`); ``bag_id`` may
-    be left out for a version-1 file."""
+    be left out for a version-1 file.
+
+    Each call parses the whole file for one bag, so a loop over a pack's
+    bags is quadratic in their count (3.0 s on 1,200 bags): read many bags
+    through :func:`read_feature_files`.  This function remains because the
+    benchmark's tracer wraps it."""
     return read_feature_files([path], [bag_id])[0]
 
 
@@ -216,12 +199,13 @@ def read_feature_files(paths, bag_ids=None) -> list[np.ndarray]:
     """The rows of bag ``bag_ids[i]`` in the feature file ``paths[i]``, for
     every i (``bag_ids`` may be left out for version-1 files).
 
-    Each distinct file's index is read once, then the file is mapped into
-    memory once.  A version-3 pack's bags are views of its map: the cache
+    Each distinct file is opened and mapped into memory once, and its index
+    parsed from the map, so the rows are read from the very bytes the index
+    describes.  A version-3 pack's bags are views of its map: the cache
     holds no copy of them, and costs resident memory only for the pages a
-    caller touches.  The rows of version-1 files and version-2 packs are
-    copied into one float32 buffer, whose bags are views of it, and their
-    maps closed.
+    caller touches.  A version-1 file's rows, off float32 boundaries, are
+    copied into one float32 buffer, whose bags are views of it, and its map
+    closed before the next file is opened.
 
     Every returned bag is read-only.  A mapped pack holds one file
     descriptor until the last of its bags is collected.  Truncating a mapped
@@ -229,30 +213,35 @@ def read_feature_files(paths, bag_ids=None) -> list[np.ndarray]:
     this package does so, since every write replaces its file atomically.
     """
     bag_ids = [None] * len(paths) if bag_ids is None else list(bag_ids)
-    requests: dict = {}
-    for i, path in enumerate(paths):
-        requests.setdefault(path, []).append(i)
-    indexes = {path: read_feature_index(path) for path in requests}
-    spans = [indexes[path].locate(bag_id, path) for path, bag_id in zip(paths, bag_ids)]
-    shapes = [(rows, indexes[path].feat_dim) for path, (rows, _) in zip(paths, spans)]
-    counts = [0 if indexes[path].version == PACK_VERSION else rows * d
-              for path, (rows, d) in zip(paths, shapes)]
-    buf, starts = np.empty(sum(counts), "<f4"), np.cumsum([0, *counts])
-    mats = [None] * len(paths)
-    for path, wanted in requests.items():
-        mapped = map_input(path, "feature file", DataError, indexes[path].size)
-        if indexes[path].version == PACK_VERSION:  # rows on float32 boundaries
-            for i in wanted:
-                mats[i] = np.frombuffer(mapped, "<f4", math.prod(shapes[i]),
-                                        spans[i][1]).reshape(shapes[i])
-        else:
-            with mapped:
-                for i in wanted:
-                    buf[starts[i]:starts[i] + counts[i]] = np.frombuffer(
-                        mapped, "<f4", counts[i], spans[i][1])
-                    mats[i] = buf[starts[i]:starts[i] + counts[i]].reshape(shapes[i])
-    for x in mats:
+    copied = bytearray()  # the version-1 files' rows, in the order first requested
+    files, spans = {}, []
+    with ExitStack() as maps:  # closes every map if a file or bag is refused
+        for path, bag_id in zip(paths, bag_ids):
+            if path not in files:
+                mapped = maps.enter_context(map_input(path, "feature file", DataError))
+                d, bags = _parse_index(mapped, path)
+                if None in bags:  # version 1: copy the rows out, then close the map
+                    n, offset = bags[None]
+                    bags = {None: (n, len(copied))}
+                    copied += mapped[offset:]
+                    mapped.close()
+                    mapped = copied
+                files[path] = (mapped, d, bags)
+            mapped, d, bags = files[path]
+            key = None if None in bags else bag_id
+            if key not in bags:
+                raise DataError(f"{path}: holds no bag {bag_id!r}")
+            n, offset = bags[key]
+            spans.append((mapped, (n, d), offset))
+        maps.pop_all()  # the packs' maps live on in their bags
+    v1_rows = np.frombuffer(copied, "<f4")
+    mats = []
+    for mapped, shape, offset in spans:
+        count = math.prod(shape)
+        x = (v1_rows[offset // 4:offset // 4 + count] if mapped is copied
+             else np.frombuffer(mapped, "<f4", count, offset)).reshape(shape)
         x.flags.writeable = False
+        mats.append(x)
     return mats
 
 
@@ -328,6 +317,11 @@ class DatasetManifest:
         return path if path.is_absolute() else self.root / path
 
     def load_features(self, entry: ManifestEntry) -> np.ndarray:
+        """The rows of ``entry``'s bag.  Each call parses the whole file for
+        one bag, so a loop over a pack's bags is quadratic in their count:
+        read many bags through ``training.load_split_features``, which calls
+        :func:`read_feature_files`.  This method remains because the
+        benchmark's oracle tests call it."""
         return read_feature_file(self.feature_path(entry), entry.bag_id)
 
     def class_counts(self, split_tag: str = "train") -> np.ndarray:

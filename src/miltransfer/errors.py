@@ -5,7 +5,8 @@ format and undefined-metric subclasses) -> 3, NumericError -> 4.  An input
 file that cannot be read or decoded (missing, a directory, not UTF-8, not
 JSON) is a DataError, or a ConfigError when it is the experiment config
 itself.  An output file or directory that cannot be written is a
-ConfigError.
+ConfigError.  A file of an unsupported format version is a
+VersionMismatchError, which is both a checkpoint and a feature format error.
 """
 
 
@@ -42,8 +43,10 @@ class CheckpointFormatError(DataError):
     """Malformed checkpoint container."""
 
 
-class VersionMismatchError(CheckpointFormatError):
-    """Checkpoint or feature file written with an unsupported format version."""
+class VersionMismatchError(CheckpointFormatError, FeatureFormatError):
+    """Checkpoint or feature file written with an unsupported format version:
+    a malformed file of either kind, so both a ``CheckpointFormatError`` and a
+    ``FeatureFormatError``."""
 
 
 class ShapeMismatchError(DataError):

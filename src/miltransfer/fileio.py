@@ -1,5 +1,7 @@
 """Every input file is read or mapped, and every output file written, here.
 
+A file is opened once per read: ``read_input`` returns its bytes, and
+``map_input`` maps it whole, so its caller parses the very bytes it reads.
 The readers turn any ``OSError`` or decode error into the caller's
 ``MilError`` class, naming the file: ``ConfigError`` for the config, a
 ``DataError`` class for data.  One typed parser (``typed``, ``section``)
@@ -95,23 +97,15 @@ def _reading(path: str | Path, what: str, error: type[MilError]):
         raise error(f"{what} {path}: cannot read ({reason})") from exc
 
 
-@contextmanager
-def open_input(path: str | Path, what: str, error: type[MilError]):
-    """The ``what`` file at ``path`` open for binary reads, with its length in
-    bytes; an ``OSError`` in the block becomes an ``error`` naming the file."""
+def map_input(path: str | Path, what: str, error: type[MilError]) -> mmap.mmap | memoryview:
+    """The ``what`` file at ``path`` mapped read-only, or an empty memoryview
+    if the file is empty (``mmap`` refuses one); an ``OSError`` becomes an
+    ``error`` naming the file.  Either closes as a context manager.  The map
+    holds its own descriptor until it is closed or collected."""
     with _reading(path, what, error), open(path, "rb") as fh:
-        yield fh, os.fstat(fh.fileno()).st_size
-
-
-def map_input(path: str | Path, what: str, error: type[MilError], size: int) -> mmap.mmap:
-    """The ``what`` file at ``path`` mapped read-only, if it is still ``size``
-    bytes long, else an ``error`` saying it changed; an ``OSError`` becomes an
-    ``error`` naming the file.  The map holds its own descriptor until it is
-    closed or collected."""
-    with _reading(path, what, error), open(path, "rb") as fh:
-        if os.fstat(fh.fileno()).st_size != size:
-            raise error(f"{path}: {what} changed while it was read")
-        return mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ)
+        if os.fstat(fh.fileno()).st_size == 0:
+            return memoryview(b"")
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
 
 
 def read_input(path: str | Path, what: str, error: type[MilError],

@@ -1,4 +1,7 @@
+import builtins
+import gc
 import math
+import os
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -28,11 +31,13 @@ from miltransfer.bagdata import (
 )
 from miltransfer.errors import (
     BadMagicError,
+    CheckpointFormatError,
     ConfigError,
     DataError,
     DimensionOverflowError,
     FeatureFormatError,
     TruncatedPayloadError,
+    VersionMismatchError,
 )
 from miltransfer.metrics import auroc
 from miltransfer.training import load_split_features
@@ -117,19 +122,68 @@ def test_read_feature_files_are_views_of_one_buffer(tmp_path):
         assert x.tobytes() == read_feature_file(path).tobytes()
 
 
-def test_feature_file_changed_while_read_is_data_error(tmp_path, monkeypatch):
-    path = tmp_path / "a.milf"
-    write_feature_file(np.ones((2, 3), dtype=np.float32), path)
-    read_index = bagdata.read_feature_index
+def test_pack_replaced_before_it_is_mapped_is_read_as_the_new_file(tmp_path, monkeypatch):
+    path = tmp_path / "p.milf"
+    rng = np.random.default_rng(11)
+    old = [rng.standard_normal((n, 3)).astype(np.float32) for n in (2, 3)]
+    new = [rng.standard_normal((n, 3)).astype(np.float32) for n in (3, 2)]
+    write_feature_pack(["a", "b"], old, path)
+    size = path.stat().st_size
+    real_map = bagdata.map_input
 
-    def index_then_grow(p):  # a row grows after the index has sized the cache
-        index = read_index(p)
-        write_feature_file(np.ones((3, 3), dtype=np.float32), path)
-        return index
+    def replace_then_map(p, *args):  # same length, other row counts
+        write_feature_pack(["a", "b"], new, path)
+        assert path.stat().st_size == size
+        return real_map(p, *args)
 
-    monkeypatch.setattr(bagdata, "read_feature_index", index_then_grow)
-    with pytest.raises(DataError, match="changed while it was read"):
-        bagdata.read_feature_files([path])
+    monkeypatch.setattr(bagdata, "map_input", replace_then_map)
+    back = bagdata.read_feature_files([path, path], ["a", "b"])
+    assert [(x.shape, x.tobytes()) for x in back] == [(m.shape, m.tobytes()) for m in new]
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_each_feature_file_is_opened_once(tmp_path, monkeypatch):
+    _, v1 = _generated_pack_and_v1_files(tmp_path)
+    mixed = [e if i % 2 else replace(e, path=str(tmp_path / "pack" / "features.milf"))
+             for i, e in enumerate(v1.entries)]
+    mixed = v1.with_entries(mixed)
+    paths = {str(mixed.feature_path(e)) for e in mixed.entries}
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) in paths:
+            opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    load_split_features(mixed)
+    monkeypatch.undo()
+    assert sorted(opened) == sorted(paths)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_cache_holds_one_descriptor_per_pack_and_none_per_version_1_file(tmp_path):
+    rng = np.random.default_rng(13)
+    paths = [tmp_path / f"{i}.milf" for i in range(64)]
+    for path in paths:
+        write_feature_file(rng.standard_normal((2, 3)).astype(np.float32), path)
+    gc.collect()  # close what earlier tests left for the collector
+    before = _open_fds()
+    v1 = bagdata.read_feature_files(paths)
+    assert _open_fds() == before and len(v1) == 64
+    write_pack(tmp_path / "p.milf")
+    held = bagdata.read_feature_files([tmp_path / "p.milf"] * 3, list(PACK_ROWS))
+    assert _open_fds() == before + 1
+    del held
+    gc.collect()
+    assert _open_fds() == before
+    with pytest.raises(DataError, match="holds no bag 'z'") as refused:  # after the map
+        bagdata.read_feature_files([tmp_path / "p.milf"] * 2, ["a", "z"])
+    assert _open_fds() == before and refused.tb is not None  # closed while the error lives
 
 
 # a 3-bag pack of 3 features: ids a, b and c hold 2, 1 and 3 rows
@@ -196,17 +250,24 @@ def write_version_2_pack(bag_ids, mats, path):
     path.write_bytes(header + index + b"".join(m.astype("<f4").tobytes() for m in mats))
 
 
-def test_version_2_pack_loads_bit_for_bit(tmp_path):
+def test_version_2_pack_is_refused(tmp_path):
     mats = write_pack(tmp_path / "v3.milf")
     write_version_2_pack(list(PACK_ROWS), mats, tmp_path / "v2.milf")
-    back = bagdata.read_feature_files([tmp_path / "v2.milf"] * 3, list(PACK_ROWS))
-    assert [x.tobytes() for x in back] == [m.tobytes() for m in mats]
-    assert [x.shape for x in back] == [m.shape for m in mats]
-    # copied out of the unaligned file into one buffer, like version-1 files
-    assert all(x.base is back[0].base and isinstance(x.base, np.ndarray) for x in back)
-    assert not any(x.flags.writeable for x in back)
-    v3 = bagdata.read_feature_files([tmp_path / "v3.milf"] * 3, list(PACK_ROWS))
-    assert [x.tobytes() for x in back] == [x.tobytes() for x in v3]
+    with pytest.raises(VersionMismatchError, match="version 2") as info:
+        bagdata.read_feature_files([tmp_path / "v2.milf"] * 3, list(PACK_ROWS))
+    assert str(tmp_path / "v2.milf") in str(info.value)
+    assert isinstance(info.value, FeatureFormatError)
+    assert isinstance(info.value, CheckpointFormatError)
+
+
+def test_unsupported_feature_version_is_a_feature_format_error(tmp_path):
+    path = tmp_path / "v9.milf"
+    write_feature_file(np.ones((2, 3), dtype=np.float32), path)
+    path.write_bytes(_put(path.read_bytes(), 4, b"\x09"))
+    with pytest.raises(FeatureFormatError, match="version 9") as info:
+        read_feature_file(path)
+    assert type(info.value) is VersionMismatchError
+    assert isinstance(info.value, CheckpointFormatError)  # as a checkpoint's refusal is
 
 
 def _record(i):
@@ -235,6 +296,7 @@ PACK_DEFECTS = {
     "bag_not_in_pack": (lambda d: d, "abz", DataError, "bag 'z'"),
     "padding_not_zero": (lambda d: _put(d, _record(3) + 5, b"\x01"), "abc", FeatureFormatError,
                          "padding"),
+    "version_2": (lambda d: _put(d, 4, b"\x02"), "abc", VersionMismatchError, "version 2"),
 }
 
 
@@ -329,18 +391,6 @@ def test_manifest_may_mix_packs_and_per_bag_files(tmp_path):
     mixed = load_manifest(tmp_path / "v1" / "mixed.csv")
     assert len({mixed.feature_path(e) for e in mixed.entries}) == len(mixed.entries) // 2 + 1
     assert _cache_bytes(load_split_features(mixed)) == _cache_bytes(load_split_features(pack))
-
-
-def test_manifest_may_mix_all_three_layouts(tmp_path):
-    pack, v1 = _generated_pack_and_v1_files(tmp_path)
-    features = load_split_features(pack)
-    write_version_2_pack(list(features), list(features.values()), tmp_path / "v2.milf")
-    mixed = [replace(e, path=[str(tmp_path / "pack" / "features.milf"), e.path,
-                              str(tmp_path / "v2.milf")][i % 3])
-             for i, e in enumerate(v1.entries)]
-    write_manifest(v1.with_entries(mixed), tmp_path / "v1" / "mixed.csv")
-    mixed = load_manifest(tmp_path / "v1" / "mixed.csv")
-    assert _cache_bytes(load_split_features(mixed)) == _cache_bytes(features)
 
 
 def test_pack_cache_holds_no_private_copy(tmp_path):
