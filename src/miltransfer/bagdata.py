@@ -22,6 +22,16 @@ A manifest row names its bag's file; rows that name one pack share it and
 find their rows under their ``bag_id``, while a version-1 file is one
 unnamed bag, whatever ``bag_id`` its row gives.  ``synth_generate`` writes
 one pack per task, ``features.milf``, which every row of its manifest names.
+
+``synth_generate`` draws a task's bags on the package thread pool
+(``parallel``) when its mean bag holds at least ``POOLED_BAG_VALUES`` (2^14)
+values, at most 2 x workers bags ahead of the writer, which takes them in
+manifest order.  Smaller bags are Python-bound under the GIL.  Per bag of 24
+to 48 rows, serial against a 2-thread pool (medians of 7 runs of 320 bags,
+2-vCPU host), 32-d took 90 against 193 us, 128-d 181 against 224, 256-d 214
+against 234, 512-d 487 against 344 and 1024-d 937 against 557.  Each bag
+draws from its own ``SeedSequence``, so a pack's bytes do not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -32,13 +42,14 @@ import json
 import math
 import re
 import struct
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .errors import (
     BadMagicError,
     ConfigError,
@@ -60,6 +71,8 @@ _DIMS_LEN = 16    # two u64: v1 n_instances, a pack's bag count; then feat_dim
 _RECORD_LEN = 16  # a pack's index record: u64 rows, u64 id length, then the id
 # declared payload must fit in a signed 64-bit byte count
 _MAX_PAYLOAD_BYTES = 2**63 - 1
+# synth_generate draws bags on the thread pool from this mean bag size in values
+POOLED_BAG_VALUES = 2**14
 
 SPLITS = ("train", "val", "test")
 METRICS = ("auroc", "balanced_accuracy", "quadratic_weighted_kappa")
@@ -566,8 +579,11 @@ def synth_generate(cfg: SynthTaskConfig, out_dir: str | Path) -> DatasetManifest
             split_tag = "test"
         entries.append(ManifestEntry(f"{cfg.task_id}_c{c:02d}_b{i:04d}", FEATURE_PACK, c,
                                      split_tag))
-    write_feature_pack([e.bag_id for e in entries],
-                       (synth_bag(cfg, protos, c, i) for c, i in bags), out_dir / FEATURE_PACK)
+    lo, hi = cfg.bag_size_range
+    pooled = (lo + hi) / 2 * cfg.feat_dim >= POOLED_BAG_VALUES
+    with closing(parallel.ordered_map(lambda bag: synth_bag(cfg, protos, *bag), bags,
+                                      pooled)) as drawn:
+        write_feature_pack([e.bag_id for e in entries], drawn, out_dir / FEATURE_PACK)
 
     task = TaskSpec(
         task_id=cfg.task_id,

@@ -52,7 +52,9 @@ embedded as one stack per split (``transfer.embed_bags``).  A sibling's
 result equals the one its solo run would write, byte for byte.  Result and
 checkpoint bytes are a function of the config, manifest, seed and the
 numpy/BLAS build; an SVCCA report on a layer more than 48 units wide can
-also depend on the BLAS thread count (``analysis``).
+also depend on the BLAS thread count (``analysis``).  No byte depends on
+the CPU count: wide synthetic bags and wide AdamW steps run on a pool of
+one thread per CPU (``parallel``) and write what an inline run writes.
 
 Each job writes ``<tag>_<arch>_<target>_<init>_s<seed>.json``, where the
 tag is the command name (``fewshot<K>``, ``scale<n_params>``); ``run_jobs``

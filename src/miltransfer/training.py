@@ -28,8 +28,19 @@ scorer of every val and test split, read no file.
 Early stopping stays per job.  A job that stops leaves the stack at its
 epoch boundary with its best-validation snapshot; the others train on.
 
+AdamW.  ``adamw_step`` runs its 16 ufuncs per block of ``ADAM_BLOCK``
+(65,536) values of the flattened (J, P) buffers, so each block stays in
+cache, and splits a stack of at least two blocks into one contiguous share
+per worker of the package thread pool (``parallel``).  On the wide ABMIL
+(P = 927,377), medians of 30 steps on a 2-vCPU host: at one thread the
+whole buffer took 7.2 ms, 64K-value blocks 5.4 ms and 16K blocks 5.8 ms; two
+shares took 3.5 ms at J=1 and 7.2 ms at J=2, against 6.5-7.1 and 15.7-16.0
+ms whole.  The demo ABMIL (P = 2,657) is one block, run inline.
+
 Determinism: the parameters' bytes are a function of the config, manifest,
 seed and the numpy/BLAS build, and each job's bytes equal its solo run.
+AdamW updates each value alone, so they do not depend on the blocks, the
+shares or the pool's worker count.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics, models
+from . import metrics, models, parallel
 from .bagdata import SPLITS, DatasetManifest, read_feature_files, weighted_epoch_order
 from .errors import ConfigError, DataError, NumericError, UndefinedMetricError
 from .fileio import reraise_as
@@ -51,6 +62,7 @@ from .models import ModelConfig, ModelParams
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 65536  # values per block of an AdamW step
 
 
 @dataclass(frozen=True)
@@ -128,8 +140,13 @@ class ParamStack:
     def _set(self, params: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
         self.params, self.m, self.v = params, m, v
         self.grads = np.zeros_like(params)
-        self._scratch = (np.empty_like(params), np.empty_like(params))
         self._finite = np.empty(params.shape, dtype=bool)
+        scratch = (np.empty_like(params), np.empty_like(params))
+        flat = [buf.reshape(-1) for buf in (params, m, v, self.grads, *scratch)]
+        # adamw_step's work: per share, each block's views of the six buffers
+        self._adam_shares = [[tuple(buf[lo:min(lo + ADAM_BLOCK, stop)] for buf in flat)
+                              for lo in range(start, stop, ADAM_BLOCK)]
+                             for start, stop in _adam_share_edges(params.size)]
         self.layers = self.views(params)
         self.grad_layers = self.views(self.grads)
 
@@ -151,8 +168,14 @@ def adamw_step(stack: ParamStack, lr: float, weight_decay: float) -> None:
     bias-corrected adaptive step plus decoupled weight decay
     (param -= lr * wd * param, applied separately).
 
-    Whole-buffer ufuncs write into the stack's scratch, so a step allocates
-    no P-sized temporaries.
+    The gradients are checked for non-finite values first, whole, so the
+    error names the first bad (job, layer).  The update then runs its 16
+    ufuncs per block of ``ADAM_BLOCK`` values of the flattened (J, P)
+    buffers, writing into the stack's scratch, so each block stays in cache
+    and a step allocates no P-sized temporaries.  A stack of at least two
+    blocks is split into one contiguous share per worker of the thread pool
+    (``parallel.run``).  Every value is updated alone, so the bytes do not
+    depend on the blocks, the shares or the worker count.
     """
     g = stack.grads
     finite = np.isfinite(g, out=stack._finite)
@@ -162,24 +185,38 @@ def adamw_step(stack: ParamStack, lr: float, weight_decay: float) -> None:
                            f"of job {stack.names[job]}")
     stack.step += 1
     t = stack.step
-    bc1 = 1.0 - ADAM_BETA1 ** t
-    bc2 = 1.0 - ADAM_BETA2 ** t
-    p, m, v = stack.params, stack.m, stack.v
-    a, b = stack._scratch
-    m *= ADAM_BETA1
-    m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
-    v *= ADAM_BETA2
-    np.multiply(g, 1.0 - ADAM_BETA2, out=a)
-    v += np.multiply(a, g, out=a)
-    p -= np.multiply(p, lr * weight_decay, out=a)
-    # p -= lr * m_hat / (sqrt(v_hat) + eps)
-    np.divide(m, bc1, out=a)
-    a *= lr
-    np.divide(v, bc2, out=b)
-    np.sqrt(b, out=b)
-    b += ADAM_EPS
-    a /= b
-    p -= a
+    coeffs = (lr, weight_decay, 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t)
+    parallel.run(_adamw_blocks, stack._adam_shares, coeffs)
+
+
+def _adam_share_edges(size: int):
+    """(start, stop) of each contiguous share of ``size`` values: one per
+    worker from two ``ADAM_BLOCK`` blocks on, else one; edges on 64-byte
+    boundaries."""
+    n = parallel.workers() if size >= 2 * ADAM_BLOCK else 1
+    edges = [size * k // n // 16 * 16 for k in range(n)] + [size]
+    return zip(edges, edges[1:])
+
+
+def _adamw_blocks(blocks, coeffs) -> None:
+    """``adamw_step``'s update of one share, block by block: each block is
+    its (params, m, v, grads, scratch, scratch) views."""
+    lr, weight_decay, bc1, bc2 = coeffs
+    for p, m, v, g, a, b in blocks:
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+        v += np.multiply(a, g, out=a)
+        p -= np.multiply(p, lr * weight_decay, out=a)
+        # p -= lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(m, bc1, out=a)
+        a *= lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        p -= a
 
 
 def evaluate_split(cfg: ModelConfig, params: ModelParams, manifest: DatasetManifest,

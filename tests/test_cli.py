@@ -6,9 +6,11 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 import weakref
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -16,10 +18,10 @@ import numpy as np
 import pytest
 
 import miltransfer
-from miltransfer import fileio, training, transfer
+from miltransfer import bagdata, fileio, parallel, training, transfer
 from miltransfer.bagdata import load_manifest, write_feature_file, write_manifest
 from miltransfer.cli import load_config, main, zoo_update
-from miltransfer.errors import ConfigError
+from miltransfer.errors import ConfigError, DataError
 from miltransfer.metrics import EvalResult
 from miltransfer.training import load_split_features
 from test_bagdata import PACK_DEFECTS, write_malformed_pack, write_pack
@@ -1048,3 +1050,132 @@ def test_cli_tree_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert sorted(digests[1]) == sorted(digests[2])
     assert any(name.startswith("results/svcca_") for name in digests[1])
     assert [name for name in digests[1] if digests[1][name] != digests[2][name]] == []
+
+
+# ---------------------------------------------------------------------------
+# the thread pool
+# ---------------------------------------------------------------------------
+
+def wide_config(root, out):
+    """``base_config`` with 1024-d features and a 1024 -> 128 ABMIL: its bags
+    (a mean of 24 x 1024 values) are drawn on the thread pool, and so are its
+    AdamW steps (P >= 2 x 65,536)."""
+    cfg = base_config(root, out)
+    cfg["synthetic"].update(feat_dim=1024, bag_size_range=[16, 32])
+    cfg["model"].update(in_dim=1024, embed_dim=128)
+    return cfg
+
+
+PINNED_TREE = """
+import os, sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(os.getpid(), {min(os.sched_getaffinity(0))})
+from miltransfer import parallel
+from miltransfer.cli import main
+print(parallel.workers())
+for command in ("generate", "pretrain"):
+    if main(["--config", sys.argv[2], command]) != 0:
+        sys.exit(f"{command} failed")
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+def test_cli_tree_bytes_do_not_depend_on_the_worker_count(tmp_path):
+    """``generate`` and ``pretrain`` of a wide config write the same bytes
+    in an interpreter pinned to one CPU, where nothing runs on the pool, as
+    in one free to use every CPU.  Both run one BLAS thread."""
+    src = str(Path(miltransfer.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+           **{f"{lib}_NUM_THREADS": "1" for lib in ("OPENBLAS", "OMP", "MKL")}}
+    procs = {}
+    for side in ("pinned", "free"):
+        root = tmp_path / side
+        root.mkdir()
+        cfg_path = write_config(root, wide_config(root / "data", root / "runs"))
+        procs[side] = subprocess.Popen([sys.executable, "-c", PINNED_TREE, side, cfg_path],
+                                       env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    trees = {}
+    for side, proc in procs.items():
+        out, err = proc.communicate(timeout=600)
+        assert proc.returncode == 0, err.decode()
+        assert (int(out.split()[0]) == 1) == (side == "pinned")
+        root = tmp_path / side
+        trees[side] = {**_tree_files(root / "data"), **_tree_files(root / "runs" / "checkpoints")}
+    assert any(path.name == "features.milf" for path in trees["free"])
+    assert any(path.suffix == ".milc" for path in trees["free"])
+    assert trees["pinned"] == trees["free"]
+
+
+class _FailingWrite:
+    """A file whose ``k``-th write fails as a full disk would."""
+
+    def __init__(self, fh, k: int):
+        self._fh, self._k = fh, k
+
+    def write(self, data):
+        self._k -= 1
+        if self._k == 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def _watch_draws(monkeypatch, fail_at=None):
+    """Count the ``synth_bag`` calls started and finished; the one drawing
+    (label, bag index) ``fail_at`` raises a ``DataError``."""
+    calls, lock = Counter(), threading.Lock()
+    real = bagdata.synth_bag
+
+    def watched(cfg, protos, label, bag_index):
+        with lock:
+            calls["started"] += 1
+        try:
+            if (label, bag_index) == fail_at:
+                raise DataError(f"bag {bag_index} of class {label} cannot be drawn")
+            return real(cfg, protos, label, bag_index)
+        finally:
+            with lock:
+                calls["finished"] += 1
+
+    monkeypatch.setattr(bagdata, "synth_bag", watched)
+    return calls
+
+
+def _generate_wide(tmp_path, monkeypatch, capsys, calls):
+    """Exit code, stderr and the draws started and finished as ``main`` returns."""
+    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    cfg_path = write_config(tmp_path, wide_config(tmp_path / "data", tmp_path / "runs"))
+    capsys.readouterr()
+    code = main(["--config", cfg_path, "generate"])
+    draws = calls["started"], calls["finished"]
+    return code, capsys.readouterr().err, draws
+
+
+def test_pack_write_failing_mid_way_exits_2_and_stops_the_draws(tmp_path, monkeypatch,
+                                                                 capsys):
+    """The third write of the first pack (its second bag) fails: no temp
+    file is left, no draw still runs, and the draws stop short of the task."""
+    calls = _watch_draws(monkeypatch)
+    real_open = bagdata.atomic_open
+
+    @contextmanager
+    def failing_open(path, *args, **kwargs):
+        with real_open(path, *args, **kwargs) as fh:
+            yield _FailingWrite(fh, 3) if Path(path).name == "features.milf" else fh
+
+    monkeypatch.setattr(bagdata, "atomic_open", failing_open)
+    code, err, (started, finished) = _generate_wide(tmp_path, monkeypatch, capsys, calls)
+    assert code == 2 and err.startswith("config error:") and "cannot write" in err
+    assert started == finished < 48  # pre4 holds 4 x 12 bags
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_bag_failing_to_draw_exits_3_and_stops_the_draws(tmp_path, monkeypatch, capsys):
+    calls = _watch_draws(monkeypatch, fail_at=(1, 5))
+    code, err, (started, finished) = _generate_wide(tmp_path, monkeypatch, capsys, calls)
+    assert code == 3 and err.startswith("data error:") and "bag 5 of class 1" in err
+    assert started == finished < 48
+    assert not list(tmp_path.rglob("*.tmp"))
